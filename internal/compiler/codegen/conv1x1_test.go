@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"patdnn/internal/model"
@@ -20,6 +21,18 @@ func oneByOneLayer(t *testing.T, stride int) *model.Layer {
 	return nil
 }
 
+// denseFromPlan1x1 rebuilds the dense [OutC,InC,1,1] weight tensor the plan's
+// CSR encodes, for the dense reference.
+func denseFromPlan1x1(p *Plan1x1) *tensor.Tensor {
+	w := tensor.New(p.OutC, p.InC, 1, 1)
+	for f := 0; f < p.OutC; f++ {
+		for k := p.rowPtr[f]; k < p.rowPtr[f+1]; k++ {
+			w.Data[f*p.InC+int(p.idx[k])] = p.w[k]
+		}
+	}
+	return w
+}
+
 func TestConv1x1MatchesDense(t *testing.T) {
 	for _, stride := range []int{1, 2} {
 		l := oneByOneLayer(t, stride)
@@ -27,13 +40,7 @@ func TestConv1x1MatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Rebuild the dense weight tensor from the plan for the reference.
-		w := tensor.New(p.OutC, p.InC, 1, 1)
-		for f := 0; f < p.OutC; f++ {
-			for ki, ch := range p.keepCh[f] {
-				w.Data[f*p.InC+int(ch)] = p.keepW[f][ki]
-			}
-		}
+		w := denseFromPlan1x1(p)
 		rng := rand.New(rand.NewSource(2))
 		in := tensor.New(p.InC, p.InH, p.InW)
 		in.Randn(rng, 1)
@@ -79,11 +86,11 @@ func TestConv1x1KeepsLargestWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Largest |w|: 5 (f0,c0), -4 (f0,c2), 3 (f1,c1).
-	if len(p.keepCh[0]) != 2 || len(p.keepCh[1]) != 1 {
-		t.Fatalf("keep structure wrong: %v", p.keepCh)
+	if want := []int32{0, 2, 3}; !slices.Equal(p.rowPtr, want) {
+		t.Fatalf("row pointers %v, want %v", p.rowPtr, want)
 	}
-	if p.keepW[1][0] != 3 {
-		t.Fatalf("filter 1 kept %v", p.keepW[1])
+	if !slices.Equal(p.idx, []int32{0, 2, 1}) || !slices.Equal(p.w, []float32{5, -4, 3}) {
+		t.Fatalf("kept channels %v weights %v", p.idx, p.w)
 	}
 }
 

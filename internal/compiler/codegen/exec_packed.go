@@ -29,9 +29,18 @@ package codegen
 //
 // The microkernel set is captured from simd.Active() when the plan is built,
 // so a compiled plan's behavior is immutable: simd.ForceGeneric only affects
-// plans compiled afterwards, and the hot path reads no globals. Strided
-// convolutions (Stride >= 2) keep the scalar sweep — the microkernel contract
-// is unit column step — as does any geometry the tile kernels cannot express.
+// plans compiled afterwards, and the hot path reads no globals.
+//
+// The microkernel contract is unit column step, so a strided convolution
+// (Stride s >= 2) first splits each padded input plane (pooled scratch) by
+// row phase and column tap: plane (a, dc) holds padded[i·s+a][j·s+dc] for
+// every output column j. Tap (dr, dc) of output (oh, ow) then reads plane
+// (dr mod s, dc) at (oh + dr div s, ow) — a unit column step again, and a row
+// stride equal to the output's, so a full-width tile is contiguous on both
+// sides and goes to the microkernel as one long row (no per-row vector tail;
+// a 4×4 output plane is two vectors instead of sixteen scalars). The same
+// blocked walk runs over the split planes. Depthwise convs split only the
+// planes of the filters in range.
 //
 // The bias + ReLU epilogue fuses into the same walk: the driver initializes
 // each output plane itself, so the serving runtime can hand it dirty pooled
@@ -46,32 +55,133 @@ import (
 )
 
 // packedScratch holds the pointer/weight buffers a driver call hands to the
-// microkernels. The calls go through func values, so escape analysis cannot
-// prove the arrays don't leak and stack copies would be heap-allocated on
-// every call; pooling one scratch per driver invocation keeps the serving
-// hot path allocation-free.
+// microkernels, and the float scratch a strided layer lowers its input into.
+// The calls go through func values, so escape analysis cannot prove the
+// arrays don't leak and stack copies would be heap-allocated on every call;
+// pooling one scratch per driver invocation keeps the serving hot path
+// allocation-free.
 type packedScratch struct {
-	s8 [8]*float32
-	s4 [4]*float32
-	w4 [4]float32
+	s8  [8]*float32
+	s4  [4]*float32
+	w8  [8]float32
+	w4  [4]float32
+	buf []float32
 }
 
 var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
 
 // putPackedScratch clears the held input pointers (so a pooled scratch never
-// pins a retired activation buffer) and returns sc to the pool.
+// pins a retired activation buffer) and returns sc to the pool. The float
+// scratch is the pool's own and stays.
 func putPackedScratch(sc *packedScratch) {
-	*sc = packedScratch{}
+	*sc = packedScratch{buf: sc.buf}
 	packedScratchPool.Put(sc)
+}
+
+// floats returns n floats of scratch with undefined contents.
+func (sc *packedScratch) floats(n int) []float32 {
+	if cap(sc.buf) < n {
+		sc.buf = make([]float32, n)
+	}
+	return sc.buf[:n]
+}
+
+// reluInPlace is the one ReLU epilogue of every conv driver. The builtin max
+// compiles without a branch; the compare-and-store loop it replaces
+// mispredicted on every other element of a typical pre-activation plane. NaN
+// passes through.
+func reluInPlace(v []float32) {
+	for i, x := range v {
+		v[i] = max(x, 0)
+	}
+}
+
+// splitTap is one pattern tap lowered for the plan's stride s (see
+// packedSource): the plane of a channel's split it reads and its displacement
+// there. At stride 1 there is no split: plane 0 and (dr, dc) itself.
+type splitTap struct{ plane, dr, dc int }
+
+func splitTaps(taps [][2]int, s, kw int) (st [4]splitTap) {
+	for t, d := range taps {
+		st[t] = splitTap{0, d[0], d[1]}
+		if s > 1 {
+			st[t] = splitTap{(d[0]%s)*kw + d[1], d[0] / s, 0}
+		}
+	}
+	return st
+}
+
+// packedSrc is the input view a packed driver sweeps: the padded input itself
+// at stride 1, its row-phase × column-tap split otherwise.
+type packedSrc struct {
+	data        []float32
+	chStride    int // elements per input channel
+	planeStride int // elements per split plane
+	rowStride   int // elements per row
+}
+
+// tap returns the offset, within a channel, of tap t for output row ohBase,
+// column 0.
+func (s *packedSrc) tap(t splitTap, ohBase int) int {
+	return t.plane*s.planeStride + (ohBase+t.dr)*s.rowStride + t.dc
+}
+
+// tile returns the microkernel's view of a cols×rows output tile: over a
+// split source a full-width tile is contiguous in input and output alike, so
+// it becomes one row.
+func (s *packedSrc) tile(cols, rows, outW int) (int, int) {
+	if cols == outW && s.rowStride == outW {
+		return cols * rows, 1
+	}
+	return cols, rows
+}
+
+// packedSource returns the view reordered filter positions [from, to) read
+// their input through, splitting padded into sc's scratch when the plan is
+// strided.
+func (p *Plan) packedSource(padded *tensor.Tensor, sc *packedScratch, from, to int) packedSrc {
+	c, s := p.Conv, p.Conv.Stride
+	ph, pw := padded.Dim(1), padded.Dim(2)
+	if s == 1 {
+		return packedSrc{data: padded.Data, chStride: ph * pw, rowStride: pw}
+	}
+	plane := (ph + s - 1) / s * c.OutW
+	src := packedSrc{chStride: s * c.KW * plane, planeStride: plane, rowStride: c.OutW}
+	src.data = sc.floats(c.InChannels() * src.chStride)
+	split := func(ch int) {
+		in := padded.Data[ch*ph*pw : (ch+1)*ph*pw]
+		dst := src.data[ch*src.chStride:]
+		for a := 0; a < s; a++ {
+			for dc := 0; dc < c.KW; dc++ {
+				d := dst[(a*c.KW+dc)*plane:]
+				for i, y := 0, a; y < ph; i, y = i+1, y+s {
+					row, drow := in[y*pw+dc:(y+1)*pw], d[i*c.OutW:(i+1)*c.OutW]
+					for j := range drow {
+						drow[j] = row[j*s]
+					}
+				}
+			}
+		}
+	}
+	if c.Depthwise {
+		for pos := from; pos < to; pos++ {
+			split(int(p.FKW.Reorder[pos]))
+		}
+	} else {
+		for ch := 0; ch < c.InChannels(); ch++ {
+			split(ch)
+		}
+	}
+	return src
 }
 
 // packedRun is one pattern run of a filter in the packed view: the taps are
 // decoded once at compile time, and ch/w alias the FKW Index and Weights
 // arrays — executing a run IS walking the packed storage.
 type packedRun struct {
-	taps [4][2]int // the pattern's (dr, dc) taps
-	ch   []uint16  // input channel per kernel (slice of FKW.Index)
-	w    []float32 // 4 weights per kernel (slice of FKW.Weights)
+	taps [4]splitTap // the pattern's taps, lowered for the plan's stride
+	ch   []uint16    // input channel per kernel (slice of FKW.Index)
+	w    []float32   // 4 weights per kernel (slice of FKW.Weights)
 }
 
 // packedFilter is one reordered filter position's run list plus its original
@@ -96,13 +206,11 @@ func (p *Plan) buildPacked() error {
 		runs, wOff = p.FKW.Runs(runs, pos, wOff)
 		pf := packedFilter{orig: int(p.FKW.Reorder[pos])}
 		for _, r := range runs {
-			pr := packedRun{ch: r.Channels, w: r.Weights}
 			taps, err := sparse.TapOffsets(r.Pattern, c.KH, c.KW)
 			if err != nil {
 				return err
 			}
-			copy(pr.taps[:], taps)
-			pf.runs = append(pf.runs, pr)
+			pf.runs = append(pf.runs, packedRun{taps: splitTaps(taps, c.Stride, c.KW), ch: r.Channels, w: r.Weights})
 		}
 		p.packed[pos] = pf
 	}
@@ -120,12 +228,7 @@ func (p *Plan) rangePacked(padded, out *tensor.Tensor, from, to int) {
 // the driver writes each output plane's initial value (bias, or zero) itself;
 // relu applies the fused ReLU epilogue after the plane's last accumulation.
 func (p *Plan) rangePackedFused(padded, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
-	c, _, pw := p.prologue(padded)
-	if c.Stride != 1 {
-		p.rangePackedScalar(padded, out, from, to, bias, init, relu)
-		return
-	}
-	phpw := padded.Dim(1) * pw
+	c := p.Conv
 	oHW := c.OutH * c.OutW
 	tileOH := p.Tune.Tile[1]
 	if tileOH < 1 || tileOH > c.OutH {
@@ -145,6 +248,7 @@ func (p *Plan) rangePackedFused(padded, out *tensor.Tensor, from, to int, bias [
 	}
 	sc := packedScratchPool.Get().(*packedScratch)
 	defer putPackedScratch(sc)
+	src := p.packedSource(padded, sc, from, to)
 	for gBase := from; gBase < to; gBase += fg {
 		gEnd := min(gBase+fg, to)
 		if init {
@@ -171,12 +275,10 @@ func (p *Plan) rangePackedFused(padded, out *tensor.Tensor, from, to int, bias [
 					run := &pf.runs[ri]
 					nk := len(run.ch)
 					// Tap row offsets for this tile, owBase added per chunk.
-					o0 := (ohBase+run.taps[0][0])*pw + run.taps[0][1]
-					o1 := (ohBase+run.taps[1][0])*pw + run.taps[1][1]
-					o2 := (ohBase+run.taps[2][0])*pw + run.taps[2][1]
-					o3 := (ohBase+run.taps[3][0])*pw + run.taps[3][1]
+					o0, o1 := src.tap(run.taps[0], ohBase), src.tap(run.taps[1], ohBase)
+					o2, o3 := src.tap(run.taps[2], ohBase), src.tap(run.taps[3], ohBase)
 					for owBase := 0; owBase < c.OutW; owBase += pbw {
-						cols := min(pbw, c.OutW-owBase)
+						cols, rows := src.tile(min(pbw, c.OutW-owBase), rows, c.OutW)
 						dst := &oplane[ohBase*c.OutW+owBase]
 						ki := 0
 						for ; ki+2 <= nk; ki += 2 {
@@ -184,24 +286,24 @@ func (p *Plan) rangePackedFused(padded, out *tensor.Tensor, from, to int, bias [
 							if c.Depthwise {
 								chA, chB = pf.orig, pf.orig
 							}
-							ipA := padded.Data[chA*phpw:]
-							ipB := padded.Data[chB*phpw:]
+							ipA := src.data[chA*src.chStride:]
+							ipB := src.data[chB*src.chStride:]
 							sc.s8 = [8]*float32{
 								&ipA[o0+owBase], &ipA[o1+owBase], &ipA[o2+owBase], &ipA[o3+owBase],
 								&ipB[o0+owBase], &ipB[o1+owBase], &ipB[o2+owBase], &ipB[o3+owBase],
 							}
-							kern.Tile8(dst, c.OutW, &sc.s8, pw, (*[8]float32)(run.w[4*ki:]), cols, rows)
+							kern.Tile8(dst, c.OutW, &sc.s8, src.rowStride, (*[8]float32)(run.w[4*ki:]), cols, rows)
 						}
 						if ki < nk {
 							chA := int(run.ch[ki])
 							if c.Depthwise {
 								chA = pf.orig
 							}
-							ipA := padded.Data[chA*phpw:]
+							ipA := src.data[chA*src.chStride:]
 							sc.s4 = [4]*float32{
 								&ipA[o0+owBase], &ipA[o1+owBase], &ipA[o2+owBase], &ipA[o3+owBase],
 							}
-							kern.Tile4(dst, c.OutW, &sc.s4, pw, (*[4]float32)(run.w[4*ki:]), cols, rows)
+							kern.Tile4(dst, c.OutW, &sc.s4, src.rowStride, (*[4]float32)(run.w[4*ki:]), cols, rows)
 						}
 					}
 				}
@@ -210,81 +312,7 @@ func (p *Plan) rangePackedFused(padded, out *tensor.Tensor, from, to int, bias [
 		if relu {
 			for pos := gBase; pos < gEnd; pos++ {
 				pf := &p.packed[pos]
-				oplane := out.Data[pf.orig*oHW : (pf.orig+1)*oHW]
-				for i, v := range oplane {
-					if v < 0 {
-						oplane[i] = 0
-					}
-				}
-			}
-		}
-	}
-}
-
-// rangePackedScalar is the strided fallback: the microkernel contract is unit
-// column step, so Stride >= 2 keeps the scalar FKW walk (per-kernel weight
-// registers, row-sliced accumulation).
-func (p *Plan) rangePackedScalar(padded, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
-	c, _, pw := p.prologue(padded)
-	phpw := padded.Dim(1) * pw
-	oHW := c.OutH * c.OutW
-	tileOH := p.Tune.Tile[1]
-	if tileOH < 1 {
-		tileOH = c.OutH
-	}
-	for pos := from; pos < to; pos++ {
-		pf := &p.packed[pos]
-		oplane := out.Data[pf.orig*oHW : (pf.orig+1)*oHW]
-		if init {
-			v := float32(0)
-			if bias != nil {
-				v = bias[pf.orig]
-			}
-			for i := range oplane {
-				oplane[i] = v
-			}
-		}
-		for ohBase := 0; ohBase < c.OutH; ohBase += tileOH {
-			ohEnd := min(ohBase+tileOH, c.OutH)
-			for ri := range pf.runs {
-				run := &pf.runs[ri]
-				t0, t1, t2, t3 := run.taps[0], run.taps[1], run.taps[2], run.taps[3]
-				w := run.w
-				for ki, ch := range run.ch {
-					// The four weights of this kernel: the next 4 entries of
-					// the filter's weight stream, in tap order.
-					w0, w1, w2, w3 := w[4*ki], w[4*ki+1], w[4*ki+2], w[4*ki+3]
-					inCh := int(ch)
-					if c.Depthwise {
-						inCh = pf.orig
-					}
-					iplane := padded.Data[inCh*phpw:]
-					for oh := ohBase; oh < ohEnd; oh++ {
-						ihBase := oh * c.Stride
-						r0 := iplane[(ihBase+t0[0])*pw+t0[1]:]
-						r1 := iplane[(ihBase+t1[0])*pw+t1[1]:]
-						r2 := iplane[(ihBase+t2[0])*pw+t2[1]:]
-						r3 := iplane[(ihBase+t3[0])*pw+t3[1]:]
-						orow := oplane[oh*c.OutW : oh*c.OutW+c.OutW]
-						if c.Stride == 1 {
-							for ow := range orow {
-								orow[ow] += w0*r0[ow] + w1*r1[ow] + w2*r2[ow] + w3*r3[ow]
-							}
-						} else {
-							for ow := range orow {
-								iw := ow * c.Stride
-								orow[ow] += w0*r0[iw] + w1*r1[iw] + w2*r2[iw] + w3*r3[iw]
-							}
-						}
-					}
-				}
-			}
-		}
-		if relu {
-			for i, v := range oplane {
-				if v < 0 {
-					oplane[i] = 0
-				}
+				reluInPlace(out.Data[pf.orig*oHW : (pf.orig+1)*oHW])
 			}
 		}
 	}

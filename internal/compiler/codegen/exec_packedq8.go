@@ -30,7 +30,7 @@ import (
 // taps decoded at compile time, ch aliasing FKW.Index, and q the int8 levels
 // (4 per kernel, in tap order) aliasing the FKW8 stream.
 type packedQ8Run struct {
-	taps [4][2]int
+	taps [4]splitTap
 	ch   []uint16
 	q    []int8
 }
@@ -65,13 +65,11 @@ func (p *Plan) buildPackedQ8() error {
 		pf := packedQ8Filter{orig: orig, scale: q.Scales[orig]}
 		for _, r := range runs {
 			n := 4 * len(r.Channels)
-			pr := packedQ8Run{ch: r.Channels, q: q.Weights[wOff : wOff+n]}
 			taps, terr := sparse.TapOffsets(r.Pattern, c.KH, c.KW)
 			if terr != nil {
 				return terr
 			}
-			copy(pr.taps[:], taps)
-			pf.runs = append(pf.runs, pr)
+			pf.runs = append(pf.runs, packedQ8Run{taps: splitTaps(taps, c.Stride, c.KW), ch: r.Channels, q: q.Weights[wOff : wOff+n]})
 			wOff += n
 		}
 		p.packedQ8[pos] = pf
@@ -103,12 +101,7 @@ func (p *Plan) rangePackedQ8Fused(padded, out *tensor.Tensor, from, to int, bias
 // rangePackedQ8Tiled is the shared quantized driver, mirroring
 // rangePackedFused's blocking with the widening-multiply microkernels.
 func (p *Plan) rangePackedQ8Tiled(padded, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
-	c, _, pw := p.prologue(padded)
-	if c.Stride != 1 {
-		p.rangePackedQ8Scalar(padded, out, from, to, bias, init, relu)
-		return
-	}
-	phpw := padded.Dim(1) * pw
+	c := p.Conv
 	oHW := c.OutH * c.OutW
 	tileOH := p.Tune.Tile[1]
 	if tileOH < 1 || tileOH > c.OutH {
@@ -128,6 +121,7 @@ func (p *Plan) rangePackedQ8Tiled(padded, out *tensor.Tensor, from, to int, bias
 	}
 	sc := packedScratchPool.Get().(*packedScratch)
 	defer putPackedScratch(sc)
+	src := p.packedSource(padded, sc, from, to)
 	for gBase := from; gBase < to; gBase += fg {
 		gEnd := min(gBase+fg, to)
 		if init {
@@ -152,12 +146,10 @@ func (p *Plan) rangePackedQ8Tiled(padded, out *tensor.Tensor, from, to int, bias
 				for ri := range pf.runs {
 					run := &pf.runs[ri]
 					nk := len(run.ch)
-					o0 := (ohBase+run.taps[0][0])*pw + run.taps[0][1]
-					o1 := (ohBase+run.taps[1][0])*pw + run.taps[1][1]
-					o2 := (ohBase+run.taps[2][0])*pw + run.taps[2][1]
-					o3 := (ohBase+run.taps[3][0])*pw + run.taps[3][1]
+					o0, o1 := src.tap(run.taps[0], ohBase), src.tap(run.taps[1], ohBase)
+					o2, o3 := src.tap(run.taps[2], ohBase), src.tap(run.taps[3], ohBase)
 					for owBase := 0; owBase < c.OutW; owBase += pbw {
-						cols := min(pbw, c.OutW-owBase)
+						cols, rows := src.tile(min(pbw, c.OutW-owBase), rows, c.OutW)
 						dst := &oplane[ohBase*c.OutW+owBase]
 						ki := 0
 						for ; ki+2 <= nk; ki += 2 {
@@ -165,25 +157,25 @@ func (p *Plan) rangePackedQ8Tiled(padded, out *tensor.Tensor, from, to int, bias
 							if c.Depthwise {
 								chA, chB = pf.orig, pf.orig
 							}
-							ipA := padded.Data[chA*phpw:]
-							ipB := padded.Data[chB*phpw:]
+							ipA := src.data[chA*src.chStride:]
+							ipB := src.data[chB*src.chStride:]
 							sc.s8 = [8]*float32{
 								&ipA[o0+owBase], &ipA[o1+owBase], &ipA[o2+owBase], &ipA[o3+owBase],
 								&ipB[o0+owBase], &ipB[o1+owBase], &ipB[o2+owBase], &ipB[o3+owBase],
 							}
-							kern.Tile8Q8(dst, c.OutW, &sc.s8, pw, (*[8]int8)(run.q[4*ki:]), scale, cols, rows)
+							kern.Tile8Q8(dst, c.OutW, &sc.s8, src.rowStride, (*[8]int8)(run.q[4*ki:]), scale, cols, rows)
 						}
 						if ki < nk {
 							chA := int(run.ch[ki])
 							if c.Depthwise {
 								chA = pf.orig
 							}
-							ipA := padded.Data[chA*phpw:]
+							ipA := src.data[chA*src.chStride:]
 							sc.s4 = [4]*float32{
 								&ipA[o0+owBase], &ipA[o1+owBase], &ipA[o2+owBase], &ipA[o3+owBase],
 							}
 							simd.WidenQ8(run.q[4*ki:4*ki+4], scale, &sc.w4)
-							kern.Tile4(dst, c.OutW, &sc.s4, pw, &sc.w4, cols, rows)
+							kern.Tile4(dst, c.OutW, &sc.s4, src.rowStride, &sc.w4, cols, rows)
 						}
 					}
 				}
@@ -192,83 +184,7 @@ func (p *Plan) rangePackedQ8Tiled(padded, out *tensor.Tensor, from, to int, bias
 		if relu {
 			for pos := gBase; pos < gEnd; pos++ {
 				pf := &p.packedQ8[pos]
-				oplane := out.Data[pf.orig*oHW : (pf.orig+1)*oHW]
-				for i, v := range oplane {
-					if v < 0 {
-						oplane[i] = 0
-					}
-				}
-			}
-		}
-	}
-}
-
-// rangePackedQ8Scalar is the strided fallback: Stride >= 2 keeps the scalar
-// FKW walk, dequantizing the four levels of each kernel into registers once
-// per tile.
-func (p *Plan) rangePackedQ8Scalar(padded, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
-	c, _, pw := p.prologue(padded)
-	phpw := padded.Dim(1) * pw
-	oHW := c.OutH * c.OutW
-	tileOH := p.Tune.Tile[1]
-	if tileOH < 1 {
-		tileOH = c.OutH
-	}
-	for pos := from; pos < to; pos++ {
-		pf := &p.packedQ8[pos]
-		scale := pf.scale
-		oplane := out.Data[pf.orig*oHW : (pf.orig+1)*oHW]
-		if init {
-			v := float32(0)
-			if bias != nil {
-				v = bias[pf.orig]
-			}
-			for i := range oplane {
-				oplane[i] = v
-			}
-		}
-		for ohBase := 0; ohBase < c.OutH; ohBase += tileOH {
-			ohEnd := min(ohBase+tileOH, c.OutH)
-			for ri := range pf.runs {
-				run := &pf.runs[ri]
-				t0, t1, t2, t3 := run.taps[0], run.taps[1], run.taps[2], run.taps[3]
-				q := run.q
-				for ki, ch := range run.ch {
-					w0 := scale * float32(q[4*ki])
-					w1 := scale * float32(q[4*ki+1])
-					w2 := scale * float32(q[4*ki+2])
-					w3 := scale * float32(q[4*ki+3])
-					inCh := int(ch)
-					if c.Depthwise {
-						inCh = pf.orig
-					}
-					iplane := padded.Data[inCh*phpw:]
-					for oh := ohBase; oh < ohEnd; oh++ {
-						ihBase := oh * c.Stride
-						r0 := iplane[(ihBase+t0[0])*pw+t0[1]:]
-						r1 := iplane[(ihBase+t1[0])*pw+t1[1]:]
-						r2 := iplane[(ihBase+t2[0])*pw+t2[1]:]
-						r3 := iplane[(ihBase+t3[0])*pw+t3[1]:]
-						orow := oplane[oh*c.OutW : oh*c.OutW+c.OutW]
-						if c.Stride == 1 {
-							for ow := range orow {
-								orow[ow] += w0*r0[ow] + w1*r1[ow] + w2*r2[ow] + w3*r3[ow]
-							}
-						} else {
-							for ow := range orow {
-								iw := ow * c.Stride
-								orow[ow] += w0*r0[iw] + w1*r1[iw] + w2*r2[iw] + w3*r3[iw]
-							}
-						}
-					}
-				}
-			}
-		}
-		if relu {
-			for i, v := range oplane {
-				if v < 0 {
-					oplane[i] = 0
-				}
+				reluInPlace(out.Data[pf.orig*oHW : (pf.orig+1)*oHW])
 			}
 		}
 	}

@@ -296,12 +296,7 @@ func (p *Plan) ExecuteRangeFused(padded, out *tensor.Tensor, from, to int, bias 
 	if relu {
 		for pos := from; pos < to; pos++ {
 			f := p.FKR.FilterPerm[pos]
-			plane := out.Data[f*oHW : (f+1)*oHW]
-			for i, v := range plane {
-				if v < 0 {
-					plane[i] = 0
-				}
-			}
+			reluInPlace(out.Data[f*oHW : (f+1)*oHW])
 		}
 	}
 }
@@ -332,12 +327,7 @@ func (p *Plan) ExecuteRangeResidual(padded, out *tensor.Tensor, from, to int, bi
 	if relu {
 		for pos := from; pos < to; pos++ {
 			f := p.FKR.FilterPerm[pos]
-			plane := out.Data[f*oHW : (f+1)*oHW]
-			for i, v := range plane {
-				if v < 0 {
-					plane[i] = 0
-				}
-			}
+			reluInPlace(out.Data[f*oHW : (f+1)*oHW])
 		}
 	}
 }

@@ -7,11 +7,13 @@ package codegen
 // machine without vector kernels (or under -tags noasm) both plans capture
 // the generic set and the comparison is exact; on AVX2/NEON hardware this is
 // the test that pins the assembly to the pure-Go reference across pattern
-// classes, strides, odd output widths, and every tail-remainder geometry the
-// register blocking produces.
+// classes, strides (stride >= 2 reaches the tiles through the input split, so
+// no scalar path shadows it), depthwise, odd output widths, and every
+// tail-remainder geometry the register blocking produces.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -38,6 +40,50 @@ func compileForcedGeneric(t *testing.T, c *pruned.Conv, level Level, tune lr.Tun
 	return p
 }
 
+// stridedConv builds a randomly pruned 3×3 layer (pad 1) at the given stride
+// — depthwise when dw, with inC then ignored — and a matching input.
+func stridedConv(rng *rand.Rand, outC, inC, inH, inW, stride int, dw bool) (*pruned.Conv, *tensor.Tensor) {
+	keep := 1 + rng.Intn(outC*inC)
+	if dw {
+		inC, keep = 1, outC
+	}
+	w := tensor.New(outC, inC, 3, 3)
+	w.Randn(rng, 0.25)
+	geo := pruned.ConvGeom{
+		Stride: stride, Pad: 1, InH: inH, InW: inW,
+		OutH: tensor.ConvOutDim(inH, 3, stride, 1),
+		OutW: tensor.ConvOutDim(inW, 3, stride, 1),
+	}
+	c := pruned.FromWeights(fmt.Sprintf("simd-s%d-dw%v", stride, dw), w, pattern.Canonical(8), keep, geo)
+	c.Depthwise = dw
+	input := tensor.New(c.InChannels(), inH, inW)
+	input.Randn(rng, 0.5)
+	return c, input
+}
+
+// c3Tune leaves ragged remainders in every blocking loop: 3-row tiles,
+// groups of 3 filters, 5-column chunks.
+func c3Tune() lr.Tuning {
+	tn := lr.DefaultTuning()
+	tn.Tile[1], tn.Unroll[0], tn.Unroll[2] = 3, 3, 5
+	return tn
+}
+
+// denseOracle is the reference a packed plan is held to: tensor.Conv2D, or
+// for depthwise layers (which Conv2D does not express) the NoOpt level's
+// plain index-arithmetic walk.
+func denseOracle(t testing.TB, c *pruned.Conv, input *tensor.Tensor, bias []float32) *tensor.Tensor {
+	t.Helper()
+	if !c.Depthwise {
+		return refConv(c, input, bias)
+	}
+	p, err := Compile(c, NoOpt, lr.DefaultTuning())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Execute(input, bias)
+}
+
 func simdTol(level Level) float64 {
 	if level == PackedQ8 {
 		return 1e-2
@@ -47,9 +93,9 @@ func simdTol(level Level) float64 {
 
 // TestPackedAsmMatchesGeneric sweeps geometries chosen to exercise every
 // ragged edge of the register blocking: output widths around the 8- and
-// 4-lane vector boundaries, strides 1 and 2 (the scalar fallback), all three
-// pattern-class sizes, and tile/group/pixel-block knobs that leave odd
-// remainders in every loop.
+// 4-lane vector boundaries, strides 1 to 3 (odd and even padded extents, so
+// row phases of unequal height), all three pattern-class sizes, and
+// tile/group/pixel-block knobs that leave odd remainders in every loop.
 func TestPackedAsmMatchesGeneric(t *testing.T) {
 	type geom struct {
 		inH, inW, stride, pad, patterns int
@@ -60,16 +106,15 @@ func TestPackedAsmMatchesGeneric(t *testing.T) {
 		{12, 23, 1, 1, 8},  // OutW 23: odd width, 7-col tail
 		{16, 16, 1, 1, 12}, // OutW 16: exact vector multiple
 		{14, 33, 1, 1, 8},  // OutW 33: 8|8|8|8|1
-		{13, 13, 2, 1, 6},  // stride 2: scalar fallback path
-		{18, 10, 2, 0, 8},  // stride 2, pad 0
+		{13, 13, 2, 1, 6},  // stride 2, padded 15×15: row phases 8 and 7 high
+		{18, 10, 2, 0, 8},  // stride 2, pad 0, even extents
+		{32, 32, 2, 1, 8},  // stride 2, OutW 16: two full vectors per row
+		{8, 9, 2, 1, 12},   // stride 2, OutW 5 over 4 rows: all tail
+		{14, 17, 3, 1, 8},  // stride 3: three row phases × three column taps
 	}
 	tunings := []lr.Tuning{
 		lr.DefaultTuning(), // tileOH 32, fg 4, pbw 8
-		func() lr.Tuning { // ragged everything: 3-row tiles, group of 3, 5-col chunks
-			tn := lr.DefaultTuning()
-			tn.Tile[1], tn.Unroll[0], tn.Unroll[2] = 3, 3, 5
-			return tn
-		}(),
+		c3Tune(),
 		func() lr.Tuning { // whole-map sweep, single-filter groups
 			tn := lr.DefaultTuning()
 			tn.Tile[1], tn.Unroll[0], tn.Unroll[2] = 0, 1, 0
@@ -109,6 +154,10 @@ func TestPackedAsmMatchesGeneric(t *testing.T) {
 						t.Errorf("level %v (%s vs generic): max diff %g",
 							level, pAsm.KernelArch(), got.MaxAbsDiff(want))
 					}
+					if dense := refConv(c, input, bias); level == Packed && !got.AllClose(dense, 1e-4) {
+						t.Errorf("level %v (%s vs dense reference): max diff %g",
+							level, pAsm.KernelArch(), got.MaxAbsDiff(dense))
+					}
 					// Fused path over a dirty pooled buffer, with ReLU.
 					padded := pAsm.PadInput(input)
 					outAsm := tensor.New(c.OutC, c.OutH, c.OutW)
@@ -130,34 +179,40 @@ func TestPackedAsmMatchesGeneric(t *testing.T) {
 }
 
 // TestPackedAsmMatchesGenericDepthwise covers the depthwise branch (input
-// plane = filter index) through both kernel sets, strides 1 and 2.
+// plane = filter index) through both kernel sets at strides 1 and 2. A
+// strided depthwise call splits only the planes of its own filter
+// range, so the layer also runs as two split ranges over a dirty buffer.
 func TestPackedAsmMatchesGenericDepthwise(t *testing.T) {
 	for seed := int64(501); seed <= 506; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ch := 2 + rng.Intn(8)
-		inH, inW := 6+rng.Intn(12), 6+rng.Intn(12)
-		stride := 1 + rng.Intn(2)
-		w := tensor.New(ch, 1, 3, 3)
-		w.Randn(rng, 0.25)
-		geo := pruned.ConvGeom{
-			Stride: stride, Pad: 1, InH: inH, InW: inW,
-			OutH: tensor.ConvOutDim(inH, 3, stride, 1),
-			OutW: tensor.ConvOutDim(inW, 3, stride, 1),
-		}
-		c := pruned.FromWeights(fmt.Sprintf("simd-dw-%d", seed), w, pattern.Canonical(8), ch, geo)
-		c.Depthwise = true
-		input := tensor.New(c.InChannels(), inH, inW)
-		input.Randn(rng, 0.5)
-		for _, level := range []Level{Packed, PackedQ8} {
-			pAsm, err := Compile(c, level, lr.DefaultTuning())
-			if err != nil {
-				t.Fatalf("seed %d level %v: %v", seed, level, err)
-			}
-			pGen := compileForcedGeneric(t, c, level, lr.DefaultTuning())
-			want := pGen.Execute(input, nil)
-			got := pAsm.Execute(input, nil)
-			if !got.AllClose(want, simdTol(level)) {
-				t.Errorf("seed %d level %v depthwise: max diff %g", seed, level, got.MaxAbsDiff(want))
+		for _, stride := range []int{1, 2} {
+			rng := rand.New(rand.NewSource(seed))
+			ch := 2 + rng.Intn(8)
+			c, input := stridedConv(rng, ch, 1, 6+rng.Intn(12), 6+rng.Intn(12), stride, true)
+			oracle := denseOracle(t, c, input, nil)
+			for _, level := range []Level{Packed, PackedQ8} {
+				pAsm, err := Compile(c, level, c3Tune())
+				if err != nil {
+					t.Fatalf("seed %d level %v: %v", seed, level, err)
+				}
+				pGen := compileForcedGeneric(t, c, level, c3Tune())
+				want := pGen.Execute(input, nil)
+				got := pAsm.Execute(input, nil)
+				if !got.AllClose(want, simdTol(level)) {
+					t.Errorf("seed %d stride %d level %v depthwise: max diff %g", seed, stride, level, got.MaxAbsDiff(want))
+				}
+				if level == Packed && !got.AllClose(oracle, 1e-4) {
+					t.Errorf("seed %d stride %d depthwise vs NoOpt oracle: max diff %g", seed, stride, got.MaxAbsDiff(oracle))
+				}
+				padded := pAsm.PadInput(input)
+				split := tensor.New(c.OutC, c.OutH, c.OutW)
+				for i := range split.Data {
+					split.Data[i] = -7
+				}
+				pAsm.ExecuteRangeFused(padded, split, ch/2, ch, nil, false)
+				pAsm.ExecuteRangeFused(padded, split, 0, ch/2, nil, false)
+				if !split.AllClose(got, 1e-6) {
+					t.Errorf("seed %d stride %d level %v depthwise split ranges: max diff %g", seed, stride, level, split.MaxAbsDiff(got))
+				}
 			}
 		}
 	}
@@ -170,19 +225,29 @@ func TestPackedAsmMatchesGenericDepthwise(t *testing.T) {
 //
 //	go test -fuzz=FuzzPackedKernelDifferential -fuzztime=20s ./internal/compiler/codegen
 func FuzzPackedKernelDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(50), uint8(8), uint8(1))
-	f.Add(int64(42), uint8(1), uint8(10), uint8(3), uint8(2))
-	f.Add(int64(7), uint8(2), uint8(90), uint8(0), uint8(1))
-	f.Add(int64(-3), uint8(0), uint8(1), uint8(255), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, patSize, connPct, knob, strideSel uint8) {
+	f.Add(int64(1), uint8(0), uint8(50), uint8(8), uint8(1), uint8(0))
+	f.Add(int64(42), uint8(1), uint8(10), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(7), uint8(2), uint8(90), uint8(0), uint8(1), uint8(1))
+	f.Add(int64(-3), uint8(0), uint8(1), uint8(255), uint8(2), uint8(1))
+	f.Add(int64(11), uint8(1), uint8(0), uint8(77), uint8(2), uint8(2))
+	f.Add(int64(12), uint8(2), uint8(0), uint8(130), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, patSize, connPct, knob, strideSel, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		outC := 1 + rng.Intn(10)
 		inC := 1 + rng.Intn(8)
 		sizes := []int{6, 8, 12}
 		set := pattern.Canonical(sizes[int(patSize)%len(sizes)])
+		// mode bit 0 selects the int8 stream, bit 1 a depthwise layer.
+		level, tol, depthwise := Packed, 1e-4, mode&2 != 0
+		if mode&1 != 0 {
+			level, tol = PackedQ8, 5e-2 // vs the unquantized reference
+		}
+		keep := 1 + int(connPct)%(outC*inC)
+		if depthwise {
+			inC, keep = 1, outC
+		}
 		w := tensor.New(outC, inC, 3, 3)
 		w.Randn(rng, 0.25)
-		keep := 1 + int(connPct)%(outC*inC)
 		stride := 1 + int(strideSel)%2
 		inH, inW := 5+rng.Intn(14), 5+rng.Intn(14)
 		geo := pruned.ConvGeom{
@@ -191,27 +256,62 @@ func FuzzPackedKernelDifferential(f *testing.F) {
 			OutW: tensor.ConvOutDim(inW, 3, stride, 1),
 		}
 		c := pruned.FromWeights("fuzz-kern", w, set, keep, geo)
+		c.Depthwise = depthwise
 		// The fuzzed knob perturbs all three blocking genes so the driver's
 		// tail loops see arbitrary tile/group/chunk remainders.
 		tune := lr.DefaultTuning()
 		tune.Tile[1] = 1 + int(knob)%9
 		tune.Unroll[0] = 1 + int(knob>>2)%5
 		tune.Unroll[2] = 1 + int(knob>>4)%17
-		input := tensor.New(inC, inH, inW)
+		input := tensor.New(c.InChannels(), inH, inW)
 		input.Randn(rng, 0.5)
-		pAsm, err := Compile(c, Packed, tune)
+		pAsm, err := Compile(c, level, tune)
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
-		pGen := compileForcedGeneric(t, c, Packed, tune)
-		want := refConv(c, input, nil)
+		pGen := compileForcedGeneric(t, c, level, tune)
+		want := denseOracle(t, c, input, nil)
 		genOut := pGen.Execute(input, nil)
 		asmOut := pAsm.Execute(input, nil)
-		if !genOut.AllClose(want, 1e-4) {
+		if !genOut.AllClose(want, tol) {
 			t.Fatalf("generic vs dense reference: max diff %g", genOut.MaxAbsDiff(want))
 		}
-		if !asmOut.AllClose(genOut, 1e-6) {
+		if !asmOut.AllClose(genOut, simdTol(level)) {
 			t.Fatalf("%s vs generic kernels: max diff %g", pAsm.KernelArch(), asmOut.MaxAbsDiff(genOut))
 		}
 	})
+}
+
+// TestReluInPlaceMatchesBranchLoop holds the one branchless epilogue to the
+// compare-and-store loop it replaced: equal on every finite float32 (the bit
+// space swept at a prime stride, plus the edge values) up to the sign of
+// zero, and NaN — of either sign — passes through.
+func TestReluInPlaceMatchesBranchLoop(t *testing.T) {
+	negZero := math.Float32frombits(1 << 31)
+	inf := float32(math.Inf(1))
+	vals := []float32{0, negZero, 1, -1, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32, inf, -inf}
+	for b := uint64(0); b < 1<<32; b += 4099 {
+		if v := math.Float32frombits(uint32(b)); v == v {
+			vals = append(vals, v)
+		}
+	}
+	got := append([]float32(nil), vals...)
+	reluInPlace(got)
+	for i, v := range vals {
+		want := v
+		if v < 0 {
+			want = 0
+		}
+		if got[i] != want { // -0 == +0: the sign of zero is free
+			t.Fatalf("reluInPlace(%g [%#x]) = %g, the branch loop gives %g", v, math.Float32bits(v), got[i], want)
+		}
+	}
+	nans := []float32{math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000), math.Float32frombits(0xff800001)}
+	reluInPlace(nans)
+	for i, v := range nans {
+		if v == v {
+			t.Errorf("NaN #%d came out as %g", i, v)
+		}
+	}
 }

@@ -390,6 +390,10 @@ func (p *Plan) lower(m *model.Model, g *graphopt.Graph, gn *graphopt.Node, param
 			if in != [3]int{l.InC, l.InH, l.InW} {
 				return nil, badInput(l.InC, l.InH, l.InW)
 			}
+			if w.Rank() != 4 || w.Dim(0) != l.OutC || w.Dim(1) != l.InC {
+				return nil, fmt.Errorf("execgraph: %s/%s: 1x1 conv %s is %d->%d channels but its weights are %v",
+					m.Short, m.Dataset, l.Name, l.InC, l.OutC, w.Shape())
+			}
 			if bn != nil {
 				if len(bn.Gamma) != l.OutC {
 					return nil, fmt.Errorf("execgraph: %s/%s: batchnorm %s has %d channels; conv %s produces %d",

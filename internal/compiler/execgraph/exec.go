@@ -125,6 +125,21 @@ func (ex *Executor) Run(pool *runtime.Pool, xs, outs []*tensor.Tensor) {
 	ex.xs, ex.outs = nil, nil
 }
 
+// wideRun makes node i batch×channel-parallel: its ParallelFor domain is
+// n·outC, and each chunk [s, e) of it is cut at item boundaries into
+// per-item channel ranges [from, to) handed to body.
+func (ex *Executor) wideRun(i, outC int, body func(st *state, from, to int)) {
+	ex.wide[i] = outC
+	ex.runFns[i] = func(s, e int) {
+		for idx := s; idx < e; {
+			it, from := idx/outC, idx%outC
+			to := min(from+(e-idx), outC)
+			body(ex.states[it], from, to)
+			idx += to - from
+		}
+	}
+}
+
 // build compiles the per-node kernels once. Each closure captures only the
 // executor and its node, reading the per-call batch through ex.n/ex.xs, so
 // Run creates no closures and therefore no garbage.
@@ -144,9 +159,20 @@ func (ex *Executor) build() {
 				}
 			}
 
-		case KindConv:
+		case KindConv, KindConvT:
+			// A transposed conv runs as its stride-1 equivalent conv: only the
+			// pad step differs, scattering the input into the dilated scratch
+			// (always present) instead of padding it.
 			in0 := n.Inputs[0]
-			if n.padSlot >= 0 {
+			switch {
+			case n.Kind == KindConvT:
+				ex.padFns[i] = func(s, e int) {
+					for it := s; it < e; it++ {
+						st := ex.states[it]
+						codegen.DilatePadInto(st.out[in0], st.pad[i], n.DilStride, n.Plan.Conv.Pad)
+					}
+				}
+			case n.padSlot >= 0:
 				ex.padFns[i] = func(s, e int) {
 					for it := s; it < e; it++ {
 						st := ex.states[it]
@@ -154,60 +180,19 @@ func (ex *Executor) build() {
 					}
 				}
 			}
-			ex.wide[i] = n.OutC
-			ex.runFns[i] = func(s, e int) {
-				for idx := s; idx < e; {
-					it, from := idx/n.OutC, idx%n.OutC
-					to := from + (e - idx)
-					if to > n.OutC {
-						to = n.OutC
-					}
-					st := ex.states[it]
-					padded := st.out[in0]
-					if st.pad[i] != nil {
-						padded = st.pad[i]
-					}
-					if n.Shortcut >= 0 {
-						n.Plan.ExecuteRangeResidual(padded, st.out[i], from, to,
-							n.Bias, st.out[n.Shortcut], n.ReLU)
-					} else {
-						n.Plan.ExecuteRangeFused(padded, st.out[i], from, to,
-							n.Bias, n.ReLU)
-					}
-					idx += to - from
+			ex.wideRun(i, n.OutC, func(st *state, from, to int) {
+				padded := st.out[in0]
+				if st.pad[i] != nil {
+					padded = st.pad[i]
 				}
-			}
-
-		case KindConvT:
-			// Same range decomposition as KindConv, but the pad step scatters
-			// the input into the dilated scratch (always present) and the plan
-			// is the stride-1 equivalent conv over it.
-			in0 := n.Inputs[0]
-			ex.padFns[i] = func(s, e int) {
-				for it := s; it < e; it++ {
-					st := ex.states[it]
-					codegen.DilatePadInto(st.out[in0], st.pad[i], n.DilStride, n.Plan.Conv.Pad)
+				if n.Shortcut >= 0 {
+					n.Plan.ExecuteRangeResidual(padded, st.out[i], from, to,
+						n.Bias, st.out[n.Shortcut], n.ReLU)
+				} else {
+					n.Plan.ExecuteRangeFused(padded, st.out[i], from, to,
+						n.Bias, n.ReLU)
 				}
-			}
-			ex.wide[i] = n.OutC
-			ex.runFns[i] = func(s, e int) {
-				for idx := s; idx < e; {
-					it, from := idx/n.OutC, idx%n.OutC
-					to := from + (e - idx)
-					if to > n.OutC {
-						to = n.OutC
-					}
-					st := ex.states[it]
-					if n.Shortcut >= 0 {
-						n.Plan.ExecuteRangeResidual(st.pad[i], st.out[i], from, to,
-							n.Bias, st.out[n.Shortcut], n.ReLU)
-					} else {
-						n.Plan.ExecuteRangeFused(st.pad[i], st.out[i], from, to,
-							n.Bias, n.ReLU)
-					}
-					idx += to - from
-				}
-			}
+			})
 
 		case KindUpsample:
 			in0 := n.Inputs[0]
@@ -220,40 +205,20 @@ func (ex *Executor) build() {
 
 		case KindConv1x1:
 			in0 := n.Inputs[0]
-			ex.wide[i] = n.OutC
-			ex.runFns[i] = func(s, e int) {
-				for idx := s; idx < e; {
-					it, from := idx/n.OutC, idx%n.OutC
-					to := from + (e - idx)
-					if to > n.OutC {
-						to = n.OutC
-					}
-					st := ex.states[it]
-					var sc *tensor.Tensor
-					if n.Shortcut >= 0 {
-						sc = st.out[n.Shortcut]
-					}
-					n.Plan1x1.ExecuteRangeFused(st.out[in0], st.out[i], from, to,
-						n.Bias, sc, n.ReLU)
-					idx += to - from
+			ex.wideRun(i, n.OutC, func(st *state, from, to int) {
+				var sc *tensor.Tensor
+				if n.Shortcut >= 0 {
+					sc = st.out[n.Shortcut]
 				}
-			}
+				n.Plan1x1.ExecuteRangeFused(st.out[in0], st.out[i], from, to,
+					n.Bias, sc, n.ReLU)
+			})
 
 		case KindFC:
 			in0 := n.Inputs[0]
-			ex.wide[i] = n.OutC
-			ex.runFns[i] = func(s, e int) {
-				for idx := s; idx < e; {
-					it, from := idx/n.OutC, idx%n.OutC
-					to := from + (e - idx)
-					if to > n.OutC {
-						to = n.OutC
-					}
-					st := ex.states[it]
-					tensor.FCIntoRange(st.out[i], n.W, st.out[in0], n.Bias, n.ReLU, from, to)
-					idx += to - from
-				}
-			}
+			ex.wideRun(i, n.OutC, func(st *state, from, to int) {
+				tensor.FCIntoRange(st.out[i], n.W, st.out[in0], n.Bias, n.ReLU, from, to)
+			})
 
 		case KindMaxPool:
 			in0 := n.Inputs[0]

@@ -1,6 +1,7 @@
 package execgraph
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"sync"
@@ -313,5 +314,67 @@ func TestFromFileRejectsMismatchedRecords(t *testing.T) {
 				t.Fatalf("%s: inconsistent artifact compiled cleanly", mu.name)
 			}
 		}()
+	}
+}
+
+// TestCorruptGeometry1x1RejectedAtCompile is the compile half of
+// FuzzModelFileRead's tall-1×1 seed: an artifact whose 1×1 conv declares an
+// output plane its input and stride cannot produce — in the topology, which
+// is where Compile takes geometry from, with the layers after it agreeing, so
+// the file round-trips and every record/topology cross-check passes — must
+// fail Compile with an error. Executed, the tile kernels would read past
+// the input plane; they are not bounds-checked.
+func TestCorruptGeometry1x1RejectedAtCompile(t *testing.T) {
+	build := func(outH int) *modelfile.File {
+		m := &model.Model{Name: "Tall-1x1", Short: "T1", Dataset: "synthetic",
+			Classes: 4, InC: 4, InH: 8, InW: 8}
+		m.Layers = []*model.Layer{
+			{Name: "input", Kind: model.Input, OutC: 4, OutH: 8, OutW: 8},
+			{Name: "p1", Kind: model.Conv, InC: 4, OutC: 8, KH: 1, KW: 1, Stride: 1,
+				Groups: 1, InH: 8, InW: 8, OutH: outH, OutW: 8},
+			{Name: "gap", Kind: model.AvgPoolGlobal, InC: 8, OutC: 8, InH: outH, InW: 8, OutH: 1, OutW: 1},
+			{Name: "flat", Kind: model.Flatten, InC: 8, InH: 1, InW: 1, OutC: 8, OutH: 1, OutW: 1},
+			{Name: "fc", Kind: model.FC, InC: 8, OutC: 4, HasBias: true, InH: 1, InW: 1, OutH: 1, OutW: 1},
+		}
+		rng := rand.New(rand.NewSource(5))
+		w1, wf := make([]float32, 8*4), make([]float32, 4*8)
+		for i := range w1 {
+			w1[i] = float32(rng.NormFloat64())
+		}
+		for i := range wf {
+			wf[i] = float32(rng.NormFloat64())
+		}
+		return &modelfile.File{
+			LR: &lr.Representation{Model: m.Name, Device: "CPU"}, Net: m,
+			Dense: []modelfile.DenseLayer{
+				{Name: "p1", Kind: modelfile.DenseConv1x1, OutC: 8, InC: 4, Stride: 1,
+					InH: 8, InW: 8, OutH: 8, OutW: 8, Weights: w1},
+				{Name: "fc", Kind: modelfile.DenseFC, OutC: 4, InC: 8, Weights: wf, Bias: make([]float32, 4)},
+			},
+		}
+	}
+	for _, tc := range []struct {
+		outH   int
+		wantOK bool
+	}{{8, true}, {9, false}} {
+		var buf bytes.Buffer
+		if err := modelfile.Write(&buf, build(tc.outH)); err != nil {
+			t.Fatal(err)
+		}
+		mf, err := modelfile.Read(&buf)
+		if err != nil {
+			t.Fatalf("OutH %d: the artifact must survive the reader for the damage to reach compile: %v", tc.outH, err)
+		}
+		m, params, err := FromFile("tall", mf)
+		if err != nil {
+			t.Fatalf("OutH %d: FromFile: %v", tc.outH, err)
+		}
+		_, err = Compile(m, params, Config{})
+		if tc.wantOK && err != nil {
+			t.Fatalf("OutH %d: honest artifact failed to compile: %v", tc.outH, err)
+		}
+		if !tc.wantOK && (err == nil || !strings.Contains(err.Error(), "1x1 conv p1 declares output 9x8")) {
+			t.Fatalf("OutH %d: want the 1x1 geometry error, got %v", tc.outH, err)
+		}
 	}
 }

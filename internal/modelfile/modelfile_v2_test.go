@@ -322,6 +322,21 @@ func FuzzModelFileRead(f *testing.F) {
 	badShape := bytes.Replace(append([]byte(nil), i2i.Bytes()...),
 		[]byte(`"out_h":12`), []byte(`"out_h":-2`), 1)
 	f.Add(reseal(badShape))
+	// A 1×1 conv whose topology entry declares an output one row taller than
+	// its input and stride allow, with the layers after it agreeing (the dense
+	// record stays honest; the reader checks that one): every section is
+	// well-formed, so the file reads back, and the lie must then die in
+	// codegen.Compile1x1Pruned (execgraph's
+	// TestCorruptGeometry1x1RejectedAtCompile) — the tile kernels behind it
+	// are not bounds-checked.
+	tall := sampleV2File(52)
+	tall.Net.Layer("p1").OutH = 9
+	tall.Net.Layer("gap").InH = 9
+	var tall1x1 bytes.Buffer
+	if err := Write(&tall1x1, tall); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tall1x1.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mf, err := Read(bytes.NewReader(data))
 		if err != nil {

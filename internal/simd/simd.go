@@ -1,6 +1,6 @@
 // Package simd provides the vectorized tile-FMA microkernels the packed FKW
 // backend's register-blocked drivers (codegen exec_packed / exec_packedq8)
-// dispatch into. Each kernel computes, over a rows×cols tile,
+// and the 1×1 driver (codegen conv1x1) dispatch into. Each kernel computes, over a rows×cols tile,
 //
 //	dst[r·dstStride + c] += Σ_t w[t] · src[t][r·srcStride + c]
 //
@@ -18,7 +18,9 @@
 // domain, per-element accumulation of all taps in ascending tap order, and
 // in-place updates of dst only. Strides are in float32 elements, may exceed
 // cols (tiles are strided views over larger planes), and the column step is
-// always 1 — stride-2 convolutions keep the scalar driver path.
+// always 1 — the drivers lower strided convolutions to it (3×3 by splitting
+// the input by row phase and column tap, 1×1 by subsampling it), and a 1×1
+// conv's eight kept channels are the eight taps of a rows = 1 tile.
 package simd
 
 import (
