@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"patdnn/internal/baseline"
 	"patdnn/internal/bench"
@@ -208,7 +207,6 @@ func BenchmarkHostFKWEncode(b *testing.B) {
 func benchEngineThroughput(b *testing.B, workers, maxBatch, clients int) {
 	eng := serve.New(serve.Config{
 		Workers: workers, MaxBatch: maxBatch,
-		BatchWindow: 500 * time.Microsecond,
 	})
 	defer eng.Close()
 	if err := eng.Preload("VGG", "cifar10"); err != nil {

@@ -90,7 +90,7 @@ func writeServeBench(path string, requests int, network, level string) error {
 }
 
 func runServeBenchCase(network, level string, maxBatch, clients, requests int) (serveBenchCase, error) {
-	eng := serve.New(serve.Config{MaxBatch: maxBatch, BatchWindow: time.Millisecond, Level: level})
+	eng := serve.New(serve.Config{MaxBatch: maxBatch, Level: level})
 	defer eng.Close()
 	if err := eng.Preload(network, "cifar10"); err != nil {
 		return serveBenchCase{}, err

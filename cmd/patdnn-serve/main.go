@@ -1,7 +1,7 @@
 // Command patdnn-serve fronts the concurrent inference engine with an
 // HTTP/JSON API: models compile once into the plan cache, and concurrent
-// /infer requests are gathered into batched layer sweeps over the worker
-// pool (the compile-once / execute-many deployment the paper's offline
+// /infer requests that queue together run as one batched layer sweep over the
+// worker pool (the compile-once / execute-many deployment the paper's offline
 // compiler implies, exposed as a server).
 //
 // With -models-dir the server additionally serves the disk-backed model
@@ -38,6 +38,8 @@
 //	               full lane sheds immediately with 429. "timeout_ms" sets a
 //	               server-side deadline: if it expires while the request is
 //	               queued the batcher drops it before compute (504).
+//	               A body holds one request and at most 64 MiB (413 beyond);
+//	               an output that JSON cannot carry (NaN, ±Inf) is a 500.
 //	GET  /models   compiled models: plan-cache entries plus every registry
 //	               version with residency, byte footprint, and last-used time
 //	GET  /stats    engine counters (requests, batches, plan-cache hits,
@@ -98,7 +100,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 8, "max requests fused into one batched sweep")
-	window := flag.Duration("window", 2*time.Millisecond, "batch gather window")
 	patterns := flag.Int("patterns", 8, "pattern-set size")
 	connRate := flag.Float64("connrate", 3.6, "connectivity pruning rate")
 	level := flag.String("level", serve.LevelAuto,
@@ -149,7 +150,7 @@ func main() {
 		log.Fatalf("bad -queue-bytes: %v", err)
 	}
 	eng := serve.New(serve.Config{
-		Workers: *workers, MaxBatch: *batch, BatchWindow: *window,
+		Workers: *workers, MaxBatch: *batch,
 		Patterns: *patterns, ConnRate: *connRate, Level: *level,
 		QueueDepth: *queueDepth, QueueBytes: qBytes, BatchWorkers: *batchWorkers,
 		TuningDB: db, BackgroundTune: *bgTune, TuneInterval: *tuneInterval,
@@ -206,8 +207,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("serving on %s (workers=%d batch=%d window=%v)",
-		*addr, *workers, *batch, *window)
+	log.Printf("serving on %s (workers=%d batch=%d)", *addr, *workers, *batch)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

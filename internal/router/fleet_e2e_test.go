@@ -10,7 +10,7 @@ package router_test
 //     replica ever executes an expired request.
 //
 // Both tests run the replicas behind routertest's capacity gate
-// (MaxInflight=1, ServiceDelay=4ms => 250 rps per replica, deterministic).
+// (MaxInflight=1, ServiceDelay=12ms => 83 rps per replica, deterministic).
 // That choice is what makes the scaling assertion machine-independent: on a
 // one-core CI runner, K in-process engines cannot speed up with CPU
 // parallelism, so an ungated test would measure the host's core count.
@@ -19,6 +19,12 @@ package router_test
 // across the ring and fails over without dropping traffic. The gate sleeps
 // while holding the replica's single slot, so the core stays free for the
 // other replicas — the same concurrency shape as a real multi-host fleet.
+// That only holds while the gate's sleep dwarfs a request's CPU (two HTTP
+// hops and the JSON codec, several times dearer under -race). At 4ms, plus
+// the 2ms every request then idled in the serve engine's gather window, four
+// replicas on two cores under -race next to another package's tests reached
+// 3.1-3.4x; without the window they were CPU-bound below 3x. 12ms keeps the
+// fleet's CPU need under one core there.
 
 import (
 	"bytes"
@@ -36,7 +42,7 @@ import (
 )
 
 const (
-	e2eServiceDelay = 4 * time.Millisecond
+	e2eServiceDelay = 12 * time.Millisecond
 	e2eStreams      = 4
 	e2eRequests     = 40 // per stream, request-bounded scaling runs
 )
@@ -204,7 +210,7 @@ func TestKillOneReplicaMidRunZeroFailures(t *testing.T) {
 			t.Fatalf("stream %s completed nothing: %+v", r.Name, r)
 		}
 		// Interactive SLO holds through the chaos: generous against the
-		// 4ms gated service time, but far below the 500ms deadline — a
+		// 12ms gated service time, but far below the 500ms deadline — a
 		// router that stalled on the dead replica would blow it.
 		if err := r.CheckP99(150 * time.Millisecond); err != nil {
 			t.Fatalf("stream %s: %v", r.Name, err)

@@ -19,6 +19,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,25 +184,21 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// inferKey is the slice of the /infer body the router needs: the hash key
-// (model identity) and the deadline budget. The body itself is forwarded
-// verbatim — the router never rewrites requests.
-type inferKey struct {
-	Network   string  `json:"network"`
-	Dataset   string  `json:"dataset"`
-	TimeoutMs float64 `json:"timeout_ms"`
-}
-
-// handleInfer is the hot path: hash, forward, spill once if shed.
+// handleInfer is the hot path: hash, forward, spill once if shed. The body is
+// forwarded verbatim — the router never rewrites requests; it reads the hash
+// key (model identity) and the deadline budget through serve's own parser.
 func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	rt.proxied.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	buf, err := serve.ReadBody(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
+		httpError(w, serve.InferStatus(err), fmt.Errorf("read request: %w", err))
 		return
 	}
-	var key inferKey
-	if err := json.Unmarshal(body, &key); err != nil {
+	body := &sharedBody{buf: buf}
+	body.refs.Store(1)
+	defer body.release()
+	key, err := serve.PeekRequest(buf.Bytes())
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -316,22 +313,72 @@ func (rt *Router) eligibleCandidates(ringKey string) []*replica {
 	return out
 }
 
+// sharedBody is one request's pooled body buffer and the count of parties
+// still reading it: the handler, and each body handed to the transport. The
+// transport may go on reading a request body after Do has returned (a reply
+// that overtook the upload, a cancelled context) and closes the body when it
+// is done with it, so the buffer goes back to the pool on the last release,
+// not when the handler returns.
+type sharedBody struct {
+	buf  *bytes.Buffer
+	refs atomic.Int32
+}
+
+func (s *sharedBody) release() {
+	if s.refs.Add(-1) == 0 {
+		serve.PutBuffer(s.buf)
+	}
+}
+
+// reader returns a fresh reader over the whole body that holds one reference
+// until it is closed.
+func (s *sharedBody) reader() io.ReadCloser {
+	s.refs.Add(1)
+	rd := &bodyReader{body: s}
+	rd.Reset(s.buf.Bytes())
+	return rd
+}
+
+type bodyReader struct {
+	bytes.Reader
+	body   *sharedBody
+	closed atomic.Bool
+}
+
+func (b *bodyReader) Close() error {
+	if b.closed.CompareAndSwap(false, true) {
+		b.body.release()
+	}
+	return nil
+}
+
 // forward proxies one /infer body to a replica.
-func (rt *Router) forward(ctx context.Context, url string, orig *http.Request, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/infer", bytes.NewReader(body))
+func (rt *Router) forward(ctx context.Context, url string, orig *http.Request, body *sharedBody) (*http.Response, error) {
+	rd := body.reader()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/infer", rd)
 	if err != nil {
+		rd.Close()
 		return nil, err
 	}
+	// What NewRequest works out by itself for a *bytes.Reader: the length, and
+	// a way to replay the body when the transport retries on a keep-alive
+	// connection the replica had already closed.
+	req.ContentLength = int64(body.buf.Len())
+	req.GetBody = func() (io.ReadCloser, error) { return body.reader(), nil }
 	if ct := orig.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
 	return rt.client.Do(req)
 }
 
-// copyResponse relays a backend response — status, content type, the
-// replica-attribution header, body — to the client.
+// copyResponse relays a backend response — status, content type, length, the
+// replica-attribution header, body — to the client. Passing the length on
+// keeps this hop from re-framing a large reply as chunks.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}

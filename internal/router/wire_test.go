@@ -1,0 +1,186 @@
+package router_test
+
+// The /infer wire contract on both hops: every case below is put to a replica
+// directly (serve.NewHandler) and to the router in front of it
+// (router.Handler), and both must give the same answer.
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+
+	"patdnn/internal/router"
+	"patdnn/internal/router/routertest"
+	"patdnn/internal/serve"
+)
+
+// wireFleet is replicas serving the generator's SR net, and a router in front.
+func wireFleet(t *testing.T, replicas int) (fleet *routertest.Fleet, front *httptest.Server) {
+	t.Helper()
+	fleet = routertest.NewFleet(t, routertest.Options{Replicas: replicas})
+	for _, rp := range fleet.Replicas {
+		if err := rp.Engine.Preload("SR", "cifar10"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt, err := router.New(router.Config{Replicas: fleet.URLs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front = httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	return fleet, front
+}
+
+// bothHops runs check against the first replica's URL and the router's.
+func bothHops(t *testing.T, check func(t *testing.T, url string)) {
+	fleet, front := wireFleet(t, 1)
+	t.Run("replica", func(t *testing.T) { check(t, fleet.Replicas[0].URL()) })
+	t.Run("router", func(t *testing.T) { check(t, front.URL) })
+}
+
+func srBody(t *testing.T, fill func(i int) float32) []byte {
+	t.Helper()
+	in := make([]float32, 3*32*32)
+	for i := range in {
+		in[i] = fill(i)
+	}
+	body, err := json.Marshal(serve.Request{Network: "SR", Dataset: "cifar10", Input: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// rawPost writes one POST /infer with the given Content-Length, whatever the
+// body's real length, and reads the reply. When the header promises more than
+// the body holds it half-closes, so the server sees the upload end early
+// instead of waiting for the rest.
+func rawPost(t *testing.T, url string, contentLength int64, body []byte) (status int, reply []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /infer HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"+
+		"Content-Length: %d\r\nConnection: close\r\n\r\n", contentLength)
+	// The server may answer and close before the whole body is in.
+	_, _ = conn.Write(body)
+	if contentLength > int64(len(body)) {
+		_ = conn.(*net.TCPConn).CloseWrite()
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("read reply: %v", err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	return resp.StatusCode, buf.Bytes()
+}
+
+func wantError(t *testing.T, status int, reply []byte, want int) {
+	t.Helper()
+	var body map[string]string
+	if err := json.Unmarshal(reply, &body); err != nil || body["error"] == "" {
+		t.Fatalf("status %d, body %.200q: want a JSON error body", status, reply)
+	}
+	if status != want {
+		t.Fatalf("status %d (%s), want %d", status, body["error"], want)
+	}
+}
+
+// TestUnencodableOutputIs500 — at the parent commit both hops answered 200
+// with an empty body.
+func TestUnencodableOutputIs500(t *testing.T) {
+	body := srBody(t, func(int) float32 { return math.MaxFloat32 })
+	bothHops(t, func(t *testing.T, url string) {
+		status, reply := rawPost(t, url, int64(len(body)), body)
+		wantError(t, status, reply, http.StatusInternalServerError)
+	})
+}
+
+func TestBodyLimits(t *testing.T) {
+	body := srBody(t, func(i int) float32 { return float32(i%7) / 7 })
+	bothHops(t, func(t *testing.T, url string) {
+		// An honest request, for contrast.
+		if status, reply := rawPost(t, url, int64(len(body)), body); status != http.StatusOK {
+			t.Fatalf("honest request: status %d: %.200s", status, reply)
+		}
+		// Over the limit: 413, on the header alone.
+		status, reply := rawPost(t, url, serve.MaxRequestBytes+1, body)
+		wantError(t, status, reply, http.StatusRequestEntityTooLarge)
+		// Content-Length shorter than the body: the server sees a truncated
+		// request and must not guess at the rest.
+		status, reply = rawPost(t, url, int64(len(body)/2), body)
+		wantError(t, status, reply, http.StatusBadRequest)
+		// Longer than the body: the upload ends early.
+		status, reply = rawPost(t, url, int64(2*len(body)), body)
+		wantError(t, status, reply, http.StatusBadRequest)
+	})
+}
+
+// TestNoCrossTalkThroughPooledBuffers pushes distinct inputs from many
+// goroutines through router → replica and checks every reply against its own
+// input's reference: a request or reply buffer handed back to the pool while
+// still in use shows up as another request's numbers (or, under -race, as a
+// report).
+func TestNoCrossTalkThroughPooledBuffers(t *testing.T) {
+	const clients, rounds = 8, 12
+	fleet, front := wireFleet(t, 2)
+	bodies := make([][]byte, clients)
+	refs := make([][]float32, clients)
+	for c := range bodies {
+		bodies[c] = srBody(t, func(i int) float32 { return float32(c+1) * float32(i%29-14) / 14 })
+		var req serve.Request
+		if err := json.Unmarshal(bodies[c], &req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := fleet.Replicas[0].Engine.Infer(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[c] = resp.Output
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				hr, err := http.Post(front.URL+"/infer", "application/json", bytes.NewReader(bodies[c]))
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				var resp serve.Response
+				err = json.NewDecoder(hr.Body).Decode(&resp)
+				hr.Body.Close()
+				if err != nil || hr.StatusCode != http.StatusOK || len(resp.Output) != len(refs[c]) {
+					t.Errorf("client %d round %d: status %d, %d outputs, decode error %v",
+						c, round, hr.StatusCode, len(resp.Output), err)
+					return
+				}
+				for i, v := range resp.Output {
+					if v != refs[c][i] {
+						t.Errorf("client %d round %d: output[%d] = %g, its own input gives %g",
+							c, round, i, v, refs[c][i])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}

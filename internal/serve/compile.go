@@ -135,17 +135,22 @@ func (cm *compiledModel) inputTensor(data []float32) (*tensor.Tensor, error) {
 	return t, nil
 }
 
-// runBatch executes one gathered batch over the graph plan with a pooled
-// executor: every node runs once for the whole batch, conv-like nodes
-// parallelize over batch × output-channels in one ParallelFor, and all
-// intermediates live in the executor's liveness-planned arenas — no
-// steady-state allocation, no scratch-pool churn per layer. The returned
-// output tensors are handed to callers and never recycled.
-func (cm *compiledModel) runBatch(pool *runtime.Pool, xs []*tensor.Tensor) []*tensor.Tensor {
+// runBatch executes one batch over the graph plan: every node runs once for
+// the whole batch, conv-like nodes parallelize over batch × output-channels in
+// one ParallelFor, and all intermediates live in the executor's
+// liveness-planned arenas — no steady-state allocation, no scratch-pool churn
+// per layer. ex is the caller's own executor for this plan; nil borrows one
+// from the plan's pool for the call. The returned output tensors are handed
+// to callers and never recycled.
+func (cm *compiledModel) runBatch(ex *execgraph.Executor, pool *runtime.Pool, xs []*tensor.Tensor) []*tensor.Tensor {
 	outs := make([]*tensor.Tensor, len(xs))
 	for i := range outs {
 		outs[i] = tensor.New(cm.plan.OutC, cm.plan.OutH, cm.plan.OutW)
 	}
-	cm.plan.Execute(pool, xs, outs)
+	if ex != nil {
+		ex.Run(pool, xs, outs)
+	} else {
+		cm.plan.Execute(pool, xs, outs)
+	}
 	return outs
 }

@@ -14,12 +14,14 @@ package serve
 // response to the process that produced it.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 
 	"patdnn/internal/registry"
 )
@@ -40,8 +42,16 @@ const ReplicaHeader = "X-Patdnn-Replica"
 func NewHandler(eng *Engine, reg *registry.Registry, replica string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /infer", func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body, err := ReadBody(w, r)
+		if err != nil {
+			httpError(w, InferStatus(err), fmt.Errorf("read request: %w", err))
+			return
+		}
+		// The parse copies every field out of the buffer, so it goes back to
+		// the pool before the request queues.
+		req, err := ParseRequest(body.Bytes())
+		PutBuffer(body)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
@@ -50,11 +60,7 @@ func NewHandler(eng *Engine, reg *registry.Registry, replica string) http.Handle
 			httpError(w, InferStatus(err), err)
 			return
 		}
-		// Compact encoding: an image-to-image response carries the whole
-		// output feature map (12288 floats for the ×2 SR head on CIFAR-sized
-		// input), and the indent writer would more than double that payload
-		// by putting every element on its own line.
-		writeJSONCompact(w, http.StatusOK, resp)
+		writeInferResponse(w, resp)
 	})
 	mux.HandleFunc("GET /models", func(w http.ResponseWriter, r *http.Request) {
 		models := eng.Models()
@@ -120,9 +126,13 @@ func NewHandler(eng *Engine, reg *registry.Registry, replica string) http.Handle
 // InferStatus maps an Engine.Infer error to its HTTP status. The mapping is
 // part of the wire protocol the router's spill logic keys on: 429 means "shed
 // at admission, a sibling replica may have room", 504/499 mean the deadline
-// or caller died (retrying cannot help), 503 means the engine is closed.
+// or caller died (retrying cannot help), 503 means the engine is closed, 413
+// means the body ran past MaxRequestBytes.
 func InferStatus(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrOverloaded):
 		// Load shed: the class queue is full. 429 tells well-behaved clients
 		// (and the router) to go elsewhere; nothing was computed.
@@ -157,7 +167,7 @@ type routeRequest struct {
 }
 
 // writeJSON pretty-prints the small operator-facing endpoints (/stats,
-// /models, ...); /infer responses go through writeJSONCompact because their
+// /models, ...); /infer responses go through writeInferResponse because their
 // payload scales with the model's output tensor.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -169,11 +179,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-func writeJSONCompact(w http.ResponseWriter, status int, v any) {
+// writeInferResponse encodes the reply into a pooled buffer before it writes
+// the status, so an output encoding/json refuses (NaN or ±Inf from an
+// overflowing input) is a 500 with an error body rather than a 200 with none,
+// and the reply carries its Content-Length instead of going out in chunks.
+// The encoding is compact: an image-to-image reply carries the whole output
+// feature map (12288 floats for the ×2 SR head on CIFAR-sized input), and the
+// indent writer would more than double it.
+func writeInferResponse(w http.ResponseWriter, resp *Response) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer PutBuffer(buf)
+	if err := json.NewEncoder(buf).Encode(resp); err != nil {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("serve: encode response: %v", err)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		log.Printf("serve: write response: %v", err)
 	}
 }
 

@@ -654,7 +654,7 @@ func TestRegistryConcurrencyHammer(t *testing.T) {
 	dir := t.TempDir()
 	writeTinyArtifact(t, dir, "tiny", "v1", 100)
 	writeTinyArtifact(t, dir, "tiny", "v2", 200)
-	eng, reg := registryEngine(t, dir, 0, Config{Workers: 4, MaxBatch: 4, BatchWindow: 200 * time.Microsecond})
+	eng, reg := registryEngine(t, dir, 0, Config{Workers: 4, MaxBatch: 4})
 	if err := reg.SetRoute("tiny", map[string]int{"v1": 1, "v2": 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,15 @@ package serve
 // (the 429 fast-fail) instead of growing an unbounded backlog whose tail
 // latency nobody can meet anyway.
 //
+// Dispatch is work-conserving: a lane takes the first queued call, then
+// whatever else is already queued up to Config.MaxBatch, and sweeps at once —
+// it never waits on a clock for company. An idle lane serves a lone request
+// immediately; a busy lane's arrivals queue behind the running sweep and ride
+// the next one together, so batch size follows load.
+//
 // Batching is deadline-aware. Requests carry their deadline through ctx
-// (Request.TimeoutMs attaches one server-side); at the moment a gathered
-// batch is swept, calls whose context is already done — cancelled client,
+// (Request.TimeoutMs attaches one server-side); at the moment a batch is
+// swept, calls whose context is already done — cancelled client,
 // expired deadline — are dropped from the sweep and answered with the
 // context error, counted as deadline sheds rather than completions. A
 // tripwire counter (Stats.ExpiredExecuted) audits the invariant from the
@@ -34,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"patdnn/internal/compiler/execgraph"
 	"patdnn/internal/runtime"
 	"patdnn/internal/tensor"
 )
@@ -125,14 +132,14 @@ type batchResult struct {
 }
 
 // batcher owns one compiled model's request stream: two class lanes, each a
-// bounded queue drained by its own gather loop.
+// bounded queue drained by its own sweep loop.
 type batcher struct {
 	eng   *Engine
 	cm    *compiledModel
 	lanes [numClasses]*lane
 }
 
-// lane is one class's bounded queue and gather/sweep loop for one artifact.
+// lane is one class's bounded queue and sweep loop for one artifact.
 type lane struct {
 	eng      *Engine
 	cm       *compiledModel
@@ -146,18 +153,34 @@ type lane struct {
 	// the sweep delivers or sheds the call, bounded by Config.QueueBytes.
 	callBytes int64
 	bytes     atomic.Int64
+	// exec is the lane's own executor, built on its first sweep. A lane runs
+	// one sweep at a time, so one is all it needs, and the plan's shared
+	// sync.Pool cannot promise even that: its fast slot is per P, and the lane
+	// goroutine wakes on whichever P the enqueuing caller ran on, so a borrowed
+	// executor (arenas and all) is rebuilt whenever the loop has moved.
+	exec *execgraph.Executor
+}
+
+// newLane builds one class lane for an artifact without starting its loop, so
+// tests can fill the queue and step the loop body themselves.
+func newLane(e *Engine, cm *compiledModel, class Class) *lane {
+	return &lane{eng: e, cm: cm, class: class,
+		callBytes: 4 * int64(cm.plan.OutC) * int64(cm.plan.OutH) * int64(cm.plan.OutW),
+		ch:        make(chan *call, e.cfg.QueueDepth)}
 }
 
 // newBatcher creates the batcher and starts both lane goroutines. Callers
 // hold e.mu and have already accounted e.wg.Add(numClasses).
 func newBatcher(e *Engine, cm *compiledModel) *batcher {
-	outBytes := 4 * int64(cm.plan.OutC) * int64(cm.plan.OutH) * int64(cm.plan.OutW)
 	bt := &batcher{eng: e, cm: cm}
 	for cl := Class(0); cl < numClasses; cl++ {
-		ln := &lane{eng: e, cm: cm, class: cl, callBytes: outBytes,
-			ch: make(chan *call, e.cfg.QueueDepth)}
+		ln := newLane(e, cm, cl)
 		bt.lanes[cl] = ln
-		go ln.loop()
+		go func() {
+			defer e.wg.Done()
+			for ln.step() {
+			}
+		}()
 	}
 	return bt
 }
@@ -170,19 +193,16 @@ func (bt *batcher) closeLanes() {
 	}
 }
 
-// enqueue admits c into the class lane, or sheds it: non-blocking, so a full
-// queue fails fast with ErrOverloaded instead of building an unbounded
-// backlog. Callers hold the engine lifecycle read lock across the send.
-func (bt *batcher) enqueue(c *call, class Class) error {
-	ln := bt.lanes[class]
+// enqueue admits c into the lane, or sheds it: non-blocking, so a full queue
+// fails fast with ErrOverloaded instead of building an unbounded backlog.
+// Callers hold the engine lifecycle read lock across the send.
+func (ln *lane) enqueue(c *call) error {
 	// Byte admission first: reserve this call's output commitment, and shed
 	// if the reservation overshoots the lane budget. The add-then-check keeps
 	// the bound exact under concurrent admission (two racing reservations
 	// cannot both read a pre-reservation total and slip past the budget).
-	if ln.bytes.Add(ln.callBytes) > bt.eng.cfg.QueueBytes {
-		ln.bytes.Add(-ln.callBytes)
-		bt.eng.sheds.Add(1)
-		bt.eng.shedByClass[class].Add(1)
+	if ln.bytes.Add(ln.callBytes) > ln.eng.cfg.QueueBytes {
+		ln.shed()
 		return ErrOverloaded
 	}
 	select {
@@ -195,11 +215,16 @@ func (bt *batcher) enqueue(c *call, class Class) error {
 		}
 		return nil
 	default:
-		ln.bytes.Add(-ln.callBytes)
-		bt.eng.sheds.Add(1)
-		bt.eng.shedByClass[class].Add(1)
+		ln.shed()
 		return ErrOverloaded
 	}
+}
+
+// shed undoes a failed admission's byte reservation and counts the shed.
+func (ln *lane) shed() {
+	ln.bytes.Add(-ln.callBytes)
+	ln.eng.sheds.Add(1)
+	ln.eng.shedByClass[ln.class].Add(1)
 }
 
 // pool returns the worker pool this lane sweeps on: full width for
@@ -211,33 +236,32 @@ func (ln *lane) pool() *runtime.Pool {
 	return ln.eng.pool
 }
 
-func (ln *lane) loop() {
-	defer ln.eng.wg.Done()
-	for {
-		first, ok := <-ln.ch
-		if !ok {
-			return
-		}
-		calls := []*call{first}
-		timer := time.NewTimer(ln.eng.cfg.BatchWindow)
-	gather:
-		for len(calls) < ln.eng.cfg.MaxBatch {
-			select {
-			case c, ok := <-ln.ch:
-				if !ok {
-					break gather // closed: run what we have; next recv exits
-				}
-				calls = append(calls, c)
-			case <-timer.C:
-				break gather
-			}
-		}
-		timer.Stop()
-		ln.run(calls)
+// step is one turn of the lane loop: block for the first call, take what is
+// already queued up to MaxBatch without waiting, sweep. It reports false once
+// the lane is closed and drained.
+func (ln *lane) step() bool {
+	first, ok := <-ln.ch
+	if !ok {
+		return false
 	}
+	calls := append(make([]*call, 0, ln.eng.cfg.MaxBatch), first)
+drain:
+	for len(calls) < cap(calls) {
+		select {
+		case c, ok := <-ln.ch:
+			if !ok {
+				break drain // closed: sweep what we have; the next step exits
+			}
+			calls = append(calls, c)
+		default:
+			break drain
+		}
+	}
+	ln.run(calls)
+	return true
 }
 
-// run sweeps one gathered batch. The deadline filter runs first: calls whose
+// run sweeps one batch. The deadline filter runs first: calls whose
 // context is already done are answered with the context error and counted as
 // deadline sheds — their inputs never reach the compute sweep. The deadline
 // is additionally checked against the clock directly: a context's Err() only
@@ -247,7 +271,7 @@ func (ln *lane) loop() {
 // the executed-expired tripwire below can never fire unless the filter
 // itself is broken.
 func (ln *lane) run(calls []*call) {
-	// Every gathered call releases its byte reservation here — completed,
+	// Every dequeued call releases its byte reservation here — completed,
 	// deadline-shed, and drain-on-close alike all pass through run.
 	defer ln.bytes.Add(-int64(len(calls)) * ln.callBytes)
 	start := time.Now()
@@ -273,7 +297,10 @@ func (ln *lane) run(calls []*call) {
 	for i, c := range alive {
 		inputs[i] = c.input
 	}
-	outs := ln.cm.runBatch(ln.pool(), inputs)
+	if ln.exec == nil {
+		ln.exec = ln.cm.plan.NewExecutor()
+	}
+	outs := ln.cm.runBatch(ln.exec, ln.pool(), inputs)
 	runMs := float64(time.Since(start).Nanoseconds()) / 1e6
 	ln.eng.batches.Add(1)
 	ln.eng.ranRequests.Add(uint64(len(alive)))

@@ -10,68 +10,188 @@ import (
 	"time"
 )
 
-// TestCancelledCallShedNotCompleted is the regression test for the
-// cancelled-call leak: a request whose context is done while it sits in the
-// queue must be dropped from the batch sweep (a deadline shed), not executed.
-// MaxBatch==2 makes the sequencing deterministic: the first call is gathered
-// and the batcher waits for a second; we cancel the first, then send the
-// second, which completes the gather and fires the sweep immediately.
-func TestCancelledCallShedNotCompleted(t *testing.T) {
-	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 2, BatchWindow: time.Minute})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	firstErr := make(chan error, 1)
-	go func() {
-		_, err := eng.Infer(ctx, Request{Network: "tiny", Dataset: "synthetic"})
-		firstErr <- err
-	}()
-	// Wait until the batcher holds the first call (queue drained, gather in
-	// progress), then cancel it while it waits for company.
-	waitForGather(t, eng)
-	cancel()
-	if err := <-firstErr; err != context.Canceled {
-		t.Fatalf("cancelled call returned %v, want context.Canceled", err)
-	}
-
-	// The second call completes the gather; the sweep must run without the
-	// cancelled call: batch size 1, one deadline shed, zero executed-expired.
-	r, err := eng.Infer(context.Background(),
-		Request{Network: "tiny", Dataset: "synthetic", Input: tinyInput(1)})
+// idleLane builds an interactive lane for the tiny model whose loop is not
+// running: a test fills the queue through the real admission path and steps
+// the loop body itself, so what a sweep contains never depends on a clock.
+func idleLane(t *testing.T, cfg Config) (*Engine, *lane) {
+	t.Helper()
+	eng := tinyEngine(t, cfg)
+	_, cm, err := eng.compiled("tiny", "synthetic", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BatchSize != 1 {
-		t.Fatalf("surviving call rode batch of %d, want 1 (cancelled call must not be swept)", r.BatchSize)
+	return eng, newLane(eng, cm, ClassInteractive)
+}
+
+// queueCall admits one call for tinyInput(seed) into ln.
+func queueCall(t *testing.T, ln *lane, ctx ctxDone, seed int) *call {
+	t.Helper()
+	in, err := ln.cm.inputTensor(tinyInput(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := eng.Stats()
-	if s.DeadlineSheds != 1 {
-		t.Fatalf("DeadlineSheds = %d, want 1 (a shed, not a completion)", s.DeadlineSheds)
+	c := &call{ctx: ctx, input: in, resp: make(chan batchResult, 1), enqueued: time.Now()}
+	if err := ln.enqueue(c); err != nil {
+		t.Fatal(err)
 	}
-	if s.Batches != 1 || s.AvgBatch != 1 {
-		t.Fatalf("Batches=%d AvgBatch=%g, want 1/1 (cancelled call never ran)", s.Batches, s.AvgBatch)
-	}
-	if s.ExpiredExecuted != 0 {
-		t.Fatalf("ExpiredExecuted = %d, want 0", s.ExpiredExecuted)
+	return c
+}
+
+// answered returns c's result, failing if the last step did not deliver one.
+func answered(t *testing.T, c *call) batchResult {
+	t.Helper()
+	select {
+	case r := <-c.resp:
+		return r
+	default:
+		t.Fatal("call was not answered by the sweep")
+		return batchResult{}
 	}
 }
 
-// TestQueuedDeadlineExpiryShedsBeforeSweep: same shape as the cancel test but
-// the context dies through Request.TimeoutMs — the server-side deadline — so
-// the whole deadline plumbing (TimeoutMs → ctx → sweep filter) is covered.
-func TestQueuedDeadlineExpiryShedsBeforeSweep(t *testing.T) {
-	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 2, BatchWindow: time.Minute})
+// laggingCtx is a context whose deadline has passed but whose timer has not
+// fired yet: Err is still nil. The sweep filter must go by the clock.
+type laggingCtx struct{ deadline time.Time }
 
-	firstErr := make(chan error, 1)
-	go func() {
-		_, err := eng.Infer(context.Background(),
-			Request{Network: "tiny", Dataset: "synthetic", TimeoutMs: 25})
-		firstErr <- err
-	}()
-	waitForGather(t, eng)
-	if err := <-firstErr; !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired call returned %v, want DeadlineExceeded", err)
+func (c laggingCtx) Err() error                  { return nil }
+func (c laggingCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestCancelledCallShedNotCompleted is the regression test for the
+// cancelled-call leak: a call whose context is done while it sits in the queue
+// must be dropped from the sweep (a deadline shed), not executed, and the call
+// queued behind it rides a batch of one.
+func TestCancelledCallShedNotCompleted(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, tc := range []struct {
+		name string
+		ctx  ctxDone
+		want error
+	}{
+		{"cancelled", cancelled, context.Canceled},
+		{"expired", expired, context.DeadlineExceeded},
+		{"expired, timer lagging", laggingCtx{time.Now().Add(-time.Second)}, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, ln := idleLane(t, Config{Workers: 1, MaxBatch: 2})
+			dead := queueCall(t, ln, tc.ctx, 0)
+			live := queueCall(t, ln, context.Background(), 1)
+			if !ln.step() {
+				t.Fatal("step reported a closed lane")
+			}
+			if r := answered(t, dead); r.err != tc.want || r.out != nil {
+				t.Fatalf("dead call answered %+v, want error %v and no output", r, tc.want)
+			}
+			if r := answered(t, live); r.err != nil || r.size != 1 {
+				t.Fatalf("surviving call: err %v, batch of %d; want a batch of 1", r.err, r.size)
+			}
+			s := eng.Stats()
+			if s.DeadlineSheds != 1 || s.Batches != 1 || s.AvgBatch != 1 || s.ExpiredExecuted != 0 {
+				t.Fatalf("DeadlineSheds=%d Batches=%d AvgBatch=%g ExpiredExecuted=%d, want 1/1/1/0",
+					s.DeadlineSheds, s.Batches, s.AvgBatch, s.ExpiredExecuted)
+			}
+			if got := ln.bytes.Load(); got != 0 {
+				t.Fatalf("lane still holds %d reserved bytes after the sweep", got)
+			}
+		})
+	}
+}
+
+// TestLaneSweepsWhatIsQueued pins work-conserving dispatch: a step takes the
+// calls already queued, at most MaxBatch of them and in arrival order, and
+// never waits for more.
+func TestLaneSweepsWhatIsQueued(t *testing.T) {
+	const maxBatch, queued = 4, 6
+	ref := tinyEngine(t, Config{Workers: 1, MaxBatch: 1})
+	eng, ln := idleLane(t, Config{Workers: 2, MaxBatch: maxBatch})
+	calls := make([]*call, queued)
+	for i := range calls {
+		calls[i] = queueCall(t, ln, context.Background(), i)
+	}
+	for lo := 0; lo < queued; lo += maxBatch {
+		hi := min(lo+maxBatch, queued)
+		ln.step()
+		for i, c := range calls {
+			if i < lo {
+				continue
+			}
+			if i >= hi {
+				if len(c.resp) != 0 {
+					t.Fatalf("call %d answered by the sweep of calls %d..%d", i, lo, hi-1)
+				}
+				continue
+			}
+			r := answered(t, c)
+			if r.err != nil || r.size != hi-lo {
+				t.Fatalf("call %d: err %v, batch of %d, want %d", i, r.err, r.size, hi-lo)
+			}
+			want, err := ref.Infer(context.Background(),
+				Request{Network: "tiny", Dataset: "synthetic", Input: tinyInput(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range r.out.Data {
+				if v != want.Output[j] {
+					t.Fatalf("call %d: output[%d] = %g, want %g (its own input's)", i, j, v, want.Output[j])
+				}
+			}
+		}
+	}
+	if s := eng.Stats(); s.Batches != 2 || s.BatchedRequests != queued || s.AvgBatch != queued/2 {
+		t.Fatalf("Batches=%d BatchedRequests=%d AvgBatch=%g, want 2/%d/%d",
+			s.Batches, s.BatchedRequests, s.AvgBatch, queued, queued/2)
 	}
 
+	// One queued call sweeps alone: a step that waited for company would hang
+	// here, since nothing else ever arrives.
+	lone := queueCall(t, ln, context.Background(), 0)
+	ln.step()
+	if r := answered(t, lone); r.err != nil || r.size != 1 {
+		t.Fatalf("lone call: err %v, batch of %d, want 1", r.err, r.size)
+	}
+}
+
+// TestClosedLaneDrainsAndExits: closing a lane's queue fails no admitted
+// call — the loop sweeps what is left, then reports the lane finished.
+func TestClosedLaneDrainsAndExits(t *testing.T) {
+	_, ln := idleLane(t, Config{Workers: 1, MaxBatch: 2})
+	calls := make([]*call, 3)
+	for i := range calls {
+		calls[i] = queueCall(t, ln, context.Background(), i)
+	}
+	close(ln.ch)
+	for _, want := range []int{2, 1} {
+		if !ln.step() {
+			t.Fatalf("lane exited with calls queued")
+		}
+		for _, c := range calls[:want] {
+			if r := answered(t, c); r.err != nil || r.size != want {
+				t.Fatalf("draining sweep: err %v, batch of %d, want %d", r.err, r.size, want)
+			}
+		}
+		calls = calls[want:]
+	}
+	if ln.step() {
+		t.Fatal("a closed, drained lane must end its loop")
+	}
+}
+
+// TestQueuedDeadlineExpiryShedsBeforeSweep covers the whole deadline plumbing
+// (Request.TimeoutMs → ctx → sweep filter): the request expires while it is
+// queued behind a running sweep and never reaches compute.
+func TestQueuedDeadlineExpiryShedsBeforeSweep(t *testing.T) {
+	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 2})
+	release := stallLane(t, eng, ClassInteractive)
+	if _, err := eng.Infer(context.Background(),
+		Request{Network: "tiny", Dataset: "synthetic", TimeoutMs: 25}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired call returned %v, want DeadlineExceeded", err)
+	}
+	release()
+
+	// Queued behind the expired call, so once it is answered the lane has
+	// been through both.
 	r, err := eng.Infer(context.Background(),
 		Request{Network: "tiny", Dataset: "synthetic", Input: tinyInput(2)})
 	if err != nil {
@@ -81,34 +201,9 @@ func TestQueuedDeadlineExpiryShedsBeforeSweep(t *testing.T) {
 		t.Fatalf("batch size %d, want 1", r.BatchSize)
 	}
 	s := eng.Stats()
-	if s.DeadlineSheds != 1 || s.ExpiredExecuted != 0 {
-		t.Fatalf("DeadlineSheds=%d ExpiredExecuted=%d, want 1/0", s.DeadlineSheds, s.ExpiredExecuted)
-	}
-}
-
-// waitForGather polls until the engine's single batcher has dequeued
-// everything and sits in a gather (both lane queues empty, one batch pending).
-func waitForGather(t *testing.T, eng *Engine) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		eng.mu.Lock()
-		drained := len(eng.batchers) == 1
-		for _, bt := range eng.batchers {
-			for _, ln := range bt.lanes {
-				if len(ln.ch) != 0 {
-					drained = false
-				}
-			}
-		}
-		eng.mu.Unlock()
-		if drained {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("batcher never dequeued the first call")
-		}
-		time.Sleep(time.Millisecond)
+	if s.DeadlineSheds != 1 || s.ExpiredExecuted != 0 || s.Batches != 2 {
+		t.Fatalf("DeadlineSheds=%d ExpiredExecuted=%d Batches=%d, want 1/0/2 (the stall and the survivor)",
+			s.DeadlineSheds, s.ExpiredExecuted, s.Batches)
 	}
 }
 
@@ -164,8 +259,7 @@ func stallLane(t *testing.T, eng *Engine, class Class) (release func()) {
 // proves the depth never exceeded the configured bound.
 func TestOverloadShedsFastWithBoundedQueue(t *testing.T) {
 	const depth = 2
-	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 1, QueueDepth: depth,
-		BatchWindow: time.Millisecond})
+	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 1, QueueDepth: depth})
 	release := stallLane(t, eng, ClassBatch)
 
 	// Fill the bounded queue to capacity behind the stalled sweep.
@@ -264,7 +358,7 @@ func TestParseClass(t *testing.T) {
 // TestClassLanesShareThePlanCache: both classes serve the same compiled
 // artifact (one compile), and per-class batching works concurrently.
 func TestClassLanesShareThePlanCache(t *testing.T) {
-	eng := tinyEngine(t, Config{Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond})
+	eng := tinyEngine(t, Config{Workers: 2, MaxBatch: 4})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -298,8 +392,7 @@ func TestClassLanesShareThePlanCache(t *testing.T) {
 // which pages operators on hard failures only.
 func TestShedsAndDeadlinesAreNotErrors(t *testing.T) {
 	const depth = 2
-	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 1, QueueDepth: depth,
-		BatchWindow: time.Millisecond})
+	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 1, QueueDepth: depth})
 	release := stallLane(t, eng, ClassBatch)
 
 	results := make(chan error, depth)

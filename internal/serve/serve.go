@@ -6,9 +6,9 @@
 // The Engine compiles a network exactly once per (network, dataset,
 // pattern-set, connectivity-rate, optimization-level) key — running the whole
 // pattern-pruning + FKR + FKW + codegen path — and caches the resulting plan
-// stack. Inference requests against a cached model are gathered into batches
-// (up to Config.MaxBatch requests within Config.BatchWindow) and executed as
-// one batched layer sweep over the shared worker pool: each conv layer runs a
+// stack. Inference requests against a cached model that are queued together
+// (up to Config.MaxBatch — whatever arrived while the previous sweep ran) are
+// executed as one batched layer sweep over the shared worker pool: each conv layer runs a
 // single ParallelFor across batch×output-channels, so kernel plans, packed
 // FKW weights, and the pool's threads stay hot across the whole request
 // stream, amortizing compilation and scheduling the way GRIM and PCONV argue
@@ -48,11 +48,10 @@ const maxTimeoutMs = 86_400_000
 
 // Config parameterizes an Engine. The zero value selects sensible defaults.
 type Config struct {
-	Workers     int           // worker-pool size (<=0 selects GOMAXPROCS)
-	MaxBatch    int           // max requests fused into one layer sweep (default 8)
-	BatchWindow time.Duration // how long the first request waits for company (default 2ms)
-	Patterns    int           // pattern-set size (default 8)
-	ConnRate    float64       // connectivity pruning rate (default 3.6)
+	Workers  int     // worker-pool size (<=0 selects GOMAXPROCS)
+	MaxBatch int     // max requests fused into one layer sweep (default 8)
+	Patterns int     // pattern-set size (default 8)
+	ConnRate float64 // connectivity pruning rate (default 3.6)
 	// Level is the kernel optimization level ("noopt", "reorder", "lre",
 	// "tuned", "packed", "packedq8"). Empty / LevelAuto lets the tuner's estimator pick
 	// per layer between the tuned dense-layout kernels and the packed
@@ -95,9 +94,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 8
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.Patterns <= 0 {
 		c.Patterns = 8
@@ -599,8 +595,8 @@ func (e *Engine) batcherFor(cm *compiledModel) *batcher {
 	return bt
 }
 
-// Infer runs one inference. Requests for the same model and class arriving
-// within the batch window execute together as a single batched layer sweep;
+// Infer runs one inference. Requests for the same model and class that are
+// queued when a sweep starts execute together as a single batched layer sweep;
 // ctx cancellation abandons the wait, and a deadline that expires while the
 // request is queued sheds it before it reaches compute. A full class queue
 // sheds immediately with ErrOverloaded.
@@ -688,7 +684,7 @@ func (e *Engine) dispatch(ctx context.Context, cm *compiledModel, in *tensor.Ten
 		if class == ClassBatch {
 			pool = e.batchPool
 		}
-		outs := cm.runBatch(pool, []*tensor.Tensor{in})
+		outs := cm.runBatch(nil, pool, []*tensor.Tensor{in})
 		e.batches.Add(1)
 		e.ranRequests.Add(1)
 		return cm.response(outs[0], batchResult{
@@ -698,7 +694,7 @@ func (e *Engine) dispatch(ctx context.Context, cm *compiledModel, in *tensor.Ten
 		}), nil
 	}
 	bt := e.batcherFor(cm)
-	err := bt.enqueue(c, class)
+	err := bt.lanes[class].enqueue(c)
 	e.lifecycle.RUnlock()
 	if err != nil {
 		return nil, err

@@ -88,7 +88,7 @@ func TestEngineConcurrentRequestsDeterministic(t *testing.T) {
 
 	// 64 concurrent requests over a batching engine must each get the output
 	// of exactly their own input (no scatter/gather mix-ups, race-free).
-	eng := tinyEngine(t, Config{Workers: 4, MaxBatch: 8, BatchWindow: time.Millisecond})
+	eng := tinyEngine(t, Config{Workers: 4, MaxBatch: 8})
 	const n = 64
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -121,42 +121,6 @@ func TestEngineConcurrentRequestsDeterministic(t *testing.T) {
 	}
 	if s := eng.Stats(); s.Requests != n || s.Errors != 0 || s.PlanCompiles != 1 {
 		t.Fatalf("stats %+v", s)
-	}
-}
-
-func TestEngineGathersFullBatch(t *testing.T) {
-	// With a window far longer than the test and MaxBatch == request count,
-	// the batcher must gather all requests into one sweep: the batch fires on
-	// the count trigger, not the timer.
-	const n = 6
-	eng := tinyEngine(t, Config{Workers: 2, MaxBatch: n, BatchWindow: time.Minute})
-	var wg sync.WaitGroup
-	sizes := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := eng.Infer(context.Background(),
-				Request{Network: "tiny", Dataset: "synthetic", Input: tinyInput(i)})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			sizes[i] = r.BatchSize
-		}(i)
-	}
-	wg.Wait()
-	for i, sz := range sizes {
-		if sz != n {
-			t.Fatalf("request %d rode batch of %d, want %d", i, sz, n)
-		}
-	}
-	s := eng.Stats()
-	if s.Batches != 1 || s.BatchedRequests != n {
-		t.Fatalf("Batches=%d BatchedRequests=%d, want 1/%d", s.Batches, s.BatchedRequests, n)
-	}
-	if s.AvgBatch != n {
-		t.Fatalf("AvgBatch = %g, want %d", s.AvgBatch, n)
 	}
 }
 
@@ -200,14 +164,17 @@ func TestEngineUnsupportedModelErrorIsCached(t *testing.T) {
 }
 
 func TestEngineContextCancel(t *testing.T) {
-	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 4, BatchWindow: time.Minute})
+	// A call queued behind a running sweep gives up as soon as its caller does.
+	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 4})
+	release := stallLane(t, eng, ClassInteractive)
+	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := eng.Infer(ctx, Request{Network: "tiny", Dataset: "synthetic"})
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitForQueueDepth(t, eng, "interactive", 1)
 	cancel()
 	select {
 	case err := <-done:
@@ -220,7 +187,7 @@ func TestEngineContextCancel(t *testing.T) {
 }
 
 func TestEngineCloseDrainsAndRejects(t *testing.T) {
-	eng := New(Config{Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond})
+	eng := New(Config{Workers: 2, MaxBatch: 4})
 	if err := eng.RegisterModel(tinyModel("tiny", "synthetic")); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +341,7 @@ func TestEngineServesVGG(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles full VGG-16")
 	}
-	eng := New(Config{MaxBatch: 4, BatchWindow: 5 * time.Millisecond})
+	eng := New(Config{MaxBatch: 4})
 	defer eng.Close()
 	if err := eng.Preload("VGG", "cifar10"); err != nil {
 		t.Fatal(err)

@@ -355,7 +355,7 @@ func targetByName(name string) (device.Target, error) {
 type Engine = serve.Engine
 
 // EngineConfig configures an Engine; the zero value selects sensible
-// defaults (GOMAXPROCS workers, batches of 8 within a 2ms window, the
+// defaults (GOMAXPROCS workers, sweeps of up to 8 queued requests, the
 // paper's 8-pattern / 3.6x operating point). The optimization level defaults
 // to EngineLevelAuto: per conv layer, the tuner's estimator chooses between
 // the tuned dense-layout kernels and the packed FKW-direct backend (which
