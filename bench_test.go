@@ -17,9 +17,10 @@ import (
 	"patdnn/internal/baseline"
 	"patdnn/internal/bench"
 	"patdnn/internal/compiler/codegen"
+	"patdnn/internal/compiler/execgraph"
 	"patdnn/internal/compiler/lr"
-	"patdnn/internal/compiler/tuner"
 	"patdnn/internal/model"
+	"patdnn/internal/modelfile"
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"
 	"patdnn/internal/runtime"
@@ -135,37 +136,43 @@ func BenchmarkHostPatternPacked(b *testing.B)  { benchHostLevel(b, codegen.Packe
 
 // --- Tuned vs Packed head-to-head ---
 //
-// The acceptance sweep for the FKW-direct backend: both levels execute the
-// same VGG-style bench layer through the identical batched harness the
-// serving engine uses (batch×OutC ParallelFor, pooled padded buffers, fused
-// bias+ReLU epilogue where the kernels support it); the only variable is the
-// kernel generation. ns/op is per batch.
+// The acceptance sweep for the FKW-direct backend: both levels compile the
+// same VGG-style bench layer as a one-conv model and run it through the graph
+// executor's batched sweep, exactly as the serving engine would (batch×OutC
+// ParallelFor, arena-resident padding, fused bias+ReLU epilogue); the only
+// variable is the kernel generation. ns/op is per batch.
 
-func hostLevelTuning(level codegen.Level) lr.Tuning {
-	if level != codegen.Packed {
-		return lr.DefaultTuning()
-	}
+// hostExecutor compiles the bench layer at level as the one-conv chain
+// execgraph.FromFile reconstructs from a single layer record.
+func hostExecutor(b *testing.B, level codegen.Level) *execgraph.Executor {
 	c := hostFix.conv
-	return tuner.PackedTuning(c.OutH, c.OutW, c.InW+2*c.Pad, c.NNZ()/c.OutC, c.Stride, 4)
-}
-
-func benchBatchedLevel(b *testing.B, level codegen.Level, batch int) {
-	plan, err := codegen.Compile(hostFix.conv, level, hostLevelTuning(level))
+	m, params, err := execgraph.FromFile(c.Name, &modelfile.File{
+		LR:     &lr.Representation{Model: c.Name},
+		Layers: []modelfile.Layer{{Conv: c, Bias: hostFix.bias.Data}},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	plan, err := execgraph.Compile(m, params, execgraph.Config{Level: codegen.LevelTag(level)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return plan.NewExecutor()
+}
+
+func benchBatchedLevel(b *testing.B, level codegen.Level, batch int) {
+	ex := hostExecutor(b, level)
 	pool := runtime.NewPool(0)
+	c := hostFix.conv
 	inputs := make([]*tensor.Tensor, batch)
+	outs := make([]*tensor.Tensor, batch)
 	for i := range inputs {
-		inputs[i] = hostFix.input
+		inputs[i], outs[i] = hostFix.input, tensor.New(c.OutC, c.OutH, c.OutW)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		outs := pool.RunLayerBatchFused(plan, inputs, hostFix.bias.Data, true)
-		for _, out := range outs {
-			runtime.PutTensor(out)
-		}
+		ex.Run(pool, inputs, outs)
 	}
 }
 
@@ -175,18 +182,7 @@ func BenchmarkPacked(b *testing.B) { benchBatchedLevel(b, codegen.Packed, 4) }
 func BenchmarkTunedBatch8(b *testing.B)  { benchBatchedLevel(b, codegen.Tuned, 8) }
 func BenchmarkPackedBatch8(b *testing.B) { benchBatchedLevel(b, codegen.Packed, 8) }
 
-func BenchmarkHostPatternTunedParallel(b *testing.B) {
-	plan, err := codegen.Compile(hostFix.conv, codegen.Tuned, lr.DefaultTuning())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := runtime.NewPool(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool.RunLayer(plan, hostFix.input, hostFix.bias.Data)
-	}
-}
+func BenchmarkHostPatternTunedParallel(b *testing.B) { benchBatchedLevel(b, codegen.Tuned, 1) }
 
 func BenchmarkHostFKWEncode(b *testing.B) {
 	b.ReportAllocs()
@@ -256,12 +252,11 @@ func BenchmarkServeBatch16(b *testing.B) { benchEngineThroughput(b, 0, 16, 16) }
 
 // BenchmarkHostVGGCifarConvStack times one real inference through all 13
 // pruned VGG-16/CIFAR conv layers (8 patterns, 3.6x connectivity) executed by
-// the fully optimized kernels on the parallel runtime — the closest host
-// analogue to the paper's end-to-end measurement protocol.
+// the tuned dense-layout kernels — the closest host analogue to the paper's
+// end-to-end measurement protocol.
 func BenchmarkHostVGGCifarConvStack(b *testing.B) {
 	m := model.VGG16("cifar10")
 	set := pattern.Canonical(8)
-	pool := runtime.NewPool(0)
 	type stage struct {
 		plan *codegen.Plan
 		pool bool // max-pool after this conv (end of VGG block)
@@ -285,7 +280,7 @@ func BenchmarkHostVGGCifarConvStack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x := input
 		for _, s := range stages {
-			x = pool.RunLayer(s.plan, x, nil)
+			x = s.plan.Execute(x, nil)
 			tensor.ReLU(x)
 			if s.pool {
 				x, _ = tensor.MaxPool2D(x, 2)

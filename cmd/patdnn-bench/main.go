@@ -24,8 +24,9 @@ import (
 
 	"patdnn/internal/bench"
 	"patdnn/internal/compiler/codegen"
+	"patdnn/internal/compiler/execgraph"
 	"patdnn/internal/compiler/lr"
-	"patdnn/internal/compiler/tuner"
+	"patdnn/internal/modelfile"
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"
 	"patdnn/internal/runtime"
@@ -42,7 +43,7 @@ func main() {
 	serveNet := flag.String("serve-net", "VGG",
 		"network the -serve-json sweep drives (VGG, RNT, MBNT, SR; CIFAR-10 variants) — CI uploads one artifact per net")
 	serveLevel := flag.String("serve-level", "",
-		"pin the -serve-json engine to this optimization level (e.g. packedq8 for the quantized-serving baseline); empty = engine default")
+		"pin the -serve-json engine to packed or packedq8 (the quantized-serving baseline); empty = engine default")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
 	flag.Parse()
@@ -109,8 +110,9 @@ func main() {
 
 // runSweep measures the tuned dense-layout kernels against the packed
 // FKW-direct backend on a VGG-L4-style layer (128×128 channels, 28×28 map,
-// 8 patterns, 3.6× connectivity) through the batched execution harness the
-// serving engine uses, across batch sizes.
+// 8 patterns, 3.6× connectivity) across batch sizes. Each level compiles the
+// layer as a one-conv model and times execgraph's Executor.Run — the batched
+// sweep the serving engine executes.
 func runSweep() {
 	rng := rand.New(rand.NewSource(7))
 	const outC, inC, h, w = 128, 128, 28, 28
@@ -121,29 +123,27 @@ func runSweep() {
 	conv := pruned.FromWeights("sweep-l4", weights, pattern.Canonical(8), int(kernels/3.6), geom)
 	input := tensor.New(inC, h, w)
 	input.Randn(rng, 1)
-	bias := make([]float32, outC)
 
+	// The v1 chain form: FromFile rebuilds input → conv+bias → ReLU from the
+	// one layer record, and Compile fuses the ReLU into the conv epilogue.
+	m, params, err := execgraph.FromFile(conv.Name, &modelfile.File{
+		LR:     &lr.Representation{Model: conv.Name},
+		Layers: []modelfile.Layer{{Conv: conv, Bias: make([]float32, outC)}},
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	pool := runtime.NewPool(0)
 	levels := []codegen.Level{codegen.Tuned, codegen.Packed, codegen.PackedQ8}
-	plans := map[codegen.Level]*codegen.Plan{}
+	execs := map[codegen.Level]*execgraph.Executor{}
 	for _, lv := range levels {
-		tune := lr.DefaultTuning()
-		if lv == codegen.Packed || lv == codegen.PackedQ8 {
-			// Budget the tile for the heaviest filter's weight stream, not the
-			// layer mean — skewed sparsity otherwise overruns L1. The int8
-			// stream is a quarter the bytes, which buys taller tiles.
-			bpw := 4
-			if lv == codegen.PackedQ8 {
-				bpw = 1
-			}
-			tune = tuner.PackedTuning(conv.OutH, conv.OutW, conv.InW+2*conv.Pad, conv.MaxFilterNNZ(), conv.Stride, bpw)
-		}
-		p, err := codegen.Compile(conv, lv, tune)
+		plan, err := execgraph.Compile(m, params, execgraph.Config{Level: codegen.LevelTag(lv)})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "compile %v: %v\n", lv, err)
 			os.Exit(1)
 		}
-		plans[lv] = p
+		execs[lv] = plan.NewExecutor()
 	}
 
 	fmt.Printf("Tuned vs Packed vs Packed-INT8 sweep — %dx%d conv, %dx%d map, %d workers\n",
@@ -151,29 +151,18 @@ func runSweep() {
 	fmt.Printf("%-6s  %-18s  %-18s  %-18s  %-9s  %s\n",
 		"batch", codegen.Tuned, codegen.Packed, codegen.PackedQ8, "pk/tuned", "q8/packed")
 	for _, batch := range []int{1, 2, 4, 8, 16} {
+		inputs := make([]*tensor.Tensor, batch)
+		outs := make([]*tensor.Tensor, batch)
+		for i := range inputs {
+			inputs[i], outs[i] = input, tensor.New(outC, h, w)
+		}
 		ms := map[codegen.Level]float64{}
 		for _, lv := range levels {
-			plan := plans[lv]
-			ms[lv] = runtime.Measure(5, func() {
-				runBatchOnce(pool, plan, input, bias, batch)
-			})
+			ex := execs[lv]
+			ms[lv] = runtime.Measure(5, func() { ex.Run(pool, inputs, outs) })
 		}
 		fmt.Printf("%-6d  %15.2fms  %15.2fms  %15.2fms  %8.2fx  %8.2fx\n",
 			batch, ms[codegen.Tuned], ms[codegen.Packed], ms[codegen.PackedQ8],
 			ms[codegen.Tuned]/ms[codegen.Packed], ms[codegen.Packed]/ms[codegen.PackedQ8])
-	}
-}
-
-// runBatchOnce executes one batched layer sweep through the serving engine's
-// exact execution path (runtime.RunLayerBatchFused: pooled padded buffers,
-// batch×OutC ParallelFor, fused epilogue).
-func runBatchOnce(pool *runtime.Pool, plan *codegen.Plan, input *tensor.Tensor, bias []float32, batch int) {
-	inputs := make([]*tensor.Tensor, batch)
-	for i := range inputs {
-		inputs[i] = input
-	}
-	outs := pool.RunLayerBatchFused(plan, inputs, bias, true)
-	for _, out := range outs {
-		runtime.PutTensor(out)
 	}
 }

@@ -42,7 +42,6 @@ func run() int {
 		"comma-separated list of target base URLs (replicas hit round-robin, or router front doors); overrides -url and enables the per-target outcome breakdown")
 	network := flag.String("network", "VGG", "model to request (generator name or registry name[@version])")
 	dataset := flag.String("dataset", "cifar10", "dataset for generator models (empty for registry models)")
-	level := flag.String("level", "", "optional per-request optimization level")
 	class := flag.String("class", "interactive", "scheduling class of the primary stream: interactive or batch")
 	mode := flag.String("mode", "closed", "primary arrival process: open (Poisson at -rate) or closed (-clients loop)")
 	rate := flag.Float64("rate", 100, "open-loop mean arrival rate, requests/second")
@@ -80,14 +79,14 @@ func run() int {
 
 	specs := []loadgen.Spec{{
 		Name: "primary_" + *class, URL: *url, URLs: targets,
-		Network: *network, Dataset: *dataset, Level: *level, Class: *class,
+		Network: *network, Dataset: *dataset, Class: *class,
 		Mode: *mode, Rate: *rate, Clients: *clients,
 		Requests: *requests, Duration: primaryDuration, Timeout: *timeout, Seed: *seed,
 	}}
 	if *bgClients > 0 {
 		specs = append(specs, loadgen.Spec{
 			Name: "background_batch", URL: *url, URLs: targets,
-			Network: *network, Dataset: *dataset, Level: *level, Class: "batch",
+			Network: *network, Dataset: *dataset, Class: "batch",
 			Mode: "closed", Clients: *bgClients,
 			Duration: *duration, Timeout: *bgTimeout, Seed: *seed + 1,
 		})

@@ -1,10 +1,10 @@
-// Command patdnn-run executes a deployed .patdnn compact model. Format-v2
-// graph artifacts (the patdnn-compile default) run end to end through the
-// graph executor — BN folded, residual adds fused, liveness-planned arena —
-// and report whole-network latency plus fusion/arena stats. Legacy v1
-// conv-trunk files compile each layer's execution plan at full optimization
-// and report per-layer host wall-clock plus the device-model prediction for
-// the Snapdragon 855.
+// Command patdnn-run executes a deployed .patdnn compact model end to end
+// through the graph executor — BN folded, residual adds fused, liveness-
+// planned arena — and reports whole-network host latency, fusion/arena stats,
+// and the device-model prediction for the Snapdragon 855 summed over the
+// plan's pattern convs. Format-v2 graph artifacts (the patdnn-compile default)
+// carry their topology; a legacy v1 conv-trunk file is reassembled by the
+// chain convention (conv+bias+ReLU, inferred max-pools) and runs the same way.
 //
 // Models are addressed either by explicit file path, or — with -models-dir —
 // through the registry layout the serving stack uses: -model then takes a
@@ -23,9 +23,7 @@ import (
 	"math/rand"
 	"os"
 
-	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/execgraph"
-	"patdnn/internal/compiler/lr"
 	"patdnn/internal/device"
 	"patdnn/internal/modelfile"
 	"patdnn/internal/registry"
@@ -36,7 +34,7 @@ import (
 func main() {
 	spec := flag.String("model", "", "path to a .patdnn model file, or a name[@version] spec with -models-dir")
 	modelsDir := flag.String("models-dir", "", "resolve -model through this registry models directory instead of as a file path")
-	runs := flag.Int("runs", 10, "timed runs per layer")
+	runs := flag.Int("runs", 10, "timed inference runs")
 	threads := flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	flag.Parse()
 	if *spec == "" {
@@ -69,43 +67,7 @@ func main() {
 	fmt.Printf("loaded %s: %d pruned conv layers (device %s)\n",
 		mf.LR.Model, len(mf.Layers), mf.LR.Device)
 
-	pool := runtime.NewPool(*threads)
-	if mf.Net != nil {
-		// V2 graph artifact: execute the whole network end to end through the
-		// graph executor instead of layer by layer.
-		runGraph(mf, pool, *runs)
-		return
-	}
-	d := device.SD855()
-	rng := rand.New(rand.NewSource(1))
-	var totalHost, totalDev float64
-	for _, layer := range mf.Layers {
-		c := layer.Conv
-		plan, err := codegen.Compile(c, codegen.Tuned, lr.DefaultTuning())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		in := tensor.New(c.InC, c.InH, c.InW)
-		in.Randn(rng, 1)
-		hostMs := runtime.Measure(*runs, func() {
-			pool.RunLayer(plan, in, layer.Bias)
-		})
-		devMs := d.TimeMs(plan.Stats(), device.CPU, 8, 4)
-		totalHost += hostMs
-		totalDev += devMs
-		fmt.Printf("  %-10s [%d,%d,3,3] %3dx%-3d  %.2fx compressed  host %8.3f ms  sd855-cpu %8.3f ms\n",
-			c.Name, c.OutC, c.InC, c.OutH, c.OutW, c.CompressionRate(), hostMs, devMs)
-	}
-	fmt.Printf("total: host %.2f ms, sd855-cpu model %.2f ms over %d layers\n",
-		totalHost, totalDev, len(mf.Layers))
-}
-
-// runGraph compiles a v2 graph artifact through execgraph and measures full
-// end-to-end inference: BN folded, residual adds fused, all intermediates in
-// the liveness-planned arena.
-func runGraph(mf *modelfile.File, pool *runtime.Pool, runs int) {
-	m, params, err := execgraph.FromFile(mf.Net.Short, mf)
+	m, params, err := execgraph.FromFile(mf.LR.Model, mf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -116,19 +78,30 @@ func runGraph(mf *modelfile.File, pool *runtime.Pool, runs int) {
 		os.Exit(1)
 	}
 	planned, naive := plan.ArenaBytes()
-	fmt.Printf("graph artifact %s: %d nodes, %d conv layers, %.2fx compressed\n",
+	fmt.Printf("graph %s: %d nodes, %d conv layers, %.2fx compressed\n",
 		m.Name, len(plan.Nodes), plan.ConvLayers, plan.Compression())
 	fmt.Printf("fused: %d conv+bn, %d conv/fc+relu, %d residual adds; arena %d B (naive %d B, %.1fx reuse)\n",
 		plan.Fused.ConvBN, plan.Fused.ConvReLU, plan.Fused.Residual,
 		planned, naive, float64(naive)/float64(planned))
 
-	rng := rand.New(rand.NewSource(1))
+	pool := runtime.NewPool(*threads)
 	in := tensor.New(plan.InC, plan.InH, plan.InW)
-	in.Randn(rng, 1)
+	in.Randn(rand.New(rand.NewSource(1)), 1)
 	out := tensor.New(plan.OutC, plan.OutH, plan.OutW)
-	ms := runtime.Measure(runs, func() {
+	ms := runtime.Measure(*runs, func() {
 		plan.Execute(pool, []*tensor.Tensor{in}, []*tensor.Tensor{out})
 	})
 	fmt.Printf("end-to-end: %.3f ms/inference over %d runs, output [%d,%d,%d] argmax %d\n",
-		ms, runs, plan.OutC, plan.OutH, plan.OutW, out.ArgMax())
+		ms, *runs, plan.OutC, plan.OutH, plan.OutW, out.ArgMax())
+
+	d := device.SD855()
+	var devMs float64
+	patternConvs := 0
+	for _, n := range plan.Nodes {
+		if n.Kind == execgraph.KindConv || n.Kind == execgraph.KindConvT {
+			devMs += d.TimeMs(n.Plan.Stats(), device.CPU, 8, 4)
+			patternConvs++
+		}
+	}
+	fmt.Printf("sd855-cpu model: %.2f ms over %d pattern conv layers\n", devMs, patternConvs)
 }

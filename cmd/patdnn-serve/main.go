@@ -11,25 +11,18 @@
 // weights (canary rollouts), and are bounded by -memory-budget with LRU
 // eviction of compiled plans.
 //
-// With -tuning-db (defaulting to <models-dir>/tuning.json when -models-dir
-// is set; "off" disables) every plan compile consults the persistent tuning
-// sidecar before running tuning heuristics and records its decisions, so
-// recompiles of known layers — warm restarts, lazy reloads after eviction —
-// do zero search work. -background-tune additionally starts the background
-// tuning worker: once per -tune-interval it re-measures packed layers off
-// the hot path, records winners as measured verdicts, and hot-swaps
-// improved plans with no failed in-flight requests.
+// Every model compiles once, at the packed kernel family: -level packed
+// (the default, with quantized artifacts served at packedq8) or packedq8.
+// Responses and /models name the level that ran.
 //
 // Endpoints:
 //
 //	POST /infer    {"network":"VGG","dataset":"cifar10","input":[...]}
 //	               input is the flattened [C,H,W] image and may be omitted
-//	               for a deterministic synthetic input; an optional "level"
-//	               ("noopt".."packed", "auto") overrides the engine's kernel
-//	               optimization level for this request — each level is its
-//	               own plan-cache entry. network may also be a registry model
-//	               ("vgg" or "vgg@v2"); the response's "version" reports the
-//	               version that served. Responds with the output feature map,
+//	               for a deterministic synthetic input. network may also be a
+//	               registry model ("vgg" or "vgg@v2"); the response's
+//	               "version" reports the version that served and "level" the
+//	               kernels that ran. Responds with the output feature map,
 //	               argmax, and batch/latency detail.
 //	               Scheduling: "class" ("interactive" default, or "batch")
 //	               picks the bounded per-model lane the request queues on —
@@ -43,12 +36,10 @@
 //	GET  /models   compiled models: plan-cache entries plus every registry
 //	               version with residency, byte footprint, and last-used time
 //	GET  /stats    engine counters (requests, batches, plan-cache hits,
-//	               per-level hits, sheds by class, deadline sheds, the
-//	               executed-expired tripwire, and per-lane bounded queue
-//	               depth/capacity/peak) plus registry counters (scans,
-//	               reloads, evictions, resident bytes) and tuning counters
-//	               (DB hits/misses/records/quarantined, background searches,
-//	               hot swaps)
+//	               sheds by class, deadline sheds, the executed-expired
+//	               tripwire, and per-lane bounded queue depth/capacity/peak)
+//	               plus registry counters (scans, reloads, evictions,
+//	               resident bytes)
 //	GET  /registry registry detail: versions, routes, quarantined files, stats
 //	POST /registry/route  {"model":"vgg","weights":{"v1":90,"v2":10}}
 //	               sets the weighted traffic split for bare-name requests;
@@ -86,7 +77,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -103,7 +93,7 @@ func main() {
 	patterns := flag.Int("patterns", 8, "pattern-set size")
 	connRate := flag.Float64("connrate", 3.6, "connectivity pruning rate")
 	level := flag.String("level", serve.LevelAuto,
-		"kernel optimization level: noopt, reorder, lre, tuned, packed, or auto (tuner picks per layer)")
+		"kernel family: packed, packedq8, or auto (packed; quantized artifacts at packedq8)")
 	queueDepth := flag.Int("queue-depth", 0,
 		"per-model, per-class request queue bound; a full queue sheds with 429 (0 = default max(64, 8*batch))")
 	queueBytes := flag.String("queue-bytes", "",
@@ -120,30 +110,7 @@ func main() {
 		"memory budget over compiled registry models, e.g. 512MB or 2GB (empty = unlimited); LRU-evicted models recompile lazily")
 	regPoll := flag.Duration("registry-poll", 2*time.Second,
 		"models-dir polling period for hot reload (negative disables)")
-	tuningDB := flag.String("tuning-db", "",
-		"persistent auto-tuning sidecar consulted by every plan compile, e.g. models/tuning.json "+
-			"(empty with -models-dir set defaults to <models-dir>/tuning.json; 'off' disables)")
-	bgTune := flag.Bool("background-tune", false,
-		"run the background tuning worker: measure packed-layer configurations off the hot path, "+
-			"record winners in the tuning DB, and hot-swap improved plans")
-	tuneInterval := flag.Duration("tune-interval", 15*time.Second,
-		"background tuning round period")
 	flag.Parse()
-
-	db := *tuningDB
-	switch {
-	case db == "off":
-		db = ""
-		if *bgTune {
-			log.Fatal("-background-tune requires a tuning DB; drop -tuning-db=off")
-		}
-	case db == "" && *modelsDir != "":
-		// The registry's sidecar convention: tuning decisions live next to
-		// the .patdnn artifacts they accelerate (the scanner ignores
-		// non-.patdnn files, so the sidecar is safe in the models dir).
-		db = filepath.Join(*modelsDir, "tuning.json")
-		log.Printf("tuning: using %s (set -tuning-db=off to disable)", db)
-	}
 
 	qBytes, err := parseBytes(*queueBytes)
 	if err != nil {
@@ -153,7 +120,6 @@ func main() {
 		Workers: *workers, MaxBatch: *batch,
 		Patterns: *patterns, ConnRate: *connRate, Level: *level,
 		QueueDepth: *queueDepth, QueueBytes: qBytes, BatchWorkers: *batchWorkers,
-		TuningDB: db, BackgroundTune: *bgTune, TuneInterval: *tuneInterval,
 	})
 	var reg *registry.Registry
 	if *modelsDir != "" {

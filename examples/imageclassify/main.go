@@ -40,7 +40,6 @@ func main() {
 
 	// Compile each pruned conv layer and run real inference through the
 	// compiled kernels, comparing against the pruned network's predictions.
-	pool := runtime.NewPool(4)
 	convs := net.ConvLayers()
 	plans := make(map[codegen.Level][]*codegen.Plan)
 	for _, level := range []codegen.Level{codegen.NoOpt, codegen.Tuned} {
@@ -56,7 +55,7 @@ func main() {
 	predict := func(level codegen.Level, img *tensor.Tensor) int {
 		x := img
 		for i, plan := range plans[level] {
-			x = pool.RunLayer(plan, x, convs[i].Bias.W.Data)
+			x = plan.Execute(x, convs[i].Bias.W.Data)
 			tensor.ReLU(x)
 			x, _ = tensor.MaxPool2D(x, 2)
 		}

@@ -1,7 +1,7 @@
 package patdnn
 
 // Integration tests spanning module boundaries: training → pruning →
-// compilation → serialization → deserialization → parallel execution, with
+// compilation → serialization → deserialization → execution, with
 // numeric equivalence asserted at every hand-off.
 
 import (
@@ -19,14 +19,13 @@ import (
 	"patdnn/internal/nn"
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"
-	"patdnn/internal/runtime"
 	"patdnn/internal/tensor"
 )
 
 // TestCompileSaveLoadExecute checks the deployment chain: a pruned layer
 // compiled, serialized to the compact model format, reloaded, recompiled,
 // and executed must produce FP16-close outputs to the original, at every
-// optimization level, through the parallel runtime.
+// optimization level.
 func TestCompileSaveLoadExecute(t *testing.T) {
 	m := model.VGG16("cifar10")
 	rng := rand.New(rand.NewSource(3))
@@ -54,7 +53,6 @@ func TestCompileSaveLoadExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool := runtime.NewPool(4)
 	for i, orig := range file.Layers {
 		in := tensor.New(orig.Conv.InC, orig.Conv.InH, orig.Conv.InW)
 		in.Randn(rng, 1)
@@ -67,8 +65,8 @@ func TestCompileSaveLoadExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := pool.RunLayer(p1, in, biases[i])
-			got := pool.RunLayer(p2, in, loaded.Layers[i].Bias)
+			want := p1.Execute(in, biases[i])
+			got := p2.Execute(in, loaded.Layers[i].Bias)
 			// FP16 storage allows small relative error, amplified by the
 			// accumulation over up to 64 input channels.
 			if d := got.MaxAbsDiff(want); d > 0.05 {
@@ -110,11 +108,10 @@ func TestPruneCompileAccuracyChain(t *testing.T) {
 		}
 		plans = append(plans, p)
 	}
-	pool := runtime.NewPool(2)
 	predictCompiled := func(img *tensor.Tensor) int {
 		x := img
 		for i, plan := range plans {
-			x = pool.RunLayer(plan, x, convs[i].Bias.W.Data)
+			x = plan.Execute(x, convs[i].Bias.W.Data)
 			tensor.ReLU(x)
 			x, _ = tensor.MaxPool2D(x, 2)
 		}
@@ -167,7 +164,6 @@ func TestTrainPruneSaveRun(t *testing.T) {
 		t.Fatalf("loaded %d layers, want %d", len(loaded.Layers), len(res.Layers))
 	}
 
-	pool := runtime.NewPool(2)
 	predictLoaded := func(img *tensor.Tensor) int {
 		x := img
 		for _, layer := range loaded.Layers {
@@ -175,7 +171,7 @@ func TestTrainPruneSaveRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			x = pool.RunLayer(p, x, layer.Bias)
+			x = p.Execute(x, layer.Bias)
 			tensor.ReLU(x)
 			x, _ = tensor.MaxPool2D(x, 2)
 		}

@@ -258,9 +258,10 @@ func TestPackedQ8FreesFloatWeights(t *testing.T) {
 	}
 }
 
-// TestDifferentialPackedPadInputInto checks the pooled-buffer padding path
-// against the allocating one, including a dirty oversized buffer.
-func TestDifferentialPackedPadInputInto(t *testing.T) {
+// TestDifferentialPadIntoDirtyScratch checks the scratch-buffer padding path
+// the graph executor uses against the allocating one, over a dirty oversized
+// buffer.
+func TestDifferentialPadIntoDirtyScratch(t *testing.T) {
 	dc := randomCase(42)
 	dc.pad = 1
 	c, input, _ := buildCase(dc)
@@ -273,8 +274,9 @@ func TestDifferentialPackedPadInputInto(t *testing.T) {
 	for i := range buf {
 		buf[i] = -99
 	}
-	got := p.PadInputInto(input, buf)
+	got := tensor.FromSlice(buf[:p.PaddedLen()], want.Dim(0), want.Dim(1), want.Dim(2))
+	PadInto(input, got, dc.pad)
 	if !got.AllClose(want, 0) {
-		t.Fatalf("PadInputInto differs from PadInput by %g", got.MaxAbsDiff(want))
+		t.Fatalf("PadInto differs from PadInput by %g", got.MaxAbsDiff(want))
 	}
 }

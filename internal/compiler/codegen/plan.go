@@ -332,39 +332,23 @@ func (p *Plan) ExecuteRangeResidual(padded, out *tensor.Tensor, from, to int, bi
 	}
 }
 
-// PadInput exposes the padding step for the runtime's layer pipeline.
+// PadInput exposes the padding step for callers that split a layer with
+// ExecuteRange.
 func (p *Plan) PadInput(input *tensor.Tensor) *tensor.Tensor {
 	return pad(input, p.Conv.Pad)
 }
 
-// PaddedLen returns the element count PadInputInto needs in its scratch
-// buffer.
+// PaddedLen returns the element count of the padded input — what PadInto's
+// out view spans.
 func (p *Plan) PaddedLen() int {
 	c := p.Conv
 	return c.InChannels() * (c.InH + 2*c.Pad) * (c.InW + 2*c.Pad)
 }
 
-// PadInputInto pads input into buf, a reusable scratch slice of at least
-// PaddedLen() elements whose contents may be garbage, and returns a tensor
-// view over it. With zero padding the input is returned directly and buf is
-// untouched. This is the allocation-free path the serving runtime's buffer
-// pool uses.
-func (p *Plan) PadInputInto(input *tensor.Tensor, buf []float32) *tensor.Tensor {
-	pd := p.Conv.Pad
-	if pd == 0 {
-		return input
-	}
-	c, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
-	out := tensor.FromSlice(buf[:c*(h+2*pd)*(w+2*pd)], c, h+2*pd, w+2*pd)
-	PadInto(input, out, pd)
-	return out
-}
-
 // PadInto copies input into the zero-padded view out ([C, H+2p, W+2p] over
 // scratch whose contents may be garbage): only the border is zeroed, the
 // interior is fully overwritten. The graph executor uses it directly with
-// prebuilt arena views (tensor construction would allocate in its hot path);
-// PadInputInto wraps it for callers holding a raw slice.
+// prebuilt arena views (tensor construction would allocate in its hot path).
 func PadInto(input, out *tensor.Tensor, pd int) {
 	c, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
 	ph, pw := h+2*pd, w+2*pd

@@ -13,17 +13,16 @@ import (
 	"patdnn/internal/tensor"
 )
 
-// LevelAuto is the Config.Level spelling for "let the tuner's estimator pick
-// the kernel backend per layer".
+// LevelAuto is the Config.Level spelling for the default: every pattern conv
+// at codegen.Packed.
 const LevelAuto = "auto"
 
 // Config parameterizes Compile.
 type Config struct {
 	// Level is the kernel optimization level for pattern-pruned convs
 	// ("noopt", "reorder", "lre", "tuned", "packed", "packedq8"); empty or
-	// "auto" lets the tuner's estimator choose per layer (never packedq8 —
-	// quantization changes the numbers, so it is always an explicit choice,
-	// the caller's or the artifact's).
+	// "auto" is "packed" (never packedq8 — quantization changes the numbers,
+	// so it is always an explicit choice, the caller's or the artifact's).
 	Level string
 	// TuneDB, when non-nil, is consulted for every pattern conv's execution
 	// configuration before the analytic heuristics run, and records whichever
@@ -195,15 +194,11 @@ func (p *Plan) Compression() float64 {
 }
 
 // layerLevel resolves the optimization level one pattern conv compiles at: an
-// explicit tag applies uniformly; "auto" asks the tuner's estimator whether
-// the packed FKW-direct backend beats the tuned dense-layout kernels for this
-// layer's geometry and sparsity.
-func layerLevel(tag string, pc *pruned.Conv) (codegen.Level, error) {
+// explicit tag applies uniformly, and "auto" is the packed FKW-direct backend
+// (never packedq8 — quantization changes the numbers).
+func layerLevel(tag string) (codegen.Level, error) {
 	if tag == LevelAuto {
-		if tuner.PreferPacked(pc.OutC, pc.InC, pc.NonEmptyKernels(), pc.OutH, pc.OutW) {
-			return codegen.Packed, nil
-		}
-		return codegen.Tuned, nil
+		return codegen.Packed, nil
 	}
 	return codegen.ParseLevel(tag)
 }
@@ -369,7 +364,7 @@ func (p *Plan) lower(m *model.Model, g *graphopt.Graph, gn *graphopt.Node, param
 				pc, bias = foldBNConv(pc, bias, bn)
 				p.Fused.ConvBN++
 			}
-			level, err := layerLevel(cfg.Level, pc)
+			level, err := layerLevel(cfg.Level)
 			if err != nil {
 				return nil, err
 			}
@@ -448,7 +443,7 @@ func (p *Plan) lower(m *model.Model, g *graphopt.Graph, gn *graphopt.Node, param
 		if err != nil {
 			return nil, fmt.Errorf("execgraph: %s/%s: %w", m.Short, m.Dataset, err)
 		}
-		level, err := layerLevel(cfg.Level, eq)
+		level, err := layerLevel(cfg.Level)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/lr"
 	"patdnn/internal/model"
 	"patdnn/internal/modelfile"
@@ -375,6 +376,39 @@ func TestCorruptGeometry1x1RejectedAtCompile(t *testing.T) {
 		}
 		if !tc.wantOK && (err == nil || !strings.Contains(err.Error(), "1x1 conv p1 declares output 9x8")) {
 			t.Fatalf("OutH %d: want the 1x1 geometry error, got %v", tc.outH, err)
+		}
+	}
+}
+
+// TestAutoCompilesPacked: "auto" is the packed family, not a per-layer
+// choice — every pattern conv of every servable built-in net compiles at
+// codegen.Packed, so an auto plan and a packed plan compute identical bits.
+func TestAutoCompilesPacked(t *testing.T) {
+	nets := []*model.Model{
+		model.VGG16("cifar10"), model.ResNet50("cifar10"),
+		model.MobileNetV2("cifar10"), model.SRNet("cifar10"),
+		model.MobileNetV2("imagenet"),
+	}
+	pool := runtime.NewPool(0)
+	for _, m := range nets {
+		auto, params := compileAt(t, m, LevelAuto)
+		for _, n := range auto.Nodes {
+			if (n.Kind == KindConv || n.Kind == KindConvT) && n.Plan.Level != codegen.Packed {
+				t.Fatalf("%s/%s: auto compiled %s at %v, want %v",
+					m.Short, m.Dataset, n.Name, n.Plan.Level, codegen.Packed)
+			}
+		}
+		packed, err := Compile(m, params, Config{Level: "packed"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := genInput(m, 5)
+		got := tensor.New(auto.OutC, auto.OutH, auto.OutW)
+		want := tensor.New(packed.OutC, packed.OutH, packed.OutW)
+		auto.Execute(pool, []*tensor.Tensor{x}, []*tensor.Tensor{got})
+		packed.Execute(pool, []*tensor.Tensor{x}, []*tensor.Tensor{want})
+		if d := got.MaxAbsDiff(want); d != 0 {
+			t.Fatalf("%s/%s: auto and packed plans differ by %g", m.Short, m.Dataset, d)
 		}
 	}
 }

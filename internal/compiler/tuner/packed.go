@@ -159,31 +159,3 @@ func PackedCost(outH, outW, paddedW, weightsPerFilter, stride, bytesPerWeight in
 	}
 	return cost
 }
-
-// PreferPacked is the level chooser the serving engine consults when its
-// configuration leaves the optimization level to the tuner: it predicts, from
-// the layer's geometry and sparsity, whether the packed FKW-direct backend
-// beats the tuned dense-layout kernels. The prediction mirrors the measured
-// tradeoff the estimator's features encode: the tuned kernels pay a per-
-// execution grouping pass over all kernels (to find filter-block input
-// sharing), which only amortizes when the spatial map is large AND the layer
-// is dense enough that several kernels of an unrolled filter block actually
-// share a (channel, pattern) input row. Pattern-pruned layers at the paper's
-// 3.6× connectivity rarely reach that density, so the packed stream wins
-// almost everywhere.
-func PreferPacked(outC, inC, kernels, outH, outW int) bool {
-	if outC <= 0 || inC <= 0 || kernels <= 0 {
-		return true
-	}
-	// Expected kernels landing on the same (channel, pattern) slot within a
-	// 4-filter unrolled block, assuming the ~8 canonical patterns: near 1 the
-	// tuned filter-level sharing starts reclaiming enough input loads to
-	// matter.
-	density := float64(kernels) / float64(outC*inC)
-	sharing := density * 4 / 8
-	// Large maps amortize the tuned grouping pass over more output pixels;
-	// a fully dense 8-pattern layer reaches sharing 0.5, the break-even
-	// neighborhood.
-	bigMap := outH*outW >= 96*96
-	return !(bigMap && sharing >= 0.45)
-}

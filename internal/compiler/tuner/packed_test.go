@@ -45,22 +45,6 @@ func TestPackedTuningCarriesTile(t *testing.T) {
 	}
 }
 
-func TestPreferPacked(t *testing.T) {
-	// The paper's operating point (3.6× connectivity) on a mid-size map:
-	// packed wins.
-	if !PreferPacked(128, 128, 128*128*10/36, 28, 28) {
-		t.Fatal("PreferPacked should pick packed for a sparse 28x28 layer")
-	}
-	// Dense-ish layer on a huge map: the tuned filter-block sharing amortizes.
-	if PreferPacked(64, 64, 64*64, 224, 224) {
-		t.Fatal("PreferPacked should keep tuned for a dense 224x224 layer")
-	}
-	// Degenerate inputs fall back to packed rather than dividing by zero.
-	if !PreferPacked(0, 0, 0, 0, 0) {
-		t.Fatal("PreferPacked must tolerate degenerate geometry")
-	}
-}
-
 func TestPackedTileQ8AllowsTallerTiles(t *testing.T) {
 	// PackedQ8 streams 1 byte per weight instead of 4: a heavy filter that
 	// crowds the FP32 tile budget leaves room for a taller tile — never a

@@ -39,7 +39,6 @@ type Spec struct {
 	URLs    []string
 	Network string // model name ("VGG", "resnet50", "vgg@v2", ...)
 	Dataset string // dataset ("cifar10"); empty for registry models
-	Level   string // optional per-request optimization level
 	Class   string // scheduling class: "interactive" (default) or "batch"
 	// Mode selects the arrival process: "open" (Poisson arrivals at Rate,
 	// independent of completions) or "closed" (Clients workers, each sending
@@ -238,7 +237,6 @@ var client = &http.Client{Transport: &http.Transport{
 type inferBody struct {
 	Network   string  `json:"network"`
 	Dataset   string  `json:"dataset,omitempty"`
-	Level     string  `json:"level,omitempty"`
 	Class     string  `json:"class,omitempty"`
 	TimeoutMs float64 `json:"timeout_ms,omitempty"`
 }
@@ -309,7 +307,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 	body, err := json.Marshal(inferBody{
-		Network: spec.Network, Dataset: spec.Dataset, Level: spec.Level,
+		Network: spec.Network, Dataset: spec.Dataset,
 		Class: spec.Class, TimeoutMs: float64(spec.Timeout) / 1e6,
 	})
 	if err != nil {

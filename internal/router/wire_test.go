@@ -111,6 +111,23 @@ func TestUnencodableOutputIs500(t *testing.T) {
 	})
 }
 
+// TestLevelKeyIsIgnored: "level" is no longer a request key. A body that still
+// carries one is served at the engine's level, as with any unknown key — the
+// reply names the kernels that ran.
+func TestLevelKeyIsIgnored(t *testing.T) {
+	body := []byte(`{"level":"noopt","network":"SR","dataset":"cifar10"}`)
+	bothHops(t, func(t *testing.T, url string) {
+		status, reply := rawPost(t, url, int64(len(body)), body)
+		var resp serve.Response
+		if err := json.Unmarshal(reply, &resp); err != nil || status != http.StatusOK {
+			t.Fatalf("status %d, decode error %v: %.200s", status, err, reply)
+		}
+		if resp.Level != "packed" {
+			t.Fatalf("served at level %q, want the engine's packed", resp.Level)
+		}
+	})
+}
+
 func TestBodyLimits(t *testing.T) {
 	body := srBody(t, func(i int) float32 { return float32(i%7) / 7 })
 	bothHops(t, func(t *testing.T, url string) {

@@ -1,17 +1,14 @@
-// Package runtime executes compiled PatDNN plans on the host: a worker-pool
-// parallel-for that splits a layer's output channels across threads along the
+// Package runtime is the host worker pool: a parallel-for that the graph
+// executor uses to split a layer's output channels across threads along the
 // filter-group boundaries FKR produces (the same mapping the paper uses for
-// GPU thread blocks and CPU threads), plus a simple layer pipeline and wall-
-// clock measurement helpers used by the host microbenchmarks.
+// GPU thread blocks and CPU threads), plus the wall-clock measurement helper
+// the command-line tools share.
 package runtime
 
 import (
 	"runtime"
 	"sync"
 	"time"
-
-	"patdnn/internal/compiler/codegen"
-	"patdnn/internal/tensor"
 )
 
 // Pool is a fixed-size worker pool for data-parallel layer execution.
@@ -94,129 +91,6 @@ func (p *Pool) ParallelFor(n int, fn func(start, end int)) {
 	}
 }
 
-// slicePool recycles float32 scratch slices (padded inputs, intermediate
-// feature maps) across layer executions and requests, so steady-state batched
-// serving stops allocating — and stops re-zeroing — per request. Entries are
-// *[]float32 to keep Put itself allocation-free.
-var slicePool sync.Pool
-
-// GetSlice returns a scratch slice of length n. Contents are UNDEFINED — the
-// caller must fully overwrite it (the fused kernels and PadInputInto do).
-func GetSlice(n int) []float32 {
-	if v, ok := slicePool.Get().(*[]float32); ok && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]float32, n)
-}
-
-// PutSlice returns a scratch slice to the pool. The caller must not touch it
-// afterwards.
-func PutSlice(s []float32) {
-	if cap(s) == 0 {
-		return
-	}
-	slicePool.Put(&s)
-}
-
-// GetTensor returns a [dims...] tensor over pooled storage; contents are
-// UNDEFINED. Pair with PutTensor when the tensor's data is no longer
-// referenced anywhere.
-func GetTensor(dims ...int) *tensor.Tensor {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	return tensor.FromSlice(GetSlice(n), dims...)
-}
-
-// PutTensor recycles a tensor previously obtained from GetTensor.
-func PutTensor(t *tensor.Tensor) { PutSlice(t.Data) }
-
-// RunLayer executes a compiled conv plan with the pool, splitting output
-// channels across workers.
-func (p *Pool) RunLayer(plan *codegen.Plan, input *tensor.Tensor, bias []float32) *tensor.Tensor {
-	c := plan.Conv
-	out := tensor.New(c.OutC, c.OutH, c.OutW)
-	if bias != nil {
-		for oc := 0; oc < c.OutC; oc++ {
-			plane := out.Data[oc*c.OutH*c.OutW : (oc+1)*c.OutH*c.OutW]
-			for i := range plane {
-				plane[i] = bias[oc]
-			}
-		}
-	}
-	padded := plan.PadInput(input)
-	p.ParallelFor(c.OutC, func(start, end int) {
-		plan.ExecuteRange(padded, out, start, end)
-	})
-	return out
-}
-
-// RunLayerFused executes a compiled conv plan with the fused bias(+ReLU)
-// epilogue, padding through the pooled scratch buffers so steady-state
-// execution performs one allocation (the returned output tensor). The packed
-// FKW-direct level fuses natively; other levels fall back to equivalent
-// separate passes.
-func (p *Pool) RunLayerFused(plan *codegen.Plan, input *tensor.Tensor, bias []float32, relu bool) *tensor.Tensor {
-	c := plan.Conv
-	out := tensor.New(c.OutC, c.OutH, c.OutW)
-	var buf []float32
-	padded := input
-	if c.Pad > 0 {
-		buf = GetSlice(plan.PaddedLen())
-		padded = plan.PadInputInto(input, buf)
-	}
-	p.ParallelFor(c.OutC, func(start, end int) {
-		plan.ExecuteRangeFused(padded, out, start, end, bias, relu)
-	})
-	if buf != nil {
-		PutSlice(buf)
-	}
-	return out
-}
-
-// RunLayerBatchFused executes one conv plan over a whole batch as a single
-// ParallelFor across batch × output-channels — the serving engine's batched
-// layer sweep, also used by the benchmark harnesses so they measure exactly
-// the serving path. Padded inputs ride pooled scratch returned before this
-// function exits; the outputs come from the tensor pool with the fused
-// bias(+ReLU) epilogue initializing every plane, so callers must recycle
-// them with PutTensor once consumed (or hand them off, e.g. to a response).
-func (p *Pool) RunLayerBatchFused(plan *codegen.Plan, xs []*tensor.Tensor, bias []float32, relu bool) []*tensor.Tensor {
-	conv := plan.Conv
-	padded := make([]*tensor.Tensor, len(xs))
-	pbufs := make([][]float32, len(xs))
-	outs := make([]*tensor.Tensor, len(xs))
-	p.ParallelFor(len(xs), func(s, e int) {
-		for i := s; i < e; i++ {
-			if conv.Pad > 0 {
-				pbufs[i] = GetSlice(plan.PaddedLen())
-				padded[i] = plan.PadInputInto(xs[i], pbufs[i])
-			} else {
-				padded[i] = xs[i]
-			}
-			outs[i] = GetTensor(conv.OutC, conv.OutH, conv.OutW)
-		}
-	})
-	p.ParallelFor(len(xs)*conv.OutC, func(s, e int) {
-		for i := s; i < e; {
-			item, from := i/conv.OutC, i%conv.OutC
-			to := from + (e - i)
-			if to > conv.OutC {
-				to = conv.OutC
-			}
-			plan.ExecuteRangeFused(padded[item], outs[item], from, to, bias, relu)
-			i += to - from
-		}
-	})
-	for _, b := range pbufs {
-		if b != nil {
-			PutSlice(b)
-		}
-	}
-	return outs
-}
-
 // Measure runs fn repeatedly and returns the average wall-clock milliseconds
 // over runs (after one warmup).
 func Measure(runs int, fn func()) float64 {
@@ -228,34 +102,5 @@ func Measure(runs int, fn func()) float64 {
 	for i := 0; i < runs; i++ {
 		fn()
 	}
-	return float64(time.Since(start).Milliseconds()) / float64(runs)
-}
-
-// Pipeline executes a sequence of compiled conv plans, feeding each output
-// into the next layer with a ReLU between stages (the fused conv+relu
-// execution of the graph optimizer).
-type Pipeline struct {
-	Plans  []*codegen.Plan
-	Biases [][]float32
-	pool   *Pool
-}
-
-// NewPipeline builds a pipeline over the pool.
-func NewPipeline(pool *Pool, plans []*codegen.Plan, biases [][]float32) *Pipeline {
-	return &Pipeline{Plans: plans, Biases: biases, pool: pool}
-}
-
-// Run executes the pipeline on one input. Conv+bias+ReLU run as one fused
-// sweep per layer (natively fused for packed plans), with padding through the
-// pooled scratch buffers.
-func (pl *Pipeline) Run(input *tensor.Tensor) *tensor.Tensor {
-	x := input
-	for i, plan := range pl.Plans {
-		var bias []float32
-		if pl.Biases != nil && i < len(pl.Biases) {
-			bias = pl.Biases[i]
-		}
-		x = pl.pool.RunLayerFused(plan, x, bias, true)
-	}
-	return x
+	return float64(time.Since(start).Nanoseconds()) / 1e6 / float64(runs)
 }

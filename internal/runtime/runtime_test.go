@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/lr"
@@ -121,17 +122,31 @@ func TestParallelForPanicStillCoversOtherChunks(t *testing.T) {
 	}
 }
 
-func TestRunLayerMatchesSequential(t *testing.T) {
-	for _, level := range []codegen.Level{codegen.Reorder, codegen.Tuned} {
+// TestParallelForSplitMatchesSequential: a layer's output channels split
+// across workers with ParallelFor + ExecuteRange — how the graph executor
+// parallelizes a conv — must equal the one-shot sequential Execute, at every
+// optimization level and pool width.
+func TestParallelForSplitMatchesSequential(t *testing.T) {
+	for _, level := range codegen.AllLevels() {
 		plan, in := testPlan(t, level)
-		bias := make([]float32, plan.Conv.OutC)
+		c := plan.Conv
+		bias := make([]float32, c.OutC)
 		for i := range bias {
 			bias[i] = float32(i) * 0.1
 		}
 		want := plan.Execute(in, bias)
+		padded := plan.PadInput(in)
 		for _, workers := range []int{1, 2, 4, 8} {
-			pool := NewPool(workers)
-			got := pool.RunLayer(plan, in, bias)
+			got := tensor.New(c.OutC, c.OutH, c.OutW)
+			for oc := 0; oc < c.OutC; oc++ {
+				plane := got.Data[oc*c.OutH*c.OutW : (oc+1)*c.OutH*c.OutW]
+				for i := range plane {
+					plane[i] = bias[oc]
+				}
+			}
+			NewPool(workers).ParallelFor(c.OutC, func(start, end int) {
+				plan.ExecuteRange(padded, got, start, end)
+			})
 			if !got.AllClose(want, 1e-4) {
 				t.Fatalf("level %v workers %d: parallel diff %g",
 					level, workers, got.MaxAbsDiff(want))
@@ -140,35 +155,25 @@ func TestRunLayerMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestPipelineRuns(t *testing.T) {
-	plan1, in := testPlan(t, codegen.Tuned)
-	// Second layer consumes the first layer's 12-channel output.
-	rng := rand.New(rand.NewSource(2))
-	w2 := tensor.New(6, 12, 3, 3)
-	w2.Randn(rng, 1)
-	geom := pruned.ConvGeom{Stride: 1, Pad: 1, InH: 14, InW: 10, OutH: 14, OutW: 10}
-	c2 := pruned.FromWeights("rt2", w2, pattern.Canonical(8), 30, geom)
-	plan2, err := codegen.Compile(c2, codegen.Tuned, lr.DefaultTuning())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := NewPipeline(NewPool(4), []*codegen.Plan{plan1, plan2}, nil)
-	out := pl.Run(in)
-	if out.Dim(0) != 6 || out.Dim(1) != 14 || out.Dim(2) != 10 {
-		t.Fatalf("pipeline output shape %v", out.Shape())
-	}
-	// ReLU applied: no negatives.
-	for _, v := range out.Data {
-		if v < 0 {
-			t.Fatal("pipeline output not rectified")
-		}
-	}
-}
-
 func TestMeasureReturnsNonNegative(t *testing.T) {
 	ms := Measure(3, func() {})
 	if ms < 0 {
 		t.Fatalf("negative time %f", ms)
+	}
+}
+
+// TestMeasureKeepsSubMillisecond: the average must not be truncated to whole
+// milliseconds of total time — three 0.2 ms calls used to read 0. The wait
+// spins instead of sleeping because it never returns early (so 0.2 ms is a
+// lower bound whatever the machine is doing) and, unlike time.Sleep on a
+// coarse-timer kernel, does not overshoot to a millisecond either.
+func TestMeasureKeepsSubMillisecond(t *testing.T) {
+	wait := func() {
+		for start := time.Now(); time.Since(start) < 200*time.Microsecond; {
+		}
+	}
+	if ms := Measure(3, wait); ms < 0.2 {
+		t.Fatalf("Measure of a 200µs wait = %g ms, want >= 0.2", ms)
 	}
 }
 

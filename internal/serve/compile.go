@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 
-	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/execgraph"
 	"patdnn/internal/model"
 	"patdnn/internal/modelfile"
@@ -23,7 +22,7 @@ import (
 )
 
 // compiledModel is a network lowered to an executable graph plan: the cached
-// artifact the plan cache holds per (model, dataset, level) key — or, for
+// artifact the plan cache holds per (model, dataset) key — or, for
 // registry-backed models, the artifact one .patdnn version compiles to.
 type compiledModel struct {
 	model   *model.Model
@@ -38,27 +37,23 @@ type compiledModel struct {
 	retired atomic.Bool
 }
 
-// execCfg builds the graph compiler configuration for one compile at a level
-// tag: when the tuning subsystem is on, every compile consults the tuning DB
-// first and records its decisions, with a compile-time GA search (analytic
-// cost model) standing in for the single-shot heuristics on misses.
-func (e *Engine) execCfg(tag string) execgraph.Config {
-	return execgraph.Config{Level: tag, TuneDB: e.tdb, TuneSearch: e.tdb != nil}
-}
-
-// compileModel lowers m at the given level tag through the graph executor:
+// compileModel lowers m at the engine's level through the graph executor:
 // deterministic parameters are generated at the engine's operating point
 // (pattern + connectivity pruning for 3×3 convs, magnitude pruning for 1×1s,
 // dense FC, synthetic BN statistics), then the graph passes fold BN into conv
 // weights, fuse residual adds and ReLUs into conv epilogues, and the liveness
 // pass lays out the activation arena.
-func (e *Engine) compileModel(m *model.Model, tag string) (*compiledModel, error) {
+func (e *Engine) compileModel(m *model.Model) (*compiledModel, error) {
 	cfg := e.cfg
+	tag, err := cfg.compileLevel(false)
+	if err != nil {
+		return nil, err
+	}
 	params, err := execgraph.Generate(m, cfg.Patterns, cfg.ConnRate, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	plan, err := execgraph.Compile(m, params, e.execCfg(tag))
+	plan, err := execgraph.Compile(m, params, execgraph.Config{Level: tag})
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -74,19 +69,20 @@ func (e *Engine) compileModel(m *model.Model, tag string) (*compiledModel, error
 // realized as the stride==kernel max-pool that produces exactly the next
 // layer's input geometry. Non-chainable layer sequences are rejected at load
 // time rather than served wrong.
-func (e *Engine) compileFromFile(name, version string, mf *modelfile.File, tag string) (*compiledModel, error) {
+func (e *Engine) compileFromFile(name, version string, mf *modelfile.File) (*compiledModel, error) {
+	// A v3 quantized artifact serves quantized by default: under "auto" its
+	// convs compile at packedq8, keeping the int8 stream (and the ~4× smaller
+	// resident footprint) the artifact was built for. An explicit engine
+	// level still wins — the dequantized weights serve at packed.
+	tag, err := e.cfg.compileLevel(mf.QuantBits >= 2)
+	if err != nil {
+		return nil, err
+	}
 	m, params, err := execgraph.FromFile(name, mf)
 	if err != nil {
 		return nil, fmt.Errorf("serve: artifact %s@%s: %w", name, version, err)
 	}
-	// A v3 quantized artifact serves quantized by default: under "auto" its
-	// convs compile at packedq8, keeping the int8 stream (and the ~4× smaller
-	// resident footprint) the artifact was built for. An explicit engine
-	// level still wins — the dequantized weights serve at any FP32 level.
-	if tag == LevelAuto && mf.QuantBits >= 2 {
-		tag = codegen.LevelTag(codegen.PackedQ8)
-	}
-	plan, err := execgraph.Compile(m, params, e.execCfg(tag))
+	plan, err := execgraph.Compile(m, params, execgraph.Config{Level: tag})
 	if err != nil {
 		return nil, fmt.Errorf("serve: artifact %s@%s: %w", name, version, err)
 	}

@@ -1,13 +1,11 @@
 package serve
 
-// Plan-cache keying and lifecycle tests for the level-aware cache: the
-// optimization level is part of the plan key, so two requests differing only
-// in level must compile (and batch) independently — and the engine must stay
-// correct when /infer traffic hammers it while Close drains.
+// Engine level and lifecycle tests: a model compiles once, at the packed
+// family Config.Level names — and the engine must stay correct when /infer
+// traffic hammers it while Close drains.
 
 import (
 	"context"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,115 +13,48 @@ import (
 	"time"
 )
 
-func TestPlanCacheKeyedByLevel(t *testing.T) {
-	eng := tinyEngine(t, Config{Workers: 2})
-	ctx := context.Background()
-	req := func(level string) Request {
-		return Request{Network: "tiny", Dataset: "synthetic", Input: tinyInput(3), Level: level}
-	}
-
-	// Same model, three levels: the default (auto, compiled by RegisterModel)
-	// plus two explicit ones. Each explicit level is a fresh compile — two
-	// models differing only in optimization level must not share a plan.
-	base, err := eng.Infer(ctx, req(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := eng.Infer(ctx, req("tuned"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := eng.Infer(ctx, req("packed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := eng.Stats()
-	if s.PlanCompiles != 3 {
-		t.Fatalf("PlanCompiles = %d, want 3 (auto + tuned + packed are distinct cache entries)", s.PlanCompiles)
-	}
-	// Re-request each level: all hits, no new compiles.
-	for _, lv := range []string{"", "tuned", "packed", "auto"} {
-		if _, err := eng.Infer(ctx, req(lv)); err != nil {
-			t.Fatal(err)
+// TestEngineLevelConfig: Config.Level accepts auto (the default), packed and
+// packedq8 in any spelling ParseLevel does; the response and the model
+// listing name the kernels that ran, never "auto".
+func TestEngineLevelConfig(t *testing.T) {
+	for _, tc := range []struct{ level, want string }{
+		{"", "packed"}, {"auto", "packed"}, {"Packed", "packed"}, {"fkw", "packed"},
+		{"packedq8", "packedq8"}, {"int8", "packedq8"},
+	} {
+		eng := tinyEngine(t, Config{Workers: 1, Level: tc.level})
+		resp, err := eng.Infer(context.Background(),
+			Request{Network: "tiny", Dataset: "synthetic", Input: tinyInput(3)})
+		if err != nil {
+			t.Fatalf("level %q: %v", tc.level, err)
 		}
-	}
-	s = eng.Stats()
-	if s.PlanCompiles != 3 {
-		t.Fatalf("PlanCompiles grew to %d on re-request, want 3", s.PlanCompiles)
-	}
-	if s.LevelHits["auto"] < 2 || s.LevelHits["tuned"] != 1 || s.LevelHits["packed"] != 1 {
-		t.Fatalf("LevelHits = %v, want auto>=2 tuned=1 packed=1", s.LevelHits)
-	}
-
-	// All levels must agree on the answer (they share one reference
-	// semantics; accumulation order may differ in float32).
-	for i := range base.Output {
-		if d := float64(base.Output[i] - tuned.Output[i]); math.Abs(d) > 1e-4 {
-			t.Fatalf("auto vs tuned differ at %d by %g", i, d)
+		if resp.Level != tc.want {
+			t.Fatalf("level %q: response level %q, want %q", tc.level, resp.Level, tc.want)
 		}
-		if d := float64(base.Output[i] - packed.Output[i]); math.Abs(d) > 1e-4 {
-			t.Fatalf("auto vs packed differ at %d by %g", i, d)
+		ms := eng.Models()
+		if len(ms) != 1 || ms[0].Level != tc.want {
+			t.Fatalf("level %q: Models() = %+v, want one entry at %q", tc.level, ms, tc.want)
 		}
-	}
-
-	// The cache listing shows each level as its own artifact.
-	ms := eng.Models()
-	if len(ms) != 3 {
-		t.Fatalf("Models() = %d entries, want 3 (one per level)", len(ms))
-	}
-	levels := map[string]bool{}
-	for _, m := range ms {
-		levels[m.Level] = true
-	}
-	if !levels["auto"] || !levels["tuned"] || !levels["packed"] {
-		t.Fatalf("Models() levels = %v, want auto/tuned/packed", levels)
+		if s := eng.Stats(); s.PlanCompiles != 1 || s.PlanHits != 1 {
+			t.Fatalf("level %q: PlanCompiles=%d PlanHits=%d, want 1/1", tc.level, s.PlanCompiles, s.PlanHits)
+		}
 	}
 }
 
-func TestInferRejectsUnknownLevel(t *testing.T) {
-	eng := tinyEngine(t, Config{Workers: 1})
-	_, err := eng.Infer(context.Background(),
-		Request{Network: "tiny", Dataset: "synthetic", Level: "warp-speed"})
-	if err == nil || !strings.Contains(err.Error(), "unknown level") {
-		t.Fatalf("err = %v, want unknown-level error", err)
-	}
-}
-
-func TestRegisterModelCanonicalizesLevel(t *testing.T) {
-	// A non-canonical (but valid) Config.Level spelling must land the eager
-	// RegisterModel compile on the same cache key Infer resolves to.
-	eng := New(Config{Workers: 1, Level: "Tuned"})
-	defer eng.Close()
-	if err := eng.RegisterModel(tinyModel("tiny", "synthetic")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Infer(context.Background(),
-		Request{Network: "tiny", Dataset: "synthetic"}); err != nil {
-		t.Fatal(err)
-	}
-	s := eng.Stats()
-	if s.PlanCompiles != 1 || s.PlanHits != 1 {
-		t.Fatalf("PlanCompiles=%d PlanHits=%d, want 1/1 (no recompile under canonical tag)", s.PlanCompiles, s.PlanHits)
-	}
-	if ms := eng.Models(); len(ms) != 1 || ms[0].Level != "tuned" {
-		t.Fatalf("Models() = %+v, want one entry at canonical tag \"tuned\"", ms)
-	}
-}
-
-func TestEngineExplicitLevelConfig(t *testing.T) {
-	// A pinned-level engine compiles at exactly that level.
-	eng := New(Config{Workers: 1, Level: "packed"})
-	defer eng.Close()
-	if err := eng.RegisterModel(tinyModel("tiny", "synthetic")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Infer(context.Background(),
-		Request{Network: "tiny", Dataset: "synthetic"}); err != nil {
-		t.Fatal(err)
-	}
-	ms := eng.Models()
-	if len(ms) != 1 || ms[0].Level != "packed" {
-		t.Fatalf("Models() = %+v, want one packed entry", ms)
+// TestEngineRejectsUnservedLevel: the ablation levels are not served. New has
+// no error to return, so the first compile — eager or lazy — reports it,
+// naming the accepted set.
+func TestEngineRejectsUnservedLevel(t *testing.T) {
+	for _, level := range []string{"tuned", "noopt", "warp-speed"} {
+		eng := New(Config{Workers: 1, Level: level})
+		t.Cleanup(func() { eng.Close() })
+		const want = "want auto, packed or packedq8"
+		if err := eng.RegisterModel(tinyModel("tiny", "synthetic")); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("level %q: RegisterModel err = %v, want one naming the accepted set", level, err)
+		}
+		if _, err := eng.Infer(context.Background(),
+			Request{Network: "VGG", Dataset: "cifar10"}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("level %q: lazy compile err = %v, want one naming the accepted set", level, err)
+		}
 	}
 }
 

@@ -57,7 +57,6 @@ func (a *diskArtifact) Release() { a.eng.retireBatcher(a.cm) }
 // is scanned for versioned .patdnn artifacts, which become resolvable as
 // Request.Network = "name" or "name@version". The returned registry exposes
 // scanning, routing, and budget control; the engine closes it on Close.
-// Registry artifacts compile at the engine's configured optimization level.
 func (e *Engine) WithRegistry(cfg registry.Config) (*registry.Registry, error) {
 	e.lifecycle.RLock()
 	closed := e.closed
@@ -72,11 +71,7 @@ func (e *Engine) WithRegistry(cfg registry.Config) (*registry.Registry, error) {
 	}
 	e.mu.Unlock()
 	loader := registry.LoaderFunc(func(name, version string, f *modelfile.File) (registry.Artifact, error) {
-		tag, err := e.resolveLevelTag("")
-		if err != nil {
-			return nil, err
-		}
-		cm, err := e.compileFromFile(name, version, f, tag)
+		cm, err := e.compileFromFile(name, version, f)
 		if err != nil {
 			return nil, err
 		}
@@ -122,12 +117,7 @@ func (e *Engine) Registry() *registry.Registry {
 // request leaves Dataset empty — a non-empty Dataset is the generator
 // protocol (registry artifacts carry no dataset), so such requests fall
 // through to the generator path instead of letting a same-named artifact
-// silently shadow every dataset's model. Registry artifacts are pinned to
-// the level they compiled at (the engine's configured level, or "packedq8"
-// for quantized v3 artifacts under auto), so a per-request level override
-// is accepted when it names that compiled level — "packedq8" against a
-// quantized artifact, say — and rejected rather than silently ignored when
-// it conflicts.
+// silently shadow every dataset's model.
 func (e *Engine) resolveModel(req Request) (*compiledModel, error) {
 	reg := e.Registry()
 	versioned := strings.Contains(req.Network, "@")
@@ -135,25 +125,13 @@ func (e *Engine) resolveModel(req Request) (*compiledModel, error) {
 		if versioned {
 			return nil, fmt.Errorf("serve: %q names a registry version but no models directory is attached", req.Network)
 		}
-		_, cm, err := e.compiled(req.Network, req.Dataset, req.Level, false)
-		return cm, err
+		return e.compiled(req.Network, req.Dataset, false)
 	}
 	res, err := reg.Resolve(req.Network)
 	if err != nil {
 		return nil, err
 	}
-	cm := res.Artifact.(*diskArtifact).cm
-	if req.Level != "" {
-		tag, err := e.resolveLevelTag(req.Level)
-		if err != nil {
-			return nil, err
-		}
-		if tag != LevelAuto && tag != cm.level {
-			return nil, fmt.Errorf("serve: registry model %s is compiled at level %q; per-request level %q would serve different kernels",
-				req.Network, cm.level, tag)
-		}
-	}
-	return cm, nil
+	return res.Artifact.(*diskArtifact).cm, nil
 }
 
 // retireBatcher marks cm retired and closes/removes its batcher after the
@@ -242,7 +220,7 @@ func (e *Engine) Readiness() Readiness {
 
 	rd := Readiness{Ready: !closed}
 	for i, entry := range entries {
-		st := ModelState{Network: keys[i].short, Dataset: keys[i].dataset, Level: keys[i].level}
+		st := ModelState{Network: keys[i].short, Dataset: keys[i].dataset}
 		cm, err, ok := entry.snapshot()
 		switch {
 		case !ok:
@@ -257,7 +235,7 @@ func (e *Engine) Readiness() Readiness {
 		case err != nil:
 			st.State, st.Error = "failed", err.Error()
 		case cm != nil:
-			st.State = "ready"
+			st.State, st.Level = "ready", cm.level
 		}
 		rd.Models = append(rd.Models, st)
 	}
@@ -288,10 +266,7 @@ func (e *Engine) Readiness() Readiness {
 		if a.Dataset != b.Dataset {
 			return a.Dataset < b.Dataset
 		}
-		if a.Version != b.Version {
-			return registry.CompareVersions(a.Version, b.Version) < 0
-		}
-		return a.Level < b.Level
+		return registry.CompareVersions(a.Version, b.Version) < 0
 	})
 	return rd
 }

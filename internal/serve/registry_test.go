@@ -17,7 +17,6 @@ import (
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"
 	"patdnn/internal/registry"
-	"patdnn/internal/runtime"
 	"patdnn/internal/tensor"
 )
 
@@ -129,8 +128,8 @@ func TestRegistryServeExactAndLatest(t *testing.T) {
 // TestRegistryServesFileBitExact cross-checks the registry serving path
 // against a hand-assembled pipeline over the same artifact: same decoded
 // FP16 weights and biases, conv+bias+ReLU per layer, max-pool between the
-// spatial shrinks. Only kernel-level differences (auto may pick packed vs
-// the tuned reference) are tolerated.
+// spatial shrinks. Only kernel-level differences (the engine's packed kernels
+// vs the tuned per-layer oracle) are tolerated.
 func TestRegistryServesFileBitExact(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTinyArtifact(t, dir, "tiny", "v1", 300)
@@ -145,9 +144,7 @@ func TestRegistryServesFileBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := tensor.FromSlice(tinyInput(3), 4, 12, 12)
-	pool := runtime.NewPool(2)
-	x := in
+	x := tensor.FromSlice(tinyInput(3), 4, 12, 12)
 	for _, layer := range mf.Layers {
 		if layer.Conv.InH != x.Dim(1) {
 			x, _ = tensor.MaxPool2D(x, x.Dim(1)/layer.Conv.InH)
@@ -156,7 +153,8 @@ func TestRegistryServesFileBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x = pool.RunLayerFused(plan, x, layer.Bias, true)
+		x = plan.Execute(x, layer.Bias)
+		tensor.ReLU(x)
 	}
 
 	resp, err := eng.Infer(context.Background(), Request{Network: "tiny@v1", Input: tinyInput(3)})
@@ -330,12 +328,11 @@ func TestRegistryQuantizedBudgetHoldsMoreVersions(t *testing.T) {
 	}
 }
 
-// TestQuantizedRegistryServesEndToEnd is the tentpole's end-to-end proof: a
-// v3 quantized artifact in a registry dir hot-loads, serves /infer at level
-// packedq8 (explicitly requestable), agrees with the FP32 packed serving
-// path on top-1 and within the quantization tolerance, reports the quantized
-// level through /models, and warm-recompiles against the persisted tuning DB
-// with zero search work — the DB keys carry the new level tag.
+// TestQuantizedRegistryServesEndToEnd is the quantized path's end-to-end
+// proof: a v3 quantized artifact in a registry dir hot-loads, serves /infer
+// at level packedq8 under a default engine, agrees with the FP16 artifact of
+// the same trunk (served at packed) on top-1 and within the quantization
+// tolerance, and reports the quantized level through /models.
 func TestQuantizedRegistryServesEndToEnd(t *testing.T) {
 	const seed = 700
 	ctx := context.Background()
@@ -343,12 +340,10 @@ func TestQuantizedRegistryServesEndToEnd(t *testing.T) {
 
 	qDir := t.TempDir()
 	writeTinyArtifactQ(t, qDir, "tiny", "v1", seed, 8)
-	dbPath := filepath.Join(qDir, "tuning.json")
-	eng, _ := registryEngine(t, qDir, 0, Config{Workers: 2, TuningDB: dbPath})
+	eng, _ := registryEngine(t, qDir, 0, Config{Workers: 2})
 
-	// The artifact serves quantized by default under "auto"; the explicit
-	// per-request spelling resolves to the same compiled model.
-	r8, err := eng.Infer(ctx, Request{Network: "tiny", Level: "packedq8", Input: in})
+	// The artifact serves quantized by default under "auto".
+	r8, err := eng.Infer(ctx, Request{Network: "tiny", Input: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,13 +351,17 @@ func TestQuantizedRegistryServesEndToEnd(t *testing.T) {
 		t.Fatalf("response level %q, want packedq8", r8.Level)
 	}
 
-	// FP32 reference: the identical trunk, unquantized, served at packed.
+	// FP32 reference: the identical trunk, unquantized, under the same
+	// default engine — which serves it at packed.
 	fpDir := t.TempDir()
 	writeTinyArtifact(t, fpDir, "tiny", "v1", seed)
-	fpEng, _ := registryEngine(t, fpDir, 0, Config{Workers: 2, Level: "packed"})
+	fpEng, _ := registryEngine(t, fpDir, 0, Config{Workers: 2})
 	rFP, err := fpEng.Infer(ctx, Request{Network: "tiny", Input: in})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rFP.Level != codegen.LevelTag(codegen.Packed) {
+		t.Fatalf("FP16 artifact response level %q, want packed", rFP.Level)
 	}
 	if a8, aFP := argmax(r8.Output), argmax(rFP.Output); a8 != aFP {
 		t.Fatalf("top-1 diverged: packedq8 %d vs packed %d", a8, aFP)
@@ -383,44 +382,13 @@ func TestQuantizedRegistryServesEndToEnd(t *testing.T) {
 		qBytes = m.MemoryBytes
 	}
 	for _, m := range fpEng.Models() {
+		if m.Level != codegen.LevelTag(codegen.Packed) {
+			t.Fatalf("FP16 artifact listed at level %q, want packed", m.Level)
+		}
 		fpBytes = m.MemoryBytes
 	}
 	if qBytes <= 0 || 2*qBytes >= fpBytes {
 		t.Fatalf("quantized resident bytes %d, want well under half of FP32 %d", qBytes, fpBytes)
-	}
-
-	// The cold compile missed the empty DB once per conv layer and recorded
-	// its decisions under the quantized level's keys.
-	cold := eng.Stats()
-	if cold.Tuning == nil || cold.Tuning.DB.Misses == 0 || cold.Tuning.DB.Hits != 0 {
-		t.Fatalf("cold compile DB traffic: %+v", cold.Tuning)
-	}
-	if err := eng.Close(); err != nil { // persists the DB
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(dbPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), codegen.LevelTag(codegen.PackedQ8)) {
-		t.Fatalf("tuning DB keys missing the quantized level tag:\n%s", raw)
-	}
-
-	// Warm restart over the same DB: the recompile of the v3 artifact hits
-	// on every layer and does zero tuner search.
-	eng2, _ := registryEngine(t, qDir, 0, Config{Workers: 2, TuningDB: dbPath})
-	warm8, err := eng2.Infer(ctx, Request{Network: "tiny", Input: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range warm8.Output {
-		if warm8.Output[i] != r8.Output[i] {
-			t.Fatal("warm recompile served different outputs than the cold compile")
-		}
-	}
-	warm := eng2.Stats()
-	if warm.Tuning == nil || warm.Tuning.DB.Misses != 0 || warm.Tuning.DB.Hits == 0 {
-		t.Fatalf("warm compile DB traffic: %+v, want all hits / zero misses", warm.Tuning)
 	}
 }
 
@@ -466,21 +434,6 @@ func TestRegistryCorruptDropInDoesNotBreakServing(t *testing.T) {
 	s := eng.Stats().Registry
 	if s.BadFiles != 2 || len(s.Quarantined) != 2 {
 		t.Fatalf("quarantine stats: %+v", s)
-	}
-}
-
-func TestRegistryLevelOverridePinned(t *testing.T) {
-	dir := t.TempDir()
-	writeTinyArtifact(t, dir, "tiny", "v1", 100)
-	eng, _ := registryEngine(t, dir, 0, Config{Workers: 1})
-	ctx := context.Background()
-	if _, err := eng.Infer(ctx, Request{Network: "tiny", Level: "noopt"}); err == nil ||
-		!strings.Contains(err.Error(), "compiled at level") {
-		t.Fatalf("conflicting level override: %v, want pinned-level error", err)
-	}
-	// The engine's own level spelling is accepted.
-	if _, err := eng.Infer(ctx, Request{Network: "tiny", Level: "auto"}); err != nil {
-		t.Fatal(err)
 	}
 }
 

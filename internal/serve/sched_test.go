@@ -16,7 +16,7 @@ import (
 func idleLane(t *testing.T, cfg Config) (*Engine, *lane) {
 	t.Helper()
 	eng := tinyEngine(t, cfg)
-	_, cm, err := eng.compiled("tiny", "synthetic", "", false)
+	cm, err := eng.compiled("tiny", "synthetic", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDeadRequestNeverEnqueued(t *testing.T) {
 // tests a deterministic window in which the lane consumes nothing.
 func stallLane(t *testing.T, eng *Engine, class Class) (release func()) {
 	t.Helper()
-	_, cm, err := eng.compiled("tiny", "synthetic", "", false)
+	cm, err := eng.compiled("tiny", "synthetic", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,12 @@
 // Figure 7 — the "compact model" plus generated code is produced once, then
 // executed for every inference on the phone).
 //
-// The Engine compiles a network exactly once per (network, dataset,
-// pattern-set, connectivity-rate, optimization-level) key — running the whole
-// pattern-pruning + FKR + FKW + codegen path — and caches the resulting plan
-// stack. Inference requests against a cached model that are queued together
-// (up to Config.MaxBatch — whatever arrived while the previous sweep ran) are
-// executed as one batched layer sweep over the shared worker pool: each conv layer runs a
+// The Engine compiles a network exactly once per (network, dataset) key —
+// running the whole pattern-pruning + FKR + FKW + codegen path at the engine's
+// operating point — and caches the resulting plan stack. Inference requests
+// against a cached model that are queued together (up to Config.MaxBatch —
+// whatever arrived while the previous sweep ran) are executed as one batched
+// layer sweep over the shared worker pool: each conv layer runs a
 // single ParallelFor across batch×output-channels, so kernel plans, packed
 // FKW weights, and the pool's threads stay hot across the whole request
 // stream, amortizing compilation and scheduling the way GRIM and PCONV argue
@@ -27,7 +27,6 @@ import (
 
 	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/execgraph"
-	"patdnn/internal/compiler/tuner/tunedb"
 	"patdnn/internal/model"
 	"patdnn/internal/registry"
 	"patdnn/internal/runtime"
@@ -37,8 +36,8 @@ import (
 // ErrClosed is returned by Infer after Close.
 var ErrClosed = errors.New("serve: engine closed")
 
-// LevelAuto is the Config.Level / Request.Level spelling for "let the tuner's
-// estimator pick per layer" — the engine default.
+// LevelAuto is the Config.Level spelling for the engine default: the packed
+// FKW-direct kernels, quantized (packedq8) for a quantized artifact.
 const LevelAuto = "auto"
 
 // maxTimeoutMs bounds Request.TimeoutMs (~1 day in ms): far beyond any sane
@@ -52,10 +51,9 @@ type Config struct {
 	MaxBatch int     // max requests fused into one layer sweep (default 8)
 	Patterns int     // pattern-set size (default 8)
 	ConnRate float64 // connectivity pruning rate (default 3.6)
-	// Level is the kernel optimization level ("noopt", "reorder", "lre",
-	// "tuned", "packed", "packedq8"). Empty / LevelAuto lets the tuner's estimator pick
-	// per layer between the tuned dense-layout kernels and the packed
-	// FKW-direct backend.
+	// Level is the kernel family every model compiles at: "packed",
+	// "packedq8", or empty / LevelAuto for packed with quantized artifacts
+	// served at packedq8. Any other value fails the first compile.
 	Level string
 	Seed  int64 // deterministic weight-generation seed (default 42)
 	// QueueDepth bounds each per-model, per-class request queue. A request
@@ -75,20 +73,6 @@ type Config struct {
 	// canary/bench traffic cannot monopolize the compute interactive traffic
 	// needs. Default max(1, Workers/4); values above Workers are clamped.
 	BatchWorkers int
-	// TuningDB is the path of the persistent auto-tuning sidecar (e.g.
-	// <models-dir>/tuning.json). When set — or when BackgroundTune is on —
-	// every plan compile consults the DB before running tuning heuristics and
-	// records its decisions, so recompiles of known layers (lazy reloads
-	// after LRU eviction, warm restarts) do zero search work. Empty with
-	// BackgroundTune off disables the tuning subsystem entirely.
-	TuningDB string
-	// BackgroundTune starts the background tuning worker: off the hot path it
-	// re-searches packed-layer configurations with measured (wall-clock)
-	// evaluation, records winners in the tuning DB, and hot-swaps improved
-	// plans through the same atomic-swap machinery registry hot reloads use.
-	BackgroundTune bool
-	// TuneInterval is the background worker's round period (default 15s).
-	TuneInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -100,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ConnRate <= 0 {
 		c.ConnRate = 3.6
-	}
-	if c.Level == "" {
-		c.Level = LevelAuto
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -116,27 +97,23 @@ func (c Config) withDefaults() Config {
 	if c.QueueBytes < 1 {
 		c.QueueBytes = 64 << 20
 	}
-	if c.TuneInterval <= 0 {
-		c.TuneInterval = 15 * time.Second
-	}
 	return c
 }
 
-// resolveLevelTag canonicalizes a level name into the tag plan-cache keys and
-// stats counters use; "" means "engine default".
-func (e *Engine) resolveLevelTag(s string) (string, error) {
-	if s == "" {
-		s = e.cfg.Level
+// compileLevel resolves Config.Level to the level tag a model compiles at;
+// quantized says the model is an artifact that stores integer weights.
+func (c Config) compileLevel(quantized bool) (string, error) {
+	if s := strings.ToLower(strings.TrimSpace(c.Level)); s == "" || s == LevelAuto {
+		if quantized {
+			return codegen.LevelTag(codegen.PackedQ8), nil
+		}
+		return codegen.LevelTag(codegen.Packed), nil
 	}
-	// Accept the same spelling freedom ParseLevel gives the named levels.
-	if strings.EqualFold(strings.TrimSpace(s), LevelAuto) {
-		return LevelAuto, nil
+	// Accept the same spelling freedom ParseLevel gives the two served levels.
+	if lv, err := codegen.ParseLevel(c.Level); err == nil && (lv == codegen.Packed || lv == codegen.PackedQ8) {
+		return codegen.LevelTag(lv), nil
 	}
-	lv, err := codegen.ParseLevel(s)
-	if err != nil {
-		return "", fmt.Errorf("serve: unknown level %q (want noopt, reorder, lre, tuned, packed, or auto)", s)
-	}
-	return codegen.LevelTag(lv), nil
+	return "", fmt.Errorf("serve: unknown level %q (want auto, packed or packedq8)", c.Level)
 }
 
 // Request is one inference call.
@@ -149,11 +126,6 @@ type Request struct {
 	// Input is the flattened [InC,InH,InW] image; nil selects a
 	// deterministic synthetic input.
 	Input []float32 `json:"input,omitempty"`
-	// Level optionally overrides the engine's optimization level for this
-	// request ("noopt", "reorder", "lre", "tuned", "packed", "packedq8", "auto"). Each
-	// level compiles and caches its own plan stack — the level is part of the
-	// plan-cache key.
-	Level string `json:"level,omitempty"`
 	// Class is the scheduling class: "interactive" (default) for
 	// latency-sensitive traffic, "batch" for background traffic that rides
 	// the width-limited batch lane and can never starve interactive work.
@@ -175,8 +147,8 @@ type Response struct {
 	// leg the request rode.
 	Version string `json:"version,omitempty"`
 	// Level is the optimization-level tag of the plan stack that served the
-	// request ("packedq8" for quantized artifacts) — the ground truth for
-	// what kernels actually ran, whatever the request asked for.
+	// request ("packed", or "packedq8" for quantized artifacts) — what
+	// kernels actually ran.
 	Level     string    `json:"level,omitempty"`
 	Shape     [3]int    `json:"shape"`      // output [C,H,W]
 	Output    []float32 `json:"output"`     // flattened feature map
@@ -224,31 +196,10 @@ type Stats struct {
 	// they are monotonic across swaps, which is what makes a fleet-wide sum
 	// of replica /stats snapshots monotonic too.
 	Admitted map[string]uint64 `json:"admitted,omitempty"`
-	// LevelHits counts plan-cache hits per optimization-level tag ("auto",
-	// "tuned", "packed", ...): the level is part of the cache key, so this
-	// shows which kernel generations the request stream is actually riding.
-	LevelHits map[string]uint64 `json:"level_hits,omitempty"`
 	// Registry snapshots the attached model registry's counters (scans,
 	// hot reloads, evictions, resident bytes); nil when no registry is
 	// attached.
 	Registry *registry.Stats `json:"registry,omitempty"`
-	// Tuning snapshots the persistent auto-tuning subsystem (nil when
-	// disabled): tuning-DB traffic plus the background worker's counters.
-	// All counters are monotonic for the engine's lifetime.
-	Tuning *TuningStats `json:"tuning,omitempty"`
-}
-
-// TuningStats reports the tuning DB's counters and the background tuning
-// worker's activity.
-type TuningStats struct {
-	// DB is the tuning store snapshot: entry count, lookup hits/misses,
-	// records written, entries quarantined by the checked reader, and any
-	// whole-file load error.
-	DB tunedb.Stats `json:"db"`
-	// BackgroundSearches counts measured GA searches the background worker
-	// completed; Swaps counts the plan hot-swaps those searches earned.
-	BackgroundSearches uint64 `json:"background_searches"`
-	Swaps              uint64 `json:"swaps"`
 }
 
 // ModelInfo describes one compiled (cached) model — a generator-path plan
@@ -279,10 +230,6 @@ type ModelInfo struct {
 
 type modelKey struct {
 	short, dataset string
-	// level is the canonical optimization-level tag ("auto", "tuned",
-	// "packed", ...). Two cache entries differing only in level are distinct
-	// compiled artifacts — their plans hold different kernels.
-	level string
 }
 
 // laneKey identifies a model's scheduling lane independent of artifact
@@ -347,23 +294,18 @@ type Engine struct {
 	// than competing at full width with interactive sweeps.
 	batchPool *runtime.Pool
 
-	mu     sync.Mutex // guards models/registered/batchers maps + levelHits + reg + aliases
+	mu     sync.Mutex // guards models/batchers maps + reg + aliases
 	models map[modelKey]*modelEntry
-	// registered keeps custom descriptors by (short, dataset) so a request
-	// with an explicit level override can compile a registered model at that
-	// level too.
-	registered map[[2]string]*model.Model
 	// aliases memoizes (request network, dataset) → the canonical (Short,
 	// Dataset) model.ByName resolved it to, so alias-named requests ("vgg16",
 	// "VGG-16") hit the plan cache directly instead of re-running descriptor
 	// construction on the hot path.
-	aliases map[[2]string][2]string
+	aliases map[modelKey]modelKey
 	// batchers is keyed by the compiled artifact itself: generator-path
 	// entries hold one stable compiledModel per cache key, while registry
 	// models swap artifacts on hot reload — the new version gets its own
 	// batcher and the retired one drains and exits (see retireBatcher).
-	batchers  map[*compiledModel]*batcher
-	levelHits map[string]uint64 // plan-cache hits per level tag
+	batchers map[*compiledModel]*batcher
 	// laneCarry accumulates the admission counts (and queue peaks) of lanes
 	// whose batcher has been retired — hot-reload swaps, evictions, removals —
 	// keyed by (network, dataset, class) so the per-model cumulative totals in
@@ -373,15 +315,6 @@ type Engine struct {
 	// called): disk-backed versioned .patdnn artifacts the engine resolves
 	// Request.Network against before falling back to the generator path.
 	reg *registry.Registry
-
-	// tdb is the persistent tuning DB every plan compile consults (nil when
-	// the tuning subsystem is disabled); tuneStop/tuneWG manage the
-	// background tuning worker when Config.BackgroundTune is set.
-	tdb        *tunedb.DB
-	tuneStop   chan struct{}
-	tuneWG     sync.WaitGroup
-	bgSearches atomic.Uint64
-	bgSwaps    atomic.Uint64
 
 	// lifecycle serializes Close against in-flight enqueues: enqueuers hold
 	// the read side across the channel send, Close takes the write side
@@ -416,123 +349,76 @@ func New(cfg Config) *Engine {
 			bw = 1
 		}
 	}
-	e := &Engine{
-		cfg:        cfg,
-		pool:       pool,
-		batchPool:  pool.Limit(bw),
-		models:     make(map[modelKey]*modelEntry),
-		registered: make(map[[2]string]*model.Model),
-		aliases:    make(map[[2]string][2]string),
-		batchers:   make(map[*compiledModel]*batcher),
-		levelHits:  make(map[string]uint64),
-		laneCarry:  make(map[laneKey]laneCarry),
+	return &Engine{
+		cfg:       cfg,
+		pool:      pool,
+		batchPool: pool.Limit(bw),
+		models:    make(map[modelKey]*modelEntry),
+		aliases:   make(map[modelKey]modelKey),
+		batchers:  make(map[*compiledModel]*batcher),
+		laneCarry: make(map[laneKey]laneCarry),
 	}
-	if cfg.TuningDB != "" || cfg.BackgroundTune {
-		// An empty path with background tuning on gives an in-memory DB: the
-		// worker's measured winners still steer recompiles, just not across
-		// restarts.
-		e.tdb = tunedb.Open(cfg.TuningDB)
-	}
-	if cfg.BackgroundTune {
-		e.tuneStop = make(chan struct{})
-		e.tuneWG.Add(1)
-		go e.tuneLoop()
-	}
-	return e
 }
 
-// Preload compiles a model into the plan cache (at the engine's default
-// level) without running inference, so the first request doesn't pay
-// compilation latency. A preload in flight gates Readiness (lazy
-// request-triggered compiles do not).
+// Preload compiles a model into the plan cache without running inference, so
+// the first request doesn't pay compilation latency. A preload in flight
+// gates Readiness (lazy request-triggered compiles do not).
 func (e *Engine) Preload(network, dataset string) error {
-	_, _, err := e.compiled(network, dataset, "", true)
+	_, err := e.compiled(network, dataset, true)
 	return err
 }
 
-// newEntry creates a cache entry that compiles m at the level the tag names
-// ("auto" defers the per-layer choice to the tuner's estimator). Callers hold
-// e.mu.
-func (e *Engine) newEntry(m *model.Model, tag string) *modelEntry {
-	return &modelEntry{compile: func() (*compiledModel, error) { return e.compileModel(m, tag) }}
+// newEntry creates a cache entry that compiles m on first use.
+func (e *Engine) newEntry(m *model.Model) *modelEntry {
+	return &modelEntry{compile: func() (*compiledModel, error) { return e.compileModel(m) }}
 }
 
 // RegisterModel compiles a custom network descriptor into the plan cache
-// under its (Short, Dataset, default level) key, so Infer can address
-// networks beyond the three paper models (and tests can use small fixtures).
-// Registering a key that is already cached is an error. The descriptor is
-// retained so requests with an explicit level override can compile the model
-// at other levels on demand.
+// under its (Short, Dataset) key, so Infer can address networks beyond the
+// paper models (and tests can use small fixtures). Registering a key that is
+// already cached is an error.
 func (e *Engine) RegisterModel(m *model.Model) error {
-	// Canonicalize the configured level so the eager compile lands on the
-	// same key Infer's lookups resolve to (Config.Level accepts the same
-	// spellings ParseLevel does, e.g. "Tuned" or "fkw").
-	tag, err := e.resolveLevelTag("")
-	if err != nil {
-		return err
-	}
-	key := modelKey{m.Short, m.Dataset, tag}
-	nameKey := [2]string{m.Short, m.Dataset}
+	key := modelKey{m.Short, m.Dataset}
 	e.mu.Lock()
 	if _, ok := e.models[key]; ok {
 		e.mu.Unlock()
 		return fmt.Errorf("serve: model %s/%s already registered", m.Short, m.Dataset)
 	}
-	entry := e.newEntry(m, key.level)
+	entry := e.newEntry(m)
 	entry.gate.Store(true) // an explicit registration gates readiness like a preload
 	e.models[key] = entry
-	e.registered[nameKey] = m
 	e.planCompiles.Add(1)
 	e.mu.Unlock()
-	_, err = entry.get()
+	_, err := entry.get()
 	if err != nil {
 		// Evict the failed entry so a corrected descriptor can re-register
 		// under the same key.
 		e.mu.Lock()
 		if e.models[key] == entry {
 			delete(e.models, key)
-			delete(e.registered, nameKey)
 		}
 		e.mu.Unlock()
 	}
 	return err
 }
 
-// compiled resolves the network name and level tag and returns the cached
-// compiled model, compiling it exactly once per (network, dataset, level)
-// key. Registered custom models match by exact (network, dataset); the paper
-// networks additionally match every alias model.ByName accepts. gate marks
-// the compile as readiness-gating (Preload): a pending gated compile keeps
-// /readyz at 503, while a lazy request-triggered compile on a serving engine
-// does not.
-func (e *Engine) compiled(network, dataset, level string, gate bool) (modelKey, *compiledModel, error) {
-	tag, err := e.resolveLevelTag(level)
-	if err != nil {
-		return modelKey{}, nil, err
-	}
-	key := modelKey{network, dataset, tag}
+// compiled resolves the network name and returns the cached compiled model,
+// compiling it exactly once per (network, dataset) key. Registered custom
+// models match by exact (network, dataset); the paper networks additionally
+// match every alias model.ByName accepts. gate marks the compile as
+// readiness-gating (Preload): a pending gated compile keeps /readyz at 503,
+// while a lazy request-triggered compile on a serving engine does not.
+func (e *Engine) compiled(network, dataset string, gate bool) (*compiledModel, error) {
+	key := modelKey{network, dataset}
 	e.mu.Lock()
 	entry, ok := e.models[key]
 	if !ok {
 		// An alias-named request ("vgg16", "VGG-16") whose canonical key was
 		// resolved before: rewrite the key instead of re-running model.ByName
 		// descriptor construction per request on the hot path.
-		if canon, hit := e.aliases[[2]string{network, dataset}]; hit {
-			key = modelKey{canon[0], canon[1], tag}
+		if canon, hit := e.aliases[key]; hit {
+			key = canon
 			entry, ok = e.models[key]
-		}
-	}
-	if !ok {
-		// A registered custom model requested at a not-yet-compiled level:
-		// compile its retained descriptor at that level.
-		if m, reg := e.registered[[2]string{key.short, key.dataset}]; reg {
-			entry = e.newEntry(m, tag)
-			entry.gate.Store(gate)
-			e.models[key] = entry
-			e.planCompiles.Add(1)
-			e.mu.Unlock()
-			cm, cerr := entry.get()
-			return key, cm, cerr
 		}
 	}
 	if ok {
@@ -540,28 +426,26 @@ func (e *Engine) compiled(network, dataset, level string, gate bool) (modelKey, 
 			entry.gate.Store(true)
 		}
 		e.planHits.Add(1)
-		e.levelHits[tag]++
 		e.mu.Unlock()
-		cm, err := entry.get() // waits out a concurrent first compile
-		return key, cm, err
+		return entry.get() // waits out a concurrent first compile
 	}
 	e.mu.Unlock()
 
 	// The model builders panic on datasets they don't know; reject
 	// client-supplied garbage with an error instead.
 	if dataset != "imagenet" && dataset != "cifar10" {
-		return modelKey{}, nil, fmt.Errorf("serve: unknown dataset %q (want imagenet or cifar10, or a registered model's dataset)", dataset)
+		return nil, fmt.Errorf("serve: unknown dataset %q (want imagenet or cifar10, or a registered model's dataset)", dataset)
 	}
 	m, err := model.ByName(network, dataset)
 	if err != nil {
-		return modelKey{}, nil, err
+		return nil, err
 	}
-	key = modelKey{m.Short, m.Dataset, tag}
+	key = modelKey{m.Short, m.Dataset}
 	e.mu.Lock()
 	// Remember the alias so the next request under this spelling short-
 	// circuits to the canonical key (and counts as a plan hit).
 	if network != m.Short || dataset != m.Dataset {
-		e.aliases[[2]string{network, dataset}] = [2]string{m.Short, m.Dataset}
+		e.aliases[modelKey{network, dataset}] = key
 	}
 	entry, ok = e.models[key]
 	if ok {
@@ -569,16 +453,14 @@ func (e *Engine) compiled(network, dataset, level string, gate bool) (modelKey, 
 			entry.gate.Store(true)
 		}
 		e.planHits.Add(1)
-		e.levelHits[tag]++
 	} else {
-		entry = e.newEntry(m, tag)
+		entry = e.newEntry(m)
 		entry.gate.Store(gate)
 		e.models[key] = entry
 		e.planCompiles.Add(1)
 	}
 	e.mu.Unlock()
-	cm, cerr := entry.get()
-	return key, cm, cerr
+	return entry.get()
 }
 
 // batcherFor returns (creating if needed) the per-artifact batcher and its
@@ -727,9 +609,9 @@ func (cm *compiledModel) response(out *tensor.Tensor, r batchResult) *Response {
 	}
 }
 
-// Close stops the background tuner, drains every batcher, closes the attached
-// registry (if any), persists the tuning DB, and stops the engine. In-flight
-// requests complete; later Infer calls return ErrClosed. Close is idempotent.
+// Close drains every batcher, closes the attached registry (if any), and
+// stops the engine. In-flight requests complete; later Infer calls return
+// ErrClosed. Close is idempotent.
 func (e *Engine) Close() error {
 	e.lifecycle.Lock()
 	if e.closed {
@@ -744,23 +626,11 @@ func (e *Engine) Close() error {
 	reg := e.reg
 	e.mu.Unlock()
 	e.lifecycle.Unlock()
-	if e.tuneStop != nil {
-		// The worker checks e.closed at its next step; closing the stop
-		// channel also wakes it out of its ticker wait. A worker mid-swap is
-		// safe: retireBatcher after Close is a no-op.
-		close(e.tuneStop)
-		e.tuneWG.Wait()
-	}
 	e.wg.Wait()
 	if reg != nil {
 		// After e.closed is set the registry's Release callbacks are no-ops,
 		// so closing it here cannot race the batcher shutdown above.
 		reg.Close()
-	}
-	if e.tdb != nil {
-		// Best-effort persistence of decisions made since the last round;
-		// the DB is an accelerator, so a failed save never fails Close.
-		_ = e.tdb.Save()
 	}
 	return nil
 }
@@ -792,12 +662,6 @@ func (e *Engine) Stats() Stats {
 		s.AvgBatch = float64(e.ranRequests.Load()) / float64(s.Batches)
 	}
 	e.mu.Lock()
-	if len(e.levelHits) > 0 {
-		s.LevelHits = make(map[string]uint64, len(e.levelHits))
-		for tag, n := range e.levelHits {
-			s.LevelHits[tag] = n
-		}
-	}
 	admitted := make(map[string]uint64, len(e.laneCarry)+len(e.batchers)*int(numClasses))
 	for k, c := range e.laneCarry {
 		if c.admitted > 0 {
@@ -838,13 +702,6 @@ func (e *Engine) Stats() Stats {
 		rs := reg.Stats()
 		s.Registry = &rs
 	}
-	if e.tdb != nil {
-		s.Tuning = &TuningStats{
-			DB:                 e.tdb.Stats(),
-			BackgroundSearches: e.bgSearches.Load(),
-			Swaps:              e.bgSwaps.Load(),
-		}
-	}
 	return s
 }
 
@@ -868,22 +725,17 @@ func (e *Engine) Models() []ModelInfo {
 		out = append(out, cm.info())
 	}
 	if reg != nil {
-		tag, _ := e.resolveLevelTag("")
 		for _, m := range reg.Models() {
 			mi := ModelInfo{
 				Network: m.Name, Version: m.Version, Source: "registry",
-				Level: tag, ConvLayers: m.ConvLayers,
-				Loaded: m.Loaded, MemoryBytes: m.Bytes, LastUsed: m.LastUsed,
+				ConvLayers: m.ConvLayers,
+				Loaded:     m.Loaded, MemoryBytes: m.Bytes, LastUsed: m.LastUsed,
 			}
 			// Resident artifacts describe their compiled plan (fused-op
-			// counts, arena size, actual level) through the registry's detail
-			// channel. The detail level wins over the engine default: a v3
-			// quantized artifact compiles at packedq8 even under "auto".
+			// counts, arena size, level) through the registry's detail
+			// channel; a cold version has compiled nothing to describe.
 			if d, ok := m.Detail.(artifactDetail); ok {
-				mi.FusedOps, mi.ArenaBytes = d.Fused, d.ArenaBytes
-				if d.Level != "" {
-					mi.Level = d.Level
-				}
+				mi.FusedOps, mi.ArenaBytes, mi.Level = d.Fused, d.ArenaBytes, d.Level
 			}
 			out = append(out, mi)
 		}
@@ -895,10 +747,7 @@ func (e *Engine) Models() []ModelInfo {
 		if out[i].Dataset != out[j].Dataset {
 			return out[i].Dataset < out[j].Dataset
 		}
-		if out[i].Version != out[j].Version {
-			return registry.CompareVersions(out[i].Version, out[j].Version) < 0
-		}
-		return out[i].Level < out[j].Level
+		return registry.CompareVersions(out[i].Version, out[j].Version) < 0
 	})
 	return out
 }

@@ -366,3 +366,45 @@ func TestEngineServesVGG(t *testing.T) {
 		t.Fatalf("PlanCompiles=%d PlanHits=%d, want 1/4 (aliases share the cache entry)", s.PlanCompiles, s.PlanHits)
 	}
 }
+
+// TestAliasRequestsHitPlanCache: every spelling model.ByName accepts for a
+// paper network must resolve to the one cached plan — one compile, and every
+// subsequent request (canonical or alias) counts as a plan hit. The first
+// alias request memoizes the canonical key, so later alias requests skip
+// descriptor construction entirely.
+func TestAliasRequestsHitPlanCache(t *testing.T) {
+	eng := New(Config{Workers: 2})
+	defer eng.Close()
+	ctx := context.Background()
+
+	if _, err := eng.Infer(ctx, Request{Network: "vgg16", Dataset: "cifar10"}); err != nil {
+		t.Fatal(err)
+	}
+	s := eng.Stats()
+	if s.PlanCompiles != 1 || s.PlanHits != 0 {
+		t.Fatalf("after first alias request: %d compiles / %d hits, want 1 / 0",
+			s.PlanCompiles, s.PlanHits)
+	}
+	// The alias was memoized against the canonical (Short, Dataset) key.
+	eng.mu.Lock()
+	canon, ok := eng.aliases[modelKey{"vgg16", "cifar10"}]
+	eng.mu.Unlock()
+	if !ok || canon != (modelKey{"VGG", "cifar10"}) {
+		t.Fatalf("alias not memoized: %v (ok=%v)", canon, ok)
+	}
+
+	// Every other spelling — the memoized alias, new aliases, the canonical
+	// name — rides the cached plan and counts as a hit.
+	for _, name := range []string{"vgg16", "VGG-16", "vgg", "VGG"} {
+		if _, err := eng.Infer(ctx, Request{Network: name, Dataset: "cifar10"}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	s = eng.Stats()
+	if s.PlanCompiles != 1 {
+		t.Fatalf("alias requests recompiled the model: %d compiles", s.PlanCompiles)
+	}
+	if s.PlanHits != 4 {
+		t.Fatalf("alias requests missed the plan cache: %d hits, want 4", s.PlanHits)
+	}
+}

@@ -86,14 +86,12 @@ func scanRequest(b []byte, req *Request, withInput bool) bool {
 			field, str = 1<<0, &req.Network
 		case "dataset":
 			field, str = 1<<1, &req.Dataset
-		case "level":
-			field, str = 1<<2, &req.Level
 		case "class":
-			field, str = 1<<3, &req.Class
+			field, str = 1<<2, &req.Class
 		case "timeout_ms":
-			field = 1 << 4
+			field = 1 << 3
 		case "input":
-			field = 1 << 5
+			field = 1 << 4
 		default:
 			return false
 		}
@@ -109,7 +107,7 @@ func scanRequest(b []byte, req *Request, withInput bool) bool {
 				return false
 			}
 			*str, i = string(val), end
-		case field == 1<<4:
+		case field == 1<<3:
 			end := scanNumber(b, i)
 			if end < 0 {
 				return false

@@ -13,7 +13,6 @@ type wireMirror struct {
 	Network   string    `json:"network"`
 	Dataset   string    `json:"dataset"`
 	Input     []float32 `json:"input,omitempty"`
-	Level     string    `json:"level,omitempty"`
 	Class     string    `json:"class,omitempty"`
 	TimeoutMs float64   `json:"timeout_ms,omitempty"`
 }
@@ -24,6 +23,11 @@ var wireSeeds = []string{
 	`{"network":"srgen","dataset":"","input":[0.5,-1.25,3e-7,1E+2,-0,0,12345678]}`,
 	`{"network":"VGG","dataset":"cifar10"}`,
 	`{"network":"vgg@v2","dataset":"cifar10","level":"packed","class":"batch","timeout_ms":12.5,"input":[1]}`,
+	// "level" left the request: like any unknown key it is ignored, wherever
+	// it sits and however often.
+	`{"level":"noopt","network":"VGG","dataset":"cifar10"}`,
+	`{"network":"VGG","dataset":"cifar10","input":[1,2],"level":"noopt"}`,
+	`{"level":"noopt","network":"VGG","level":"tuned","dataset":"cifar10","level":7}`,
 	`{}`,
 	` { "network" : "a" , "dataset" : "b" , "input" : [ 1 , 2.5 , -3e2 ] , "timeout_ms" : 5 } ` + "\n",
 	"\t{\r\n\"network\"\t:\r\"a\",\n\"input\":[\n1\t,\r2\n]\n}\t",
@@ -94,7 +98,7 @@ func checkWire(t *testing.T, body []byte) {
 	if err != nil {
 		return
 	}
-	if got.Network != want.Network || got.Dataset != want.Dataset || got.Level != want.Level ||
+	if got.Network != want.Network || got.Dataset != want.Dataset ||
 		got.Class != want.Class || math.Float64bits(got.TimeoutMs) != math.Float64bits(want.TimeoutMs) {
 		t.Fatalf("ParseRequest(%q) = %+v, json.Unmarshal gives %+v", body, got, want)
 	}
@@ -111,7 +115,7 @@ func checkWire(t *testing.T, body []byte) {
 		t.Fatalf("PeekRequest(%q) error %v on a body ParseRequest accepts", body, peekErr)
 	}
 	got.Input = nil
-	if peek.Network != got.Network || peek.Dataset != got.Dataset || peek.Level != got.Level ||
+	if peek.Network != got.Network || peek.Dataset != got.Dataset ||
 		peek.Class != got.Class || math.Float64bits(peek.TimeoutMs) != math.Float64bits(got.TimeoutMs) {
 		t.Fatalf("PeekRequest(%q) = %+v, ParseRequest gives %+v", body, peek, got)
 	}
@@ -151,6 +155,7 @@ func TestScanRequestTakesTheCommonShapes(t *testing.T) {
 		{`{"network":"a","input":[]}`, true},
 		{`{}`, true},
 		{`{"Network":"a"}`, false},
+		{`{"network":"a","level":"noopt"}`, false},
 		{`{"network":"a","network":"b"}`, false},
 		{`{"network":"a\n"}`, false},
 		{`{"network":"a","input":null}`, false},

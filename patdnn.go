@@ -356,17 +356,15 @@ type Engine = serve.Engine
 
 // EngineConfig configures an Engine; the zero value selects sensible
 // defaults (GOMAXPROCS workers, sweeps of up to 8 queued requests, the
-// paper's 8-pattern / 3.6x operating point). The optimization level defaults
-// to EngineLevelAuto: per conv layer, the tuner's estimator chooses between
-// the tuned dense-layout kernels and the packed FKW-direct backend (which
-// streams the compressed weight arrays with zero per-weight index arithmetic
-// and fuses the bias+ReLU epilogue). Set Level to "noopt", "reorder", "lre",
-// "tuned", or "packed" to pin one; requests may override it per call, and
-// each level is a distinct plan-cache entry.
+// paper's 8-pattern / 3.6x operating point). Every model compiles once, at
+// the packed FKW-direct backend (which streams the compressed weight arrays
+// with zero per-weight index arithmetic and fuses the bias+ReLU epilogue):
+// Level is EngineLevelAuto (the default), "packed" or "packedq8", and
+// InferResponse.Level names the kernels that ran.
 type EngineConfig = serve.Config
 
-// EngineLevelAuto is the EngineConfig.Level value (and the default) that
-// lets the tuner pick the kernel backend per layer.
+// EngineLevelAuto is the EngineConfig.Level value (and the default): packed,
+// with quantized artifacts served at packedq8.
 const EngineLevelAuto = serve.LevelAuto
 
 // InferRequest is one inference call against an Engine.
