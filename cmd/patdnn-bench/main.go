@@ -1,6 +1,9 @@
 // Command patdnn-bench regenerates the paper's evaluation artifacts: every
 // table and figure of the PatDNN evaluation section, plus the extra
-// ablations, from this repository's implementations. It also hosts the
+// ablations, from this repository's implementations. Phone latencies and
+// ImageNet/CIFAR accuracies in those artifacts are modelled (calibrated to
+// the paper's reported numbers, internal/bench/internal/…), not measured,
+// and this command is the only place they are printed. It also hosts the
 // Tuned-vs-Packed kernel sweep: a measured head-to-head of the tuned
 // dense-layout kernels against the FKW-direct packed backend on a VGG-style
 // layer across batch sizes.

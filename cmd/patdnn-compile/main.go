@@ -1,9 +1,10 @@
 // Command patdnn-compile runs the paper's execution-code-generation stage on
 // one of the evaluation networks: pattern+connectivity pruning at scale,
-// filter kernel reorder, FKW encoding, load redundancy elimination, and
-// latency estimation on the modeled mobile platforms. It prints the layerwise
-// representation (Figure 8), the generated-code skeletons (Figure 7), and the
-// per-framework latency comparison.
+// filter kernel reorder and FKW encoding, written as the deployable .patdnn
+// graph artifact (-o, -registry-dir). It prints the network summary, with
+// -lr the layerwise representation (Figure 8) of exactly the artifact it
+// writes, and with -emit the generated-code skeletons (Figure 7). The
+// modelled phone latencies and accuracies are `patdnn-bench -run figure12`.
 package main
 
 import (
@@ -23,30 +24,21 @@ import (
 	"patdnn/internal/sparse"
 )
 
-// writeModelFile writes the compiled network's deployable compact model to
-// path, via a temp file renamed into place: the target may be a live,
-// polled models directory, and a truncated half-written artifact there
-// would be quarantined by every watching server until the write finished.
-// format "graph" emits the v2 full-network artifact (topology + conv/dense/BN
-// records — what ResNet-50 and MobileNet-V2 need to serve end to end);
-// "conv" emits the legacy v1 3×3-conv-trunk artifact. quantBits >= 2 stores
-// conv weights as per-filter symmetric integer levels instead of FP16 — the
-// format-v3 quantized artifact the serving engine runs at level packedq8.
-func writeModelFile(path, format string, quantBits int, c *patdnn.Compiled) error {
-	write := func(w *os.File) error { return c.WriteModelGraphQuant(w, quantBits) }
-	switch format {
-	case "graph":
-	case "conv":
-		write = func(w *os.File) error { return c.WriteModelQuant(w, quantBits) }
-	default:
-		return fmt.Errorf("unknown -format %q (want graph or conv)", format)
-	}
+// writeModelFile writes the compiled network's deployable graph artifact
+// (topology + conv/dense/BN records — what ResNet-50 and MobileNet-V2 need to
+// serve end to end) to path, via a temp file renamed into place: the target
+// may be a live, polled models directory, and a truncated half-written
+// artifact there would be quarantined by every watching server until the
+// write finished. quantBits >= 2 stores conv weights as per-filter symmetric
+// integer levels instead of FP16 — the format-v3 quantized artifact the
+// serving engine runs at level packedq8.
+func writeModelFile(path string, quantBits int, c *patdnn.Compiled) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := c.WriteModelGraphQuant(f, quantBits); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -63,12 +55,9 @@ func main() {
 	ds := flag.String("dataset", "imagenet", "dataset: imagenet or cifar10")
 	patterns := flag.Int("patterns", 8, "pattern-set size")
 	connRate := flag.Float64("conn", 3.6, "connectivity pruning rate")
-	dev := flag.String("device", "sd855", "device: sd855, sd845, kirin980")
 	emit := flag.Bool("emit", false, "print generated code skeletons for the first 3x3 layer")
-	showLR := flag.Bool("lr", false, "print the full layerwise representation JSON")
+	showLR := flag.Bool("lr", false, "print the layerwise representation JSON of the artifact -o writes")
 	out := flag.String("o", "", "write the deployable compact model (.patdnn) to this path")
-	format := flag.String("format", "graph",
-		"artifact format: graph (v2 full network — serves ResNet-50/MobileNet-V2 end to end) or conv (legacy v1 3x3-conv trunk)")
 	quantBits := flag.Int("quant-bits", 0,
 		"quantize conv weights to this many bits (2..8) in the written artifact — emits a v3 quantized model served at level packedq8; 0 keeps FP16")
 	regDir := flag.String("registry-dir", "",
@@ -83,30 +72,11 @@ func main() {
 		os.Exit(1)
 	}
 	m := c.Model
-	fmt.Printf("%s / %s: %d paper layers, %d CONV, %.1f MB dense, est. accuracy %.1f%%\n",
-		m.Name, m.Dataset, m.PaperLayerCount(), len(m.ConvLayers()),
-		m.SizeMB(4), c.EstimatedAccuracy())
-
-	for _, target := range []string{"cpu", "gpu"} {
-		pat, err := c.EstimateLatencyMs(*dev, target)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\n%s %s latency estimates:\n", *dev, target)
-		fmt.Printf("  %-8s %8.1f ms\n", "PatDNN", pat)
-		for _, f := range []string{"mnn", "tvm", "tflite", "dense"} {
-			ms, err := c.BaselineLatencyMs(f, *dev, target)
-			if err != nil {
-				fmt.Printf("  %-8s %8s (%v)\n", f, "n/a", err)
-				continue
-			}
-			fmt.Printf("  %-8s %8.1f ms  (%.1fx vs PatDNN)\n", f, ms, ms/pat)
-		}
-	}
+	fmt.Printf("%s / %s: %d paper layers, %d CONV, %.1f MB dense\n",
+		m.Name, m.Dataset, m.PaperLayerCount(), len(m.ConvLayers()), m.SizeMB(4))
 
 	if *out != "" {
-		if err := writeModelFile(*out, *format, *quantBits, c); err != nil {
+		if err := writeModelFile(*out, *quantBits, c); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -131,7 +101,7 @@ func main() {
 			os.Exit(1)
 		}
 		path := filepath.Join(*regDir, base)
-		if err := writeModelFile(path, *format, *quantBits, c); err != nil {
+		if err := writeModelFile(path, *quantBits, c); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -1,10 +1,10 @@
 // Command patdnn-run executes a deployed .patdnn compact model end to end
 // through the graph executor — BN folded, residual adds fused, liveness-
-// planned arena — and reports whole-network host latency, fusion/arena stats,
-// and the device-model prediction for the Snapdragon 855 summed over the
-// plan's pattern convs. Format-v2 graph artifacts (the patdnn-compile default)
-// carry their topology; a legacy v1 conv-trunk file is reassembled by the
-// chain convention (conv+bias+ReLU, inferred max-pools) and runs the same way.
+// planned arena — and reports measured whole-network host latency and
+// fusion/arena stats. Graph artifacts (what patdnn-compile writes) carry
+// their topology; a v1 conv-trunk file (what patdnn.SavePruned writes) is
+// reassembled by the chain convention (conv+bias+ReLU, inferred max-pools)
+// and runs the same way.
 //
 // Models are addressed either by explicit file path, or — with -models-dir —
 // through the registry layout the serving stack uses: -model then takes a
@@ -24,7 +24,6 @@ import (
 	"os"
 
 	"patdnn/internal/compiler/execgraph"
-	"patdnn/internal/device"
 	"patdnn/internal/modelfile"
 	"patdnn/internal/registry"
 	"patdnn/internal/runtime"
@@ -93,15 +92,4 @@ func main() {
 	})
 	fmt.Printf("end-to-end: %.3f ms/inference over %d runs, output [%d,%d,%d] argmax %d\n",
 		ms, *runs, plan.OutC, plan.OutH, plan.OutW, out.ArgMax())
-
-	d := device.SD855()
-	var devMs float64
-	patternConvs := 0
-	for _, n := range plan.Nodes {
-		if n.Kind == execgraph.KindConv || n.Kind == execgraph.KindConvT {
-			devMs += d.TimeMs(n.Plan.Stats(), device.CPU, 8, 4)
-			patternConvs++
-		}
-	}
-	fmt.Printf("sd855-cpu model: %.2f ms over %d pattern conv layers\n", devMs, patternConvs)
 }

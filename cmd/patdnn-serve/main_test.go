@@ -79,9 +79,9 @@ func postJSON(t *testing.T, url string, body any, out any) int {
 	return resp.StatusCode
 }
 
-// emitVersion runs the patdnn-compile emission path (Compile + WriteModel)
-// into the models dir: the operating point doubles as the version's
-// distinguishing content.
+// emitVersion runs the patdnn-compile emission path (Compile +
+// WriteModelGraph) into the models dir: the operating point doubles as the
+// version's distinguishing content.
 func emitVersion(t *testing.T, dir, name, version string, connRate float64) {
 	t.Helper()
 	c, err := patdnn.Compile("VGG", "cifar10", 8, connRate)
@@ -93,7 +93,7 @@ func emitVersion(t *testing.T, dir, name, version string, connRate float64) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := c.WriteModel(f); err != nil {
+	if err := c.WriteModelGraph(f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +137,7 @@ func TestServerRegistryLifecycleEndToEnd(t *testing.T) {
 		}
 		return out
 	}
-	if r := infer("vgg"); r.Version != "v1" || r.Shape != [3]int{512, 2, 2} {
+	if r := infer("vgg"); r.Version != "v1" || r.Shape != [3]int{10, 1, 1} {
 		t.Fatalf("first infer: %+v", r)
 	}
 

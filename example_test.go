@@ -4,13 +4,19 @@ package patdnn_test
 // than raw floats so `go test` keeps them honest on every platform.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
+	"math/rand"
 
 	"patdnn"
+	"patdnn/internal/compiler/execgraph"
 	"patdnn/internal/dataset"
+	"patdnn/internal/modelfile"
 	"patdnn/internal/nn"
+	"patdnn/internal/runtime"
+	"patdnn/internal/tensor"
 )
 
 // ExamplePrune runs the ADMM pattern+connectivity pruning pipeline on a tiny
@@ -39,30 +45,55 @@ func ExamplePrune() {
 	// accuracy sane: true
 }
 
-// ExampleCompile lowers VGG-16 through the full PatDNN compiler and compares
-// the modeled mobile latency against a baseline framework.
+// ExampleCompile describes the SR generator at the paper's operating point,
+// writes its deployable artifact, and runs the reloaded artifact once through
+// the graph executor against the dense reference.
 func ExampleCompile() {
-	c, err := patdnn.Compile("VGG", "imagenet", 8, 3.6)
+	c, err := patdnn.Compile("SR", "cifar10", 8, 3.6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cpu, err := c.EstimateLatencyMs("sd855", "cpu")
+	var artifact bytes.Buffer
+	if err := c.WriteModelGraph(&artifact); err != nil {
+		log.Fatal(err)
+	}
+	printed, err := c.LRJSON()
 	if err != nil {
 		log.Fatal(err)
 	}
-	tflite, err := c.BaselineLatencyMs("tflite", "sd855", "cpu")
+
+	mf, err := modelfile.Read(&artifact)
 	if err != nil {
 		log.Fatal(err)
 	}
-	acc := c.EstimatedAccuracy()
+	shipped, err := mf.LR.Marshal()
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, params, err := execgraph.FromFile(mf.LR.Model, mf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan, err := execgraph.Compile(m, params, execgraph.Config{Level: execgraph.LevelAuto})
+	if err != nil {
+		log.Fatal(err)
+	}
+	x := tensor.New(plan.InC, plan.InH, plan.InW)
+	x.Randn(rand.New(rand.NewSource(1)), 1)
+	out := tensor.New(plan.OutC, plan.OutH, plan.OutW)
+	plan.Execute(runtime.NewPool(1), []*tensor.Tensor{x}, []*tensor.Tensor{out})
+	want, err := execgraph.Reference(m, params, x)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("model:", c.Model.Name)
-	fmt.Println("faster than TFLite:", cpu < tflite)
-	fmt.Println("accuracy in band:", acc > 90 && acc < 93)
+	fmt.Println("printed LR is the shipped LR:", bytes.Equal(printed, shipped))
+	fmt.Println("matches dense reference:", out.MaxAbsDiff(want) <= 1e-4)
 	// Output:
-	// model: VGG-16
-	// faster than TFLite: true
-	// accuracy in band: true
+	// model: SR-Gen
+	// printed LR is the shipped LR: true
+	// matches dense reference: true
 }
 
 // ExampleEngine_Infer embeds the concurrent inference engine: the model

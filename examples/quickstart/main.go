@@ -1,10 +1,12 @@
-// Quickstart: compile VGG-16 at the paper's operating point (8 patterns,
-// 3.6x connectivity pruning) and compare PatDNN's estimated mobile latency
-// against TFLite/TVM/MNN on the Snapdragon 855 — the headline result of the
-// paper (real-time VGG-16 inference on a phone).
+// Quickstart: compile VGG-16/CIFAR-10 at the paper's operating point (8
+// patterns, 3.6x connectivity pruning) into the serving engine and run one
+// measured inference on this host. The paper's headline comparison — PatDNN
+// against TFLite/TVM/MNN on the Snapdragon 855 — is a modelled reproduction:
+// `go run ./cmd/patdnn-bench -run figure12`.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,32 +14,24 @@ import (
 )
 
 func main() {
-	compiled, err := patdnn.Compile("VGG", "imagenet", 8, 3.6)
+	compiled, err := patdnn.Compile("VGG", "cifar10", 8, 3.6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("compiled %s (%s): estimated Top-5 accuracy %.1f%% (dense baseline 91.7%%)\n\n",
-		compiled.Model.Name, compiled.Model.Dataset, compiled.EstimatedAccuracy())
+	m := compiled.Model
+	fmt.Printf("%s (%s): %d CONV layers, %.1f MB dense, %d patterns, %.1fx connectivity pruning\n",
+		m.Name, m.Dataset, len(m.ConvLayers()), m.SizeMB(4), compiled.Patterns, compiled.ConnRate)
 
-	for _, target := range []string{"cpu", "gpu"} {
-		pat, err := compiled.EstimateLatencyMs("sd855", target)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Snapdragon 855 %s:\n", target)
-		fmt.Printf("  PatDNN  %8.1f ms\n", pat)
-		for _, fw := range []string{"mnn", "tvm", "tflite"} {
-			ms, err := compiled.BaselineLatencyMs(fw, "sd855", target)
-			if err != nil {
-				fmt.Printf("  %-7s %8s  (%v)\n", fw, "n/a", err)
-				continue
-			}
-			fmt.Printf("  %-7s %8.1f ms  (PatDNN is %.1fx faster)\n", fw, ms, ms/pat)
-		}
-		fmt.Println()
+	eng := patdnn.NewEngine(patdnn.EngineConfig{
+		Patterns: compiled.Patterns, ConnRate: compiled.ConnRate})
+	defer eng.Close()
+	// nil Input selects a deterministic synthetic image.
+	resp, err := eng.Infer(context.Background(),
+		patdnn.InferRequest{Network: m.Short, Dataset: m.Dataset})
+	if err != nil {
+		log.Fatal(err)
 	}
-	gpu, _ := compiled.EstimateLatencyMs("sd855", "gpu")
-	if gpu < 33 {
-		fmt.Printf("GPU latency %.1f ms < 33 ms: real-time VGG-16 inference achieved.\n", gpu)
-	}
+	fmt.Printf("one inference at level %s: %.2f ms measured on this host, output %v\n",
+		resp.Level, resp.RunMs, resp.Shape)
+	fmt.Println("SD855 comparison against TFLite/TVM/MNN (modelled): go run ./cmd/patdnn-bench -run figure12")
 }

@@ -1,8 +1,8 @@
-// Package baseline implements the systems PatDNN is compared against: an
-// optimized dense convolution engine with Winograd F(2×2,3×3) (used by all
-// dense runs in the paper), a CSR-based sparse engine (the paper's
-// "conventional sparse" strawman that fails to beat dense), and simulated
-// TFLite/TVM/MNN framework models whose optimization sets follow Table 1.
+// Package baseline implements the measured host kernels PatDNN is compared
+// against: an optimized dense convolution engine with Winograd F(2×2,3×3)
+// (used by all dense runs in the paper) and a CSR-based sparse engine (the
+// paper's "conventional sparse" strawman that fails to beat dense). The
+// modelled TFLite/TVM/MNN frameworks live under internal/bench/internal.
 package baseline
 
 import (

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 
-	"patdnn/internal/baseline"
+	"patdnn/internal/bench/internal/baseline"
+	"patdnn/internal/bench/internal/device"
 	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/lr"
 	"patdnn/internal/compiler/lre"
 	"patdnn/internal/compiler/reorder"
 	"patdnn/internal/compiler/tuner"
-	"patdnn/internal/device"
 	"patdnn/internal/model"
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"

@@ -1,11 +1,17 @@
+// Package baseline models the frameworks PatDNN is compared against —
+// TFLite, TVM, MNN and PatDNN's own dense and sparse builds, whose
+// optimization sets follow Table 1 — on the modelled devices of
+// ../device. Modelled, calibrated to the paper's reported numbers, and
+// importable only from internal/bench; the measured host kernels are in
+// patdnn/internal/baseline.
 package baseline
 
 import (
 	"fmt"
 
+	"patdnn/internal/bench/internal/device"
 	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/lr"
-	"patdnn/internal/device"
 	"patdnn/internal/model"
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"

@@ -3,10 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"patdnn/internal/accuracy"
-	"patdnn/internal/baseline"
+	"patdnn/internal/bench/internal/accuracy"
+	"patdnn/internal/bench/internal/baseline"
+	"patdnn/internal/bench/internal/device"
 	"patdnn/internal/compiler/codegen"
-	"patdnn/internal/device"
 	"patdnn/internal/model"
 )
 

@@ -9,6 +9,7 @@ package pattern
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -124,9 +125,11 @@ func (p Pattern) Apply(kernel []float32) {
 // The ADMM projection assigns each kernel the pattern maximizing this value,
 // which is equivalent to minimizing the Euclidean pruning distortion.
 func (p Pattern) RetainedNorm(kernel []float32) float64 {
+	// Lowest set bit first: the ascending-position summation order Indices
+	// yields, without its slice (this runs per kernel × pattern).
 	var s float64
-	for _, pos := range p.Indices() {
-		v := float64(kernel[pos])
+	for m := p.Mask; m != 0; m &= m - 1 {
+		v := float64(kernel[bits.TrailingZeros16(m)])
 		s += v * v
 	}
 	return math.Sqrt(s)

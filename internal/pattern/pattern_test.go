@@ -114,6 +114,10 @@ func TestApplyAndRetainedNorm(t *testing.T) {
 	if d := got*got - want; d > 1e-6 || d < -1e-6 {
 		t.Fatalf("RetainedNorm^2 = %v, want %v", got*got, want)
 	}
+	// Projection hot path (every kernel × pattern): no slice per call.
+	if allocs := testing.AllocsPerRun(100, func() { got = p.RetainedNorm(kernel) }); allocs != 0 {
+		t.Fatalf("RetainedNorm allocates %.0f times per call", allocs)
+	}
 }
 
 func TestBestPicksMaxNorm(t *testing.T) {

@@ -10,9 +10,11 @@
 //	Prune    — run ADMM pattern+connectivity pruning on a real trainable CNN
 //	           (the training substrate in internal/nn) and obtain accuracy
 //	           plus the pruned layer representations.
-//	Compile  — lower a network description (VGG-16, ResNet-50, MobileNet-V2)
-//	           through the full compiler: FKR, FKW encoding, LRE, tuning —
-//	           and estimate latency on the modeled mobile devices.
+//	Compile  — describe one of the paper's networks (VGG-16, ResNet-50,
+//	           MobileNet-V2, the SR generator) at a pruning operating point;
+//	           the description writes the deployable .patdnn graph artifact
+//	           (pattern-pruned, FKR-reordered, FKW-encoded) and prints that
+//	           artifact's layerwise representation.
 //	Engine   — serve inference: compile a model once, cache the plan stack,
 //	           and execute concurrent requests as batched layer sweeps over
 //	           the worker-pool runtime (the compile-once / execute-many
@@ -23,26 +25,23 @@
 //	           LRU over compiled plans — the model-lifecycle layer between
 //	           Compile's output on disk and the hot plan cache.
 //
-// Everything deeper (tensor math, the compiler passes, the device models,
-// the serving engine, the benchmark harness) lives under internal/; see
-// DESIGN.md for the map.
+// Everything deeper (tensor math, the compiler passes, the serving engine)
+// lives under internal/; the modelled device-latency and accuracy figures are
+// reachable only as paper reproductions through RunExperiment. See DESIGN.md
+// for the map.
 package patdnn
 
 import (
 	"fmt"
 	"io"
-	"strings"
+	"math"
 
-	"patdnn/internal/accuracy"
 	"patdnn/internal/admm"
-	"patdnn/internal/baseline"
 	"patdnn/internal/bench"
-	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/execgraph"
 	"patdnn/internal/compiler/lr"
 	"patdnn/internal/compiler/reorder"
 	"patdnn/internal/dataset"
-	"patdnn/internal/device"
 	"patdnn/internal/model"
 	"patdnn/internal/modelfile"
 	"patdnn/internal/nn"
@@ -126,109 +125,51 @@ func SavePruned(net *nn.Network, res *PruneResult, w io.Writer) error {
 	return modelfile.Write(w, file)
 }
 
-// Compiled is a pattern-pruned, compiler-optimized model ready for latency
-// estimation and inspection.
+// Compiled describes one of the paper's networks at a pruning operating
+// point. It holds no weights: every output below is derived on demand from
+// the same deterministic generator, so the LR that is printed is the LR that
+// is shipped.
 type Compiled struct {
 	Model    *model.Model
 	Patterns int
 	ConnRate float64
-	sparse   *baseline.PatDNNSparse
-	lrRep    *lr.Representation
 }
 
-// Compile lowers one of the paper's networks ("VGG", "RNT", "MBNT" — or full
-// names) on "imagenet" or "cifar10" through the whole PatDNN compiler at the
-// given operating point.
+// Compile resolves one of the paper's networks ("VGG", "RNT", "MBNT", "SR" —
+// or full names) on "imagenet" or "cifar10" and checks the operating point:
+// patterns is the pattern-set size (>= 1), connRate the connectivity pruning
+// rate (a finite number > 0; <= 1 disables connectivity pruning). Nothing is
+// generated until an output is asked for.
 func Compile(network, ds string, patterns int, connRate float64) (*Compiled, error) {
 	m, err := model.ByName(network, ds)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := baseline.CompilePatDNN(m, patterns, connRate, codegen.Tuned, 42)
-	if err != nil {
-		return nil, err
+	if patterns < 1 {
+		return nil, fmt.Errorf("patdnn: pattern-set size %d; need >= 1", patterns)
 	}
-	rep := &lr.Representation{Model: m.Name, Device: "CPU"}
-	set := pattern.Canonical(patterns)
-	for i, l := range m.ConvLayers() {
-		if l.KH != 3 || l.KW != 3 || l.Kind != model.Conv {
-			continue
-		}
-		c := pruned.Generate(l, set, connRate, int64(300+i), false)
-		rep.Layers = append(rep.Layers, lr.FromPruned(c, reorder.Build(c), lr.DefaultTuning()))
+	if math.IsNaN(connRate) || math.IsInf(connRate, 0) || connRate <= 0 {
+		return nil, fmt.Errorf("patdnn: connectivity rate %v; need a finite number > 0 (<= 1 disables connectivity pruning)", connRate)
 	}
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return &Compiled{Model: m, Patterns: patterns, ConnRate: connRate,
-		sparse: sp, lrRep: rep}, nil
+	return &Compiled{Model: m, Patterns: patterns, ConnRate: connRate}, nil
 }
 
-// LRJSON renders the model's Layerwise Representation as JSON (Figure 8).
-func (c *Compiled) LRJSON() ([]byte, error) { return c.lrRep.Marshal() }
-
-// WriteModel writes the deployable .patdnn compact model of this compiled
-// network (every 3×3 conv pruned at the operating point, FKW-compressed FP16
-// weights, LR, CRC footer): the artifact cmd/patdnn-run executes and the
-// model registry serves. Deterministic per (network, patterns, connRate), so
-// distinct operating points yield distinct model versions.
-func (c *Compiled) WriteModel(w io.Writer) error {
-	return c.WriteModelQuant(w, 0)
-}
-
-// WriteModelQuant is WriteModel with quantized weight storage: bits >= 2
-// stores every conv's FKW weight stream as symmetric per-filter integer
-// levels plus float32 scales (a format-v3 artifact, ~4× smaller at 8 bits);
-// bits == 0 writes the FP16 v1 form.
-func (c *Compiled) WriteModelQuant(w io.Writer, bits int) error {
-	set := pattern.Canonical(c.Patterns)
-	file := &modelfile.File{LR: &lr.Representation{Model: c.Model.Name, Device: "CPU"}}
-	first := true
-	for i, l := range c.Model.ConvLayers() {
-		if l.KH != 3 || l.KW != 3 || l.Kind != model.Conv {
-			continue
-		}
-		rate := c.ConnRate
-		if first {
-			// The paper prunes the first conv more conservatively.
-			rate = baseline.FirstLayerConnRate(c.ConnRate)
-			first = false
-		}
-		pc := pruned.Generate(l, set, rate, int64(400+i), true)
-		file.Layers = append(file.Layers, modelfile.Layer{Conv: pc})
-		file.LR.Layers = append(file.LR.Layers,
-			lr.FromPruned(pc, reorder.Build(pc), lr.DefaultTuning()))
-	}
-	file.QuantBits = bits
-	return modelfile.Write(w, file)
-}
-
-// WriteModelGraph writes the format-v2 deployable artifact of this compiled
-// network: the full topology (layer kinds, shapes, residual shortcut edges)
-// plus pattern-pruned 3×3 conv records, connectivity-pruned 1×1 and FC dense
-// records, and BatchNorm parameters. Unlike WriteModel's conv-trunk form,
-// a graph artifact serves end to end — ResNet-50 and MobileNet-V2 included —
-// through the graph executor (BN folded at compile time, residual adds fused
-// into conv epilogues). Deterministic per (network, patterns, connRate).
-// Networks with operators outside the executable IR (e.g. the 7×7 ImageNet
-// ResNet stem) are rejected with a descriptive error.
-func (c *Compiled) WriteModelGraph(w io.Writer) error {
-	return c.WriteModelGraphQuant(w, 0)
-}
-
-// WriteModelGraphQuant is WriteModelGraph with quantized weight storage:
-// bits >= 2 stores every pattern conv's FKW weight stream as symmetric
-// per-filter integer levels plus float32 scales (a format-v3 artifact, ~4×
-// smaller at 8 bits, served quantized — packedq8 — by default); bits == 0
-// writes the FP16 v2 form.
-func (c *Compiled) WriteModelGraphQuant(w io.Writer, bits int) error {
+// file is the one derivation every output shares: the network's generated
+// parameters (pattern-pruned 3×3 convs, connectivity-pruned 1×1 and FC dense
+// records, BatchNorm statistics) laid out as a graph artifact, with the
+// layerwise representation of exactly those convs. Deterministic per
+// (network, patterns, connRate). Networks with operators outside the
+// executable IR (e.g. the 7×7 ImageNet ResNet stem) are rejected with
+// execgraph.ValidateModel's descriptive error.
+func (c *Compiled) file(bits int) (*modelfile.File, error) {
 	params, err := execgraph.Generate(c.Model, c.Patterns, c.ConnRate, 42)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	file := &modelfile.File{
-		LR:  &lr.Representation{Model: c.Model.Name, Device: "CPU"},
-		Net: c.Model,
+		LR:        &lr.Representation{Model: c.Model.Name, Device: "CPU"},
+		Net:       c.Model,
+		QuantBits: bits,
 	}
 	for _, l := range c.Model.Layers {
 		switch l.Kind {
@@ -273,77 +214,42 @@ func (c *Compiled) WriteModelGraphQuant(w io.Writer, bits int) error {
 			})
 		}
 	}
-	file.QuantBits = bits
-	return modelfile.Write(w, file)
+	return file, nil
 }
 
-// EstimateLatencyMs predicts inference latency on a modeled platform:
-// device is "sd855", "sd845" or "kirin980"; target is "cpu" or "gpu".
-func (c *Compiled) EstimateLatencyMs(dev, target string) (float64, error) {
-	d, err := deviceByName(dev)
+// LRJSON renders the Layerwise Representation (Figure 8) of the artifact
+// WriteModelGraph writes — byte-equal to the LR section inside it.
+func (c *Compiled) LRJSON() ([]byte, error) {
+	f, err := c.file(0)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	tgt, err := targetByName(target)
+	return f.LR.Marshal()
+}
+
+// WriteModelGraph writes the deployable .patdnn artifact of this network:
+// the full topology (layer kinds, shapes, residual shortcut edges) plus
+// FKW-compressed FP16 pattern convs, dense records, BatchNorm parameters,
+// the LR and a CRC footer (format v2). It serves end to end — ResNet-50 and
+// MobileNet-V2 included — through the graph executor (BN folded at compile
+// time, residual adds fused into conv epilogues); cmd/patdnn-run executes it
+// and the model registry serves it. Distinct operating points yield distinct
+// bytes, hence distinct model versions.
+func (c *Compiled) WriteModelGraph(w io.Writer) error {
+	return c.WriteModelGraphQuant(w, 0)
+}
+
+// WriteModelGraphQuant is WriteModelGraph with quantized weight storage:
+// bits >= 2 stores every pattern conv's FKW weight stream as symmetric
+// per-filter integer levels plus float32 scales (a format-v3 artifact, ~4×
+// smaller at 8 bits, served quantized — packedq8 — by default); bits == 0
+// writes the FP16 v2 form.
+func (c *Compiled) WriteModelGraphQuant(w io.Writer, bits int) error {
+	f, err := c.file(bits)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return c.sparse.TimeMs(d, tgt), nil
-}
-
-// BaselineLatencyMs predicts the latency of a competitor framework
-// ("tflite", "tvm", "mnn", "dense") on the same model/platform.
-func (c *Compiled) BaselineLatencyMs(framework, dev, target string) (float64, error) {
-	d, err := deviceByName(dev)
-	if err != nil {
-		return 0, err
-	}
-	tgt, err := targetByName(target)
-	if err != nil {
-		return 0, err
-	}
-	var f baseline.Framework
-	switch strings.ToLower(framework) {
-	case "tflite":
-		f = baseline.TFLite()
-	case "tvm":
-		f = baseline.TVM()
-	case "mnn":
-		f = baseline.MNN()
-	case "dense":
-		f = baseline.PatDNNDense(true)
-	default:
-		return 0, fmt.Errorf("patdnn: unknown framework %q", framework)
-	}
-	return f.TimeMs(c.Model, d, tgt)
-}
-
-// EstimatedAccuracy returns the calibrated accuracy at this operating point
-// (ImageNet Top-5 / CIFAR Top-1; see DESIGN.md on the substitution).
-func (c *Compiled) EstimatedAccuracy() float64 {
-	return accuracy.Joint(c.Model.Short, c.Model.Dataset, c.Patterns, c.ConnRate)
-}
-
-func deviceByName(name string) (device.Device, error) {
-	switch strings.ToLower(name) {
-	case "sd855", "snapdragon855":
-		return device.SD855(), nil
-	case "sd845", "snapdragon845":
-		return device.SD845(), nil
-	case "kirin980":
-		return device.Kirin980(), nil
-	}
-	return device.Device{}, fmt.Errorf("patdnn: unknown device %q (want sd855, sd845, kirin980)", name)
-}
-
-func targetByName(name string) (device.Target, error) {
-	switch strings.ToLower(name) {
-	case "cpu":
-		return device.CPU, nil
-	case "gpu":
-		return device.GPU, nil
-	}
-	return device.CPU, fmt.Errorf("patdnn: unknown target %q (want cpu or gpu)", name)
+	return modelfile.Write(w, f)
 }
 
 // Engine is the concurrent inference engine: it compiles each requested
@@ -410,7 +316,9 @@ type RegistryStats = registry.Stats
 type EngineReadiness = serve.Readiness
 
 // Experiments lists the reproduction experiments (one per paper table and
-// figure); each Run() regenerates the artifact.
+// figure); each Run() regenerates the artifact. Latencies on the paper's
+// phones and accuracies at ImageNet scale are modelled (internal/bench), not
+// measured.
 func Experiments() []bench.Experiment { return bench.All() }
 
 // RunExperiment regenerates one artifact by ID ("table3", "figure13", ...).
