@@ -20,7 +20,6 @@ import (
 	"patdnn/internal/compiler/execgraph"
 	"patdnn/internal/compiler/lr"
 	"patdnn/internal/model"
-	"patdnn/internal/modelfile"
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"
 	"patdnn/internal/runtime"
@@ -142,17 +141,20 @@ func BenchmarkHostPatternPacked(b *testing.B)  { benchHostLevel(b, codegen.Packe
 // ParallelFor, arena-resident padding, fused bias+ReLU epilogue); the only
 // variable is the kernel generation. ns/op is per batch.
 
-// hostExecutor compiles the bench layer at level as the one-conv chain
-// execgraph.FromFile reconstructs from a single layer record.
+// hostExecutor compiles the bench layer at level as a one-conv model:
+// input → conv+bias → ReLU, the ReLU fused into the conv epilogue.
 func hostExecutor(b *testing.B, level codegen.Level) *execgraph.Executor {
 	c := hostFix.conv
-	m, params, err := execgraph.FromFile(c.Name, &modelfile.File{
-		LR:     &lr.Representation{Model: c.Name},
-		Layers: []modelfile.Layer{{Conv: c, Bias: hostFix.bias.Data}},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := &model.Model{Name: c.Name, Short: c.Name, InC: c.InC, InH: c.InH, InW: c.InW, Layers: []*model.Layer{
+		{Name: "input", Kind: model.Input, OutC: c.InC, OutH: c.InH, OutW: c.InW},
+		{Name: c.Name, Kind: model.Conv, InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW,
+			Stride: c.Stride, Pad: c.Pad, Groups: 1,
+			InH: c.InH, InW: c.InW, OutH: c.OutH, OutW: c.OutW, HasBias: true},
+		{Name: "relu", Kind: model.ReLU, InC: c.OutC, OutC: c.OutC},
+	}}
+	params := &execgraph.Params{Convs: map[string]*execgraph.ConvParams{
+		c.Name: {Conv: c, Bias: hostFix.bias.Data},
+	}}
 	plan, err := execgraph.Compile(m, params, execgraph.Config{Level: codegen.LevelTag(level)})
 	if err != nil {
 		b.Fatal(err)

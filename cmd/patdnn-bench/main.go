@@ -28,8 +28,7 @@ import (
 	"patdnn/internal/bench"
 	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/execgraph"
-	"patdnn/internal/compiler/lr"
-	"patdnn/internal/modelfile"
+	"patdnn/internal/model"
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"
 	"patdnn/internal/runtime"
@@ -127,16 +126,16 @@ func runSweep() {
 	input := tensor.New(inC, h, w)
 	input.Randn(rng, 1)
 
-	// The v1 chain form: FromFile rebuilds input → conv+bias → ReLU from the
-	// one layer record, and Compile fuses the ReLU into the conv epilogue.
-	m, params, err := execgraph.FromFile(conv.Name, &modelfile.File{
-		LR:     &lr.Representation{Model: conv.Name},
-		Layers: []modelfile.Layer{{Conv: conv, Bias: make([]float32, outC)}},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	// input → conv+bias → ReLU; Compile fuses the ReLU into the conv epilogue.
+	m := &model.Model{Name: conv.Name, Short: conv.Name, InC: inC, InH: h, InW: w, Layers: []*model.Layer{
+		{Name: "input", Kind: model.Input, OutC: inC, OutH: h, OutW: w},
+		{Name: conv.Name, Kind: model.Conv, InC: inC, OutC: outC, KH: 3, KW: 3, Stride: 1, Pad: 1,
+			Groups: 1, InH: h, InW: w, OutH: h, OutW: w, HasBias: true},
+		{Name: "relu", Kind: model.ReLU, InC: outC, OutC: outC},
+	}}
+	params := &execgraph.Params{Convs: map[string]*execgraph.ConvParams{
+		conv.Name: {Conv: conv, Bias: make([]float32, outC)},
+	}}
 	pool := runtime.NewPool(0)
 	levels := []codegen.Level{codegen.Tuned, codegen.Packed, codegen.PackedQ8}
 	execs := map[codegen.Level]*execgraph.Executor{}

@@ -1,10 +1,9 @@
 // Command patdnn-run executes a deployed .patdnn compact model end to end
 // through the graph executor — BN folded, residual adds fused, liveness-
 // planned arena — and reports measured whole-network host latency and
-// fusion/arena stats. Graph artifacts (what patdnn-compile writes) carry
-// their topology; a v1 conv-trunk file (what patdnn.SavePruned writes) is
-// reassembled by the chain convention (conv+bias+ReLU, inferred max-pools)
-// and runs the same way.
+// fusion/arena stats. Every artifact carries its topology, so what
+// patdnn-compile writes for a paper network and what patdnn.SavePruned writes
+// for a trained one load and run the same way.
 //
 // Models are addressed either by explicit file path, or — with -models-dir —
 // through the registry layout the serving stack uses: -model then takes a

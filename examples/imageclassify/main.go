@@ -1,20 +1,21 @@
 // Imageclassify runs the paper's full pipeline end to end with real
 // computation at laptop scale: train a CNN on the synthetic image
-// classification workload, prune it with ADMM (patterns + connectivity),
-// compile the pruned conv layers through FKR/FKW/LRE code generation, and
-// execute real inference with the compiled kernels — verifying that the
-// compiled sparse network predicts identically to the pruned reference and
-// measuring the host-side speedup of the optimization levels.
+// classification workload, prune it with ADMM (patterns + connectivity), save
+// the whole pruned network as a .patdnn graph artifact, and execute real
+// inference from that artifact alone through the graph executor — verifying
+// that the deployed network predicts like the pruned reference and measuring
+// the host-side speedup of the optimization levels.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
 	"patdnn"
-	"patdnn/internal/compiler/codegen"
-	"patdnn/internal/compiler/lr"
+	"patdnn/internal/compiler/execgraph"
 	"patdnn/internal/dataset"
+	"patdnn/internal/modelfile"
 	"patdnn/internal/nn"
 	"patdnn/internal/runtime"
 	"patdnn/internal/tensor"
@@ -38,40 +39,38 @@ func main() {
 	fmt.Printf("pruned accuracy: %.1f%% at %.2fx CONV compression\n",
 		100*res.AccuracyAfter, res.Compression)
 
-	// Compile each pruned conv layer and run real inference through the
-	// compiled kernels, comparing against the pruned network's predictions.
-	convs := net.ConvLayers()
-	plans := make(map[codegen.Level][]*codegen.Plan)
-	for _, level := range []codegen.Level{codegen.NoOpt, codegen.Tuned} {
-		for _, pc := range res.Layers {
-			plan, err := codegen.Compile(pc, level, lr.DefaultTuning())
-			if err != nil {
-				log.Fatal(err)
-			}
-			plans[level] = append(plans[level], plan)
-		}
+	// Ship the network the way a device would receive it — one artifact, FC
+	// layer included — and compile what was loaded, at two optimization levels.
+	var artifact bytes.Buffer
+	if err := patdnn.SavePruned(net, res, &artifact); err != nil {
+		log.Fatal(err)
 	}
-
-	predict := func(level codegen.Level, img *tensor.Tensor) int {
-		x := img
-		for i, plan := range plans[level] {
-			x = plan.Execute(x, convs[i].Bias.W.Data)
-			tensor.ReLU(x)
-			x, _ = tensor.MaxPool2D(x, 2)
+	fmt.Printf("artifact: %d bytes\n", artifact.Len())
+	mf, err := modelfile.Read(&artifact)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, params, err := execgraph.FromFile("imageclassify", mf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pool := runtime.NewPool(0)
+	predictors := map[string]func(*tensor.Tensor) int{}
+	for _, level := range []string{"noopt", "packed"} {
+		plan, err := execgraph.Compile(m, params, execgraph.Config{Level: level})
+		if err != nil {
+			log.Fatal(err)
 		}
-		flat := x.Reshape(x.Len())
-		var fc *nn.Dense
-		for _, l := range net.Layers {
-			if d, ok := l.(*nn.Dense); ok {
-				fc = d
-			}
+		out := tensor.New(plan.OutC, plan.OutH, plan.OutW)
+		predictors[level] = func(img *tensor.Tensor) int {
+			plan.Execute(pool, []*tensor.Tensor{img}, []*tensor.Tensor{out})
+			return out.ArgMax()
 		}
-		return fc.Forward(flat).ArgMax()
 	}
 
 	agree, correct := 0, 0
 	for i, img := range test.Images {
-		p := predict(codegen.Tuned, img)
+		p := predictors["packed"](img)
 		if p == net.Predict(img) {
 			agree++
 		}
@@ -79,13 +78,13 @@ func main() {
 			correct++
 		}
 	}
-	fmt.Printf("compiled-kernel inference: %.1f%% accuracy, %d/%d predictions match the reference\n",
+	fmt.Printf("deployed-artifact inference: %.1f%% accuracy, %d/%d predictions match the reference\n",
 		100*float64(correct)/float64(test.Len()), agree, test.Len())
 
 	// Host wall-clock comparison of the code-generation levels.
 	img := test.Images[0]
-	for _, level := range []codegen.Level{codegen.NoOpt, codegen.Tuned} {
-		ms := runtime.Measure(50, func() { predict(level, img) })
-		fmt.Printf("host inference at %v: %.3f ms/image\n", level, ms)
+	for _, level := range []string{"noopt", "packed"} {
+		ms := runtime.Measure(50, func() { predictors[level](img) })
+		fmt.Printf("host inference at %s: %.3f ms/image\n", level, ms)
 	}
 }

@@ -6,7 +6,10 @@ package patdnn
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"patdnn/internal/admm"
@@ -20,6 +23,8 @@ import (
 	"patdnn/internal/nn"
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"
+	"patdnn/internal/registry"
+	"patdnn/internal/runtime"
 	"patdnn/internal/tensor"
 )
 
@@ -30,8 +35,9 @@ import (
 func TestCompileSaveLoadExecute(t *testing.T) {
 	m := model.VGG16("cifar10")
 	rng := rand.New(rand.NewSource(3))
-	var file modelfile.File
-	file.LR = &lr.Representation{Model: m.Name, Device: "CPU"}
+	// Two conv records under the whole VGG topology: the codec does not
+	// cross-check the two, and this test executes the records layer by layer.
+	file := modelfile.File{LR: &lr.Representation{Model: m.Name, Device: "CPU"}, Net: m}
 	var biases [][]float32
 	for _, l := range m.ConvLayers()[1:3] {
 		c := pruned.Generate(l, pattern.Canonical(8), 3.6, 11, true)
@@ -131,19 +137,17 @@ func TestPruneCompileAccuracyChain(t *testing.T) {
 	}
 }
 
-// TestTrainPruneSaveRun closes the full product loop with REAL weights: a
-// trained CNN is ADMM-pruned, saved via the facade to the compact model
-// format, reloaded, recompiled, and the compiled loaded model must classify
-// test examples like the in-memory pruned network (modulo FP16 storage).
-func TestTrainPruneSaveRun(t *testing.T) {
+// trainedPrunedCNN trains SmallCNN on the synthetic workload and ADMM-prunes
+// it; test is the held-out split.
+func trainedPrunedCNN(t *testing.T) (net *nn.Network, res *PruneResult, test *dataset.Dataset) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("trains a CNN")
 	}
 	cfg := dataset.DefaultConfig()
 	cfg.N = 160
-	data := dataset.Synthetic(cfg)
-	train, test := data.Split(0.8)
-	net := nn.SmallCNN(cfg.C, cfg.H, cfg.W, 6, 8, cfg.Classes, 3)
+	train, test := dataset.Synthetic(cfg).Split(0.8)
+	net = nn.SmallCNN(cfg.C, cfg.H, cfg.W, 6, 8, cfg.Classes, 3)
 	nn.Train(net, train, nn.NewAdam(0.004), nn.TrainConfig{Epochs: 4, BatchSize: 16, Seed: 1})
 
 	pc := DefaultPruneConfig()
@@ -152,49 +156,117 @@ func TestTrainPruneSaveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return net, res, test
+}
 
+// requireAgreement demands that predict matches the in-memory pruned network
+// on at least 90 % of the held-out examples: FP16 storage may flip a marginal
+// prediction, but the vast majority must survive.
+func requireAgreement(t *testing.T, net *nn.Network, test *dataset.Dataset, predict func(*tensor.Tensor) int) {
+	t.Helper()
+	agree := 0
+	for _, img := range test.Images {
+		if predict(img) == net.Predict(img) {
+			agree++
+		}
+	}
+	if agree < test.Len()*9/10 {
+		t.Fatalf("only %d/%d predictions survive save/load", agree, test.Len())
+	}
+}
+
+// TestTrainPruneSaveRun closes the full product loop with REAL weights: a
+// trained CNN is ADMM-pruned, saved via the facade as a graph artifact,
+// reloaded and compiled by the same path every artifact takes, and must
+// classify test examples like the in-memory pruned network — with no layer of
+// the network reconstructed outside the artifact.
+func TestTrainPruneSaveRun(t *testing.T) {
+	net, res, test := trainedPrunedCNN(t)
 	var buf bytes.Buffer
 	if err := SavePruned(net, res, &buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := modelfile.Read(&buf)
+	mf, err := modelfile.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Layers) != len(res.Layers) {
-		t.Fatalf("loaded %d layers, want %d", len(loaded.Layers), len(res.Layers))
+	if len(mf.Layers) != len(res.Layers) || len(mf.Dense) != 1 {
+		t.Fatalf("artifact holds %d conv and %d dense records, want %d and the FC layer",
+			len(mf.Layers), len(mf.Dense), len(res.Layers))
 	}
+	m, params, err := execgraph.FromFile("custom", mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := execgraph.Compile(m, params, execgraph.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := runtime.NewPool(0)
+	out := tensor.New(plan.OutC, plan.OutH, plan.OutW)
+	requireAgreement(t, net, test, func(img *tensor.Tensor) int {
+		plan.Execute(pool, []*tensor.Tensor{img}, []*tensor.Tensor{out})
+		return out.ArgMax()
+	})
+}
 
-	predictLoaded := func(img *tensor.Tensor) int {
-		x := img
-		for _, layer := range loaded.Layers {
-			p, err := codegen.Compile(layer.Conv, codegen.Tuned, lr.DefaultTuning())
-			if err != nil {
-				t.Fatal(err)
-			}
-			x = p.Execute(x, layer.Bias)
-			tensor.ReLU(x)
-			x, _ = tensor.MaxPool2D(x, 2)
-		}
-		var fc *nn.Dense
-		for _, l := range net.Layers {
-			if d, ok := l.(*nn.Dense); ok {
-				fc = d
-			}
-		}
-		return fc.Forward(x.Reshape(x.Len())).ArgMax()
-	}
-	agree := 0
-	for _, img := range test.Images {
-		if predictLoaded(img) == net.Predict(img) {
-			agree++
+// opaqueLayer is a layer type SavePruned has no artifact form for.
+type opaqueLayer struct{ nn.ReLULayer }
+
+// TestSavePrunedIsAllOrNothing: a network SavePruned cannot describe in full —
+// a conv with no pruned record, a record with no conv, a layer type outside
+// the artifact's vocabulary — is an error with nothing written, never a file
+// that holds part of the network.
+func TestSavePrunedIsAllOrNothing(t *testing.T) {
+	net, res, _ := trainedPrunedCNN(t)
+	withOpaque := &nn.Network{Layers: append(append([]nn.Layer(nil), net.Layers...), &opaqueLayer{})}
+	for name, tc := range map[string]struct {
+		net    *nn.Network
+		layers []*pruned.Conv
+	}{
+		"conv without a record": {net, res.Layers[:1]},
+		"record without a conv": {net, append(res.Layers[:2:2], res.Layers[1])},
+		"unknown layer type":    {withOpaque, res.Layers},
+	} {
+		var buf bytes.Buffer
+		if err := SavePruned(tc.net, &PruneResult{Layers: tc.layers}, &buf); err == nil || buf.Len() != 0 {
+			t.Fatalf("%s: SavePruned = %v with %d bytes written, want an error and no file", name, err, buf.Len())
 		}
 	}
-	// FP16 storage may flip a marginal prediction, but the vast majority
-	// must match.
-	if agree < test.Len()*9/10 {
-		t.Fatalf("only %d/%d predictions survive save/load", agree, test.Len())
+}
+
+// TestSavePrunedServesThroughRegistry is the deployment half: the artifact
+// SavePruned writes into a models directory is picked up by the registry and
+// served by Engine.Infer as a classifier.
+func TestSavePrunedServesThroughRegistry(t *testing.T) {
+	net, res, test := trainedPrunedCNN(t)
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, registry.FileName("smallcnn", "v1")))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := SavePruned(net, res, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(EngineConfig{Workers: 1})
+	defer eng.Close()
+	if _, err := eng.WithRegistry(RegistryConfig{Dir: dir, Poll: -1}); err != nil {
+		t.Fatal(err)
+	}
+	classes := net.Forward(test.Images[0]).Len()
+	requireAgreement(t, net, test, func(img *tensor.Tensor) int {
+		resp, err := eng.Infer(context.Background(), InferRequest{Network: "smallcnn", Input: img.Data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Shape != [3]int{classes, 1, 1} || resp.Version != "v1" {
+			t.Fatalf("served shape %v version %q, want [%d,1,1] from v1", resp.Shape, resp.Version, classes)
+		}
+		return resp.ArgMax
+	})
 }
 
 // TestFacadeAgainstInternalPipeline cross-checks the public facade against a

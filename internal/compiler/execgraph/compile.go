@@ -346,11 +346,11 @@ func (p *Plan) lower(m *model.Model, g *graphopt.Graph, gn *graphopt.Node, param
 		n.Kind = KindInput
 		n.OutC, n.OutH, n.OutW = l.OutC, l.OutH, l.OutW
 
-	case model.Conv, model.DWConv:
-		if l.KH == 3 {
+	case model.Conv, model.DWConv, model.ConvTranspose:
+		if l.Kind == model.ConvTranspose || l.KH == 3 {
 			cp, ok := params.Convs[l.Name]
 			if !ok {
-				return nil, fmt.Errorf("execgraph: %s/%s: no parameters for conv %s", m.Short, m.Dataset, l.Name)
+				return nil, fmt.Errorf("execgraph: %s/%s: no parameters for %s %s", m.Short, m.Dataset, l.Kind, l.Name)
 			}
 			pc, bias := cp.Conv, cp.Bias
 			if in != [3]int{pc.InChannels(), pc.InH, pc.InW} {
@@ -358,11 +358,20 @@ func (p *Plan) lower(m *model.Model, g *graphopt.Graph, gn *graphopt.Node, param
 			}
 			if bn != nil {
 				if len(bn.Gamma) != pc.OutC {
-					return nil, fmt.Errorf("execgraph: %s/%s: batchnorm %s has %d channels; conv %s produces %d",
-						m.Short, m.Dataset, gn.BN.Name, len(bn.Gamma), l.Name, pc.OutC)
+					return nil, fmt.Errorf("execgraph: %s/%s: batchnorm %s has %d channels; %s %s produces %d",
+						m.Short, m.Dataset, gn.BN.Name, len(bn.Gamma), l.Kind, l.Name, pc.OutC)
 				}
 				pc, bias = foldBNConv(pc, bias, bn)
 				p.Fused.ConvBN++
+			}
+			n.Kind = KindConv
+			if l.Kind == model.ConvTranspose {
+				// The plan is the stride-1 equivalent conv's; the node keeps
+				// the original stride to dilate the input by.
+				n.Kind, n.DilStride = KindConvT, pc.Stride
+				if pc, err = transposedEquivalent(pc, l.OutPad); err != nil {
+					return nil, fmt.Errorf("execgraph: %s/%s: %w", m.Short, m.Dataset, err)
+				}
 			}
 			level, err := layerLevel(cfg.Level)
 			if err != nil {
@@ -372,7 +381,7 @@ func (p *Plan) lower(m *model.Model, g *graphopt.Graph, gn *graphopt.Node, param
 			if err != nil {
 				return nil, fmt.Errorf("execgraph: %s/%s: %w", m.Short, m.Dataset, err)
 			}
-			n.Kind, n.Plan, n.Bias = KindConv, plan, bias
+			n.Plan, n.Bias = plan, bias
 			n.OutC, n.OutH, n.OutW = pc.OutC, pc.OutH, pc.OutW
 			p.TotalWeights += int64(pc.TotalWeights())
 			p.KeptWeights += int64(pc.NNZ())
@@ -408,54 +417,6 @@ func (p *Plan) lower(m *model.Model, g *graphopt.Graph, gn *graphopt.Node, param
 			p.TotalWeights += int64(l.OutC) * int64(l.InC)
 			p.KeptWeights += int64(plan.NNZ())
 		}
-		p.ConvLayers++
-		if gn.Residual {
-			n.Shortcut = n.Inputs[len(n.Inputs)-1]
-			sc := dims[n.Shortcut]
-			if sc != [3]int{n.OutC, n.OutH, n.OutW} {
-				return nil, fmt.Errorf("execgraph: %s/%s: residual shortcut into %s is [%d,%d,%d], want [%d,%d,%d]",
-					m.Short, m.Dataset, l.Name, sc[0], sc[1], sc[2], n.OutC, n.OutH, n.OutW)
-			}
-			p.Fused.Residual++
-		}
-		if n.ReLU {
-			p.Fused.ConvReLU++
-		}
-
-	case model.ConvTranspose:
-		cp, ok := params.Convs[l.Name]
-		if !ok {
-			return nil, fmt.Errorf("execgraph: %s/%s: no parameters for transposed conv %s", m.Short, m.Dataset, l.Name)
-		}
-		pc, bias := cp.Conv, cp.Bias
-		if in != [3]int{pc.InChannels(), pc.InH, pc.InW} {
-			return nil, badInput(pc.InChannels(), pc.InH, pc.InW)
-		}
-		if bn != nil {
-			if len(bn.Gamma) != pc.OutC {
-				return nil, fmt.Errorf("execgraph: %s/%s: batchnorm %s has %d channels; transposed conv %s produces %d",
-					m.Short, m.Dataset, gn.BN.Name, len(bn.Gamma), l.Name, pc.OutC)
-			}
-			pc, bias = foldBNConv(pc, bias, bn)
-			p.Fused.ConvBN++
-		}
-		eq, err := transposedEquivalent(pc, l.OutPad)
-		if err != nil {
-			return nil, fmt.Errorf("execgraph: %s/%s: %w", m.Short, m.Dataset, err)
-		}
-		level, err := layerLevel(cfg.Level)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := codegen.Compile(eq, level, p.resolveTuning(cfg, level, eq))
-		if err != nil {
-			return nil, fmt.Errorf("execgraph: %s/%s: %w", m.Short, m.Dataset, err)
-		}
-		n.Kind, n.Plan, n.Bias = KindConvT, plan, bias
-		n.DilStride = pc.Stride
-		n.OutC, n.OutH, n.OutW = pc.OutC, pc.OutH, pc.OutW
-		p.TotalWeights += int64(eq.TotalWeights())
-		p.KeptWeights += int64(eq.NNZ())
 		p.ConvLayers++
 		if gn.Residual {
 			n.Shortcut = n.Inputs[len(n.Inputs)-1]
@@ -659,11 +620,4 @@ func (p *Plan) planArena() {
 		off += b.size
 	}
 	p.arenaLen = off
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -47,6 +47,38 @@ func bottleneckModel() *model.Model {
 	return m
 }
 
+// bottleneckFile lays the bottleneck block out as a well-formed artifact: a
+// fresh File over a fresh topology each call, so tests can mutate both.
+func bottleneckFile(t testing.TB) *modelfile.File {
+	t.Helper()
+	m := bottleneckModel()
+	params, err := Generate(m, 8, 3.6, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &modelfile.File{LR: &lr.Representation{Model: m.Name, Device: "CPU"}, Net: m}
+	cp := params.Convs["b"]
+	f.Layers = append(f.Layers, modelfile.Layer{Conv: cp.Conv, Bias: cp.Bias})
+	for _, name := range []string{"a", "c"} {
+		dp := params.Dense[name]
+		l := m.Layer(name)
+		f.Dense = append(f.Dense, modelfile.DenseLayer{
+			Name: name, Kind: modelfile.DenseConv1x1,
+			OutC: l.OutC, InC: l.InC, Stride: l.Stride,
+			InH: l.InH, InW: l.InW, OutH: l.OutH, OutW: l.OutW,
+			Weights: dp.W.Data, Bias: dp.Bias,
+		})
+	}
+	for _, name := range []string{"bn_a", "bn_b", "bn_c"} {
+		bp := params.BNs[name]
+		f.BNs = append(f.BNs, modelfile.BNLayer{
+			Name: name, Gamma: bp.Gamma, Beta: bp.Beta,
+			Mean: bp.Mean, Var: bp.Var, Eps: bp.Eps,
+		})
+	}
+	return f
+}
+
 func genInput(m *model.Model, seed int64) *tensor.Tensor {
 	x := tensor.New(m.InC, m.InH, m.InW)
 	x.Randn(rand.New(rand.NewSource(seed)), 1)
@@ -241,39 +273,8 @@ func TestUnsupportedStemRejectedFast(t *testing.T) {
 // topology must fail the load (a quarantinable error), not panic inside BN
 // folding or a kernel at serve time.
 func TestFromFileRejectsMismatchedRecords(t *testing.T) {
-	m := bottleneckModel()
-	params, err := Generate(m, 8, 3.6, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := func() *modelfile.File {
-		f := &modelfile.File{LR: &lr.Representation{Model: m.Name, Device: "CPU"}, Net: m}
-		for _, name := range []string{"b"} {
-			cp := params.Convs[name]
-			f.Layers = append(f.Layers, modelfile.Layer{Conv: cp.Conv, Bias: cp.Bias})
-		}
-		for _, name := range []string{"a", "c"} {
-			dp := params.Dense[name]
-			l := m.Layer(name)
-			f.Dense = append(f.Dense, modelfile.DenseLayer{
-				Name: name, Kind: modelfile.DenseConv1x1,
-				OutC: l.OutC, InC: l.InC, Stride: l.Stride,
-				InH: l.InH, InW: l.InW, OutH: l.OutH, OutW: l.OutW,
-				Weights: dp.W.Data, Bias: dp.Bias,
-			})
-		}
-		for _, name := range []string{"bn_a", "bn_b", "bn_c"} {
-			bp := params.BNs[name]
-			f.BNs = append(f.BNs, modelfile.BNLayer{
-				Name: name, Gamma: bp.Gamma, Beta: bp.Beta,
-				Mean: bp.Mean, Var: bp.Var, Eps: bp.Eps,
-			})
-		}
-		return f
-	}
-
 	// The well-formed artifact loads and compiles.
-	good := base()
+	good := bottleneckFile(t)
 	gm, gp, err := FromFile("btl", good)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +300,7 @@ func TestFromFileRejectsMismatchedRecords(t *testing.T) {
 		{"conv-wrong-geometry", func(f *modelfile.File) { f.Layers[0].Conv.OutH = 99 }},
 	}
 	for _, mu := range mutate {
-		f := base()
+		f := bottleneckFile(t)
 		mu.mod(f)
 		fm, fp, err := FromFile("btl", f)
 		if err != nil {

@@ -1,13 +1,5 @@
 package execgraph
 
-// FromFile reconstructs the (model, parameters) pair of a deployed .patdnn
-// artifact, shared by the serving registry loader and cmd/patdnn-run. V2
-// graph artifacts carry the topology plus conv/dense/BN records; v1 artifacts
-// carry only the pruned 3×3 conv trunk and are reassembled by the chain
-// convention previous releases served: every conv runs with its bias and a
-// ReLU, and a uniform spatial shrink between consecutive convs becomes the
-// stride==kernel max-pool producing exactly the next layer's input geometry.
-
 import (
 	"fmt"
 
@@ -16,162 +8,98 @@ import (
 	"patdnn/internal/tensor"
 )
 
-// FromFile rebuilds the executable topology and parameter set of an
-// artifact. name becomes the model's serving identity (Model.Short).
+// FromFile reconstructs the (model, parameters) pair of a deployed .patdnn
+// artifact, shared by the serving registry loader and cmd/patdnn-run. The
+// artifact carries its topology, so nothing is inferred: the work here is
+// cross-validating every record against the topology before anything
+// executes. Each section is individually well-formed after modelfile's
+// checks, but a crafted (or miswritten) artifact can still pair a record with
+// a topology layer of different shape, or name one layer twice — which would
+// surface as an index-out-of-range panic inside BN folding or a kernel, or as
+// one record silently shadowing another, instead of a quarantinable load
+// error. name becomes the model's serving identity (Model.Short).
 func FromFile(name string, mf *modelfile.File) (*model.Model, *Params, error) {
+	if mf.Net == nil {
+		return nil, nil, fmt.Errorf("execgraph: artifact %s has no topology", name)
+	}
+	layers := make(map[string]*model.Layer, len(mf.Net.Layers))
+	for _, l := range mf.Net.Layers {
+		if layers[l.Name] != nil {
+			return nil, nil, fmt.Errorf("execgraph: artifact %s: topology names layer %q twice", name, l.Name)
+		}
+		layers[l.Name] = l
+	}
+	// A record names the one topology layer it parameterizes, so a name may
+	// be claimed once across all three record sections.
+	claimed := make(map[string]bool, len(mf.Layers)+len(mf.Dense)+len(mf.BNs))
+	claim := func(kind, rec string, matches bool) error {
+		if !matches {
+			return fmt.Errorf("execgraph: artifact %s: %s record %q does not match the topology", name, kind, rec)
+		}
+		if claimed[rec] {
+			return fmt.Errorf("execgraph: artifact %s: %s record %q is a duplicate", name, kind, rec)
+		}
+		claimed[rec] = true
+		return nil
+	}
+
 	params := &Params{
 		Convs: make(map[string]*ConvParams),
 		Dense: make(map[string]*DenseParams),
 		BNs:   make(map[string]*BNParams),
 	}
 	for _, layer := range mf.Layers {
-		params.Convs[layer.Conv.Name] = &ConvParams{Conv: layer.Conv, Bias: layer.Bias}
-	}
-
-	if mf.Net != nil {
-		// Cross-validate every record against the topology before anything
-		// executes: each section of a v2 file is individually well-formed
-		// after modelfile's checks, but a crafted (or miswritten) artifact
-		// can still pair a record with a topology layer of different shape —
-		// which would surface as an index-out-of-range panic inside BN
-		// folding or a kernel instead of a quarantinable load error.
-		badRecord := func(kind, rec string) error {
-			return fmt.Errorf("execgraph: artifact %s: %s record %q does not match the topology", name, kind, rec)
-		}
-		for _, layer := range mf.Layers {
-			pc := layer.Conv
-			l := mf.Net.Layer(pc.Name)
-			ok := l != nil && l.KH == pc.KH && l.KW == pc.KW &&
-				l.OutC == pc.OutC && l.Stride == pc.Stride && l.Pad == pc.Pad &&
-				l.InH == pc.InH && l.InW == pc.InW && l.OutH == pc.OutH && l.OutW == pc.OutW
-			if ok {
-				switch {
-				case l.IsConv():
-					ok = l.InC == pc.InChannels()
-				case l.Kind == model.ConvTranspose:
-					// Transposed-conv records ride the same wire format; the
-					// output-geometry relation (incl. OutPad) is checked by
-					// ValidateModel at compile time.
-					ok = !pc.Depthwise && l.InC == pc.InC
-				default:
-					ok = false
-				}
-			}
-			if !ok {
-				return nil, nil, badRecord("conv", pc.Name)
-			}
-		}
-		for _, d := range mf.Dense {
-			l := mf.Net.Layer(d.Name)
-			switch d.Kind {
-			case modelfile.DenseConv1x1:
-				if l == nil || !l.IsConv() || l.KH != 1 || l.KW != 1 ||
-					l.OutC != d.OutC || l.InC != d.InC {
-					return nil, nil, badRecord("conv1x1", d.Name)
-				}
-			default: // DenseFC (modelfile rejects other kinds at read time)
-				if l == nil || l.Kind != model.FC || l.OutC != d.OutC || l.InC != d.InC {
-					return nil, nil, badRecord("fc", d.Name)
-				}
-			}
-			var w *tensor.Tensor
-			if d.Kind == modelfile.DenseConv1x1 {
-				w = tensor.FromSlice(d.Weights, d.OutC, d.InC, 1, 1)
-			} else {
-				w = tensor.FromSlice(d.Weights, d.OutC, d.InC)
-			}
-			params.Dense[d.Name] = &DenseParams{W: w, Bias: d.Bias}
-		}
-		for _, bn := range mf.BNs {
-			l := mf.Net.Layer(bn.Name)
-			if l == nil || l.Kind != model.BatchNorm || len(bn.Gamma) != l.OutC {
-				return nil, nil, badRecord("batchnorm", bn.Name)
-			}
-			params.BNs[bn.Name] = &BNParams{
-				Gamma: bn.Gamma, Beta: bn.Beta, Mean: bn.Mean, Var: bn.Var, Eps: bn.Eps,
-			}
-		}
-		// The artifact name is the serving identity; the topology keeps its
-		// own display name.
-		m := *mf.Net
-		m.Short = name
-		return &m, params, nil
-	}
-
-	// V1 chain convention.
-	if len(mf.Layers) == 0 {
-		return nil, nil, fmt.Errorf("execgraph: artifact %s holds no conv layers", name)
-	}
-	first := mf.Layers[0].Conv
-	m := &model.Model{
-		Name: mf.LR.Model, Short: name,
-		InC: first.InChannels(), InH: first.InH, InW: first.InW,
-	}
-	m.Layers = append(m.Layers, &model.Layer{
-		Name: "input", Kind: model.Input,
-		OutC: m.InC, OutH: m.InH, OutW: m.InW,
-	})
-	c, h, w := m.InC, m.InH, m.InW
-	for i, layer := range mf.Layers {
 		pc := layer.Conv
-		if pc.InChannels() != c {
-			return nil, nil, fmt.Errorf("execgraph: artifact %s: layer %s expects %d input channels but the trunk carries %d",
-				name, pc.Name, pc.InChannels(), c)
-		}
-		if pc.InH != h || pc.InW != w {
-			k := 0
-			if pc.InH > 0 && pc.InW > 0 && h%pc.InH == 0 && w%pc.InW == 0 && h/pc.InH == w/pc.InW {
-				k = h / pc.InH
+		l := layers[pc.Name]
+		ok := l != nil && l.KH == pc.KH && l.KW == pc.KW &&
+			l.OutC == pc.OutC && l.Stride == pc.Stride && l.Pad == pc.Pad &&
+			l.InH == pc.InH && l.InW == pc.InW && l.OutH == pc.OutH && l.OutW == pc.OutW
+		if ok {
+			switch {
+			case l.IsConv():
+				ok = l.InC == pc.InChannels()
+			case l.Kind == model.ConvTranspose:
+				// Transposed-conv records ride the same wire format; the
+				// output-geometry relation (incl. OutPad) is checked by
+				// ValidateModel at compile time.
+				ok = !pc.Depthwise && l.InC == pc.InC
+			default:
+				ok = false
 			}
-			if k < 2 {
-				return nil, nil, fmt.Errorf("execgraph: artifact %s: layer %s expects %dx%d input but the trunk carries %dx%d (no stride==kernel pool bridges them)",
-					name, pc.Name, pc.InH, pc.InW, h, w)
-			}
-			// A composite shrink ratio admits more than one pool decomposition
-			// (32→8 is one 4×4 pool or two 2×2 pools), and max is not
-			// associative across window splits — the choices compute different
-			// values. The chain convention is only deterministic for prime
-			// ratios, where a single k×k pool is the unique bridge; anything
-			// else is rejected rather than silently picking one reading.
-			if !isPrime(k) {
-				return nil, nil, fmt.Errorf("execgraph: artifact %s: layer %s expects %dx%d input but the trunk carries %dx%d; the %dx shrink is composite and admits multiple stride==kernel pool decompositions — write the pools into the topology (v2) instead of relying on chain inference",
-					name, pc.Name, pc.InH, pc.InW, h, w, k)
-			}
-			m.Layers = append(m.Layers, &model.Layer{
-				Name: fmt.Sprintf("pool%d", i), Kind: model.MaxPool, InC: c, OutC: c,
-				KH: k, KW: k, Stride: k, InH: h, InW: w, OutH: pc.InH, OutW: pc.InW,
-			})
-			h, w = pc.InH, pc.InW
 		}
-		kind, groups := model.Conv, 1
-		if pc.Depthwise {
-			kind, groups = model.DWConv, pc.InChannels()
+		if err := claim("conv", pc.Name, ok); err != nil {
+			return nil, nil, err
 		}
-		m.Layers = append(m.Layers, &model.Layer{
-			Name: pc.Name, Kind: kind, InC: pc.InChannels(), OutC: pc.OutC,
-			KH: pc.KH, KW: pc.KW, Stride: pc.Stride, Pad: pc.Pad, Groups: groups,
-			InH: pc.InH, InW: pc.InW, OutH: pc.OutH, OutW: pc.OutW, HasBias: true,
-		})
-		m.Layers = append(m.Layers, &model.Layer{
-			Name: fmt.Sprintf("relu%d", i), Kind: model.ReLU, InC: pc.OutC, OutC: pc.OutC,
-			InH: pc.OutH, InW: pc.OutW, OutH: pc.OutH, OutW: pc.OutW,
-		})
-		c, h, w = pc.OutC, pc.OutH, pc.OutW
+		params.Convs[pc.Name] = &ConvParams{Conv: pc, Bias: layer.Bias}
 	}
-	return m, params, nil
-}
-
-// isPrime reports whether k >= 2 has no divisor other than 1 and itself —
-// the condition under which a spatial shrink ratio has exactly one
-// stride==kernel pool decomposition.
-func isPrime(k int) bool {
-	if k < 2 {
-		return false
+	for _, d := range mf.Dense {
+		l := layers[d.Name]
+		ok := l != nil && l.OutC == d.OutC && l.InC == d.InC
+		shape := []int{d.OutC, d.InC}
+		if d.Kind == modelfile.DenseConv1x1 {
+			ok = ok && l.IsConv() && l.KH == 1 && l.KW == 1
+			shape = append(shape, 1, 1)
+		} else { // DenseFC (modelfile rejects other kinds at read time)
+			ok = ok && l.Kind == model.FC
+		}
+		if err := claim("dense", d.Name, ok); err != nil {
+			return nil, nil, err
+		}
+		params.Dense[d.Name] = &DenseParams{W: tensor.FromSlice(d.Weights, shape...), Bias: d.Bias}
 	}
-	for d := 2; d*d <= k; d++ {
-		if k%d == 0 {
-			return false
+	for _, bn := range mf.BNs {
+		l := layers[bn.Name]
+		ok := l != nil && l.Kind == model.BatchNorm && len(bn.Gamma) == l.OutC
+		if err := claim("batchnorm", bn.Name, ok); err != nil {
+			return nil, nil, err
+		}
+		params.BNs[bn.Name] = &BNParams{
+			Gamma: bn.Gamma, Beta: bn.Beta, Mean: bn.Mean, Var: bn.Var, Eps: bn.Eps,
 		}
 	}
-	return true
+	// The artifact name is the serving identity; the topology keeps its own
+	// display name.
+	m := *mf.Net
+	m.Short = name
+	return &m, params, nil
 }

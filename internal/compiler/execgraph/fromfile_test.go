@@ -1,78 +1,54 @@
 package execgraph
 
-// Regression tests for the v1 chain convention's pool inference. A spatial
-// shrink between consecutive conv records is bridged by a stride==kernel
-// max-pool — but only a prime shrink ratio has a unique decomposition.
-// 32→8 (4×) is either one 4×4 pool or two 2×2 pools, and max is not
-// associative across window splits, so the chain loader used to silently
-// pick one reading of an ambiguous artifact; now it must reject it.
+// Trust-boundary tests for FromFile's name bookkeeping. Every section of an
+// artifact is keyed by layer name, so a crafted file can carry two records
+// (or two topology layers) with one name; each is well-formed on its own and
+// survives modelfile.Read. Loaded into name-keyed maps, the later one would
+// silently shadow the earlier — the file would serve, with parameters other
+// than the ones a reviewer reading its first record saw.
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
-	"patdnn/internal/compiler/lr"
-	"patdnn/internal/model"
 	"patdnn/internal/modelfile"
-	"patdnn/internal/pattern"
-	"patdnn/internal/pruned"
 )
 
-// v1ChainFile builds a two-conv v1 artifact (no topology section) whose
-// second conv expects the first conv's output shrunk by the given factor.
-func v1ChainFile(shrink int) *modelfile.File {
-	set := pattern.Canonical(8)
-	mk := func(name string, inC, outC, hw int) *pruned.Conv {
-		l := &model.Layer{Name: name, Kind: model.Conv, InC: inC, OutC: outC,
-			KH: 3, KW: 3, Stride: 1, Pad: 1, Groups: 1,
-			InH: hw, InW: hw, OutH: hw, OutW: hw}
-		return pruned.Generate(l, set, 1, 7, true)
-	}
-	const h = 32
-	return &modelfile.File{
-		LR: &lr.Representation{Model: "chain", Device: "CPU"},
-		Layers: []modelfile.Layer{
-			{Conv: mk("c1", 3, 8, h)},
-			{Conv: mk("c2", 8, 8, h/shrink)},
-		},
-	}
-}
-
-func TestV1ChainPrimeShrinkInfersPool(t *testing.T) {
-	m, _, err := FromFile("chain", v1ChainFile(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pool *model.Layer
-	for _, l := range m.Layers {
-		if l.Kind == model.MaxPool {
-			pool = l
+func TestFromFileRejectsDuplicateNames(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		dup        func(f *modelfile.File)
+	}{
+		{"conv-record", "duplicate", func(f *modelfile.File) { f.Layers = append(f.Layers, f.Layers[0]) }},
+		{"dense-record", "duplicate", func(f *modelfile.File) { f.Dense = append(f.Dense, f.Dense[0]) }},
+		{"bn-record", "duplicate", func(f *modelfile.File) { f.BNs = append(f.BNs, f.BNs[0]) }},
+		{"topology-layer", "twice", func(f *modelfile.File) {
+			f.Net.Layers = append(f.Net.Layers, f.Net.Layers[len(f.Net.Layers)-1])
+		}},
+	} {
+		f := bottleneckFile(t)
+		tc.dup(f)
+		var buf bytes.Buffer
+		if err := modelfile.Write(&buf, f); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-	if pool == nil || pool.KH != 2 || pool.Stride != 2 || pool.OutH != 16 {
-		t.Fatalf("expected one 2x2 stride-2 pool bridging 32->16, got %+v", pool)
-	}
-}
-
-func TestV1ChainCompositeShrinkRejected(t *testing.T) {
-	for _, shrink := range []int{4, 8, 16} {
-		_, _, err := FromFile("chain", v1ChainFile(shrink))
-		if err == nil {
-			t.Fatalf("shrink %dx: ambiguous chain artifact loaded cleanly", shrink)
+		mf, err := modelfile.Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: the crafted file must survive the reader for the duplicate to reach FromFile: %v", tc.name, err)
 		}
-		if !strings.Contains(err.Error(), "composite") {
-			t.Fatalf("shrink %dx: error does not explain the ambiguity: %v", shrink, err)
+		if _, _, err := FromFile("btl", mf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: FromFile = %v, want a load error naming the duplicate", tc.name, err)
 		}
 	}
 }
 
-func TestV1ChainNonUniformShrinkRejected(t *testing.T) {
-	// A shrink that is not a clean integer ratio (or differs between H and W)
-	// never had a pool bridge; the pre-existing rejection must survive.
-	f := v1ChainFile(2)
-	f.Layers[1].Conv.InW = 15 // 32/16 on H, non-integral on W
-	f.Layers[1].Conv.InH = 16
-	if _, _, err := FromFile("chain", f); err == nil {
-		t.Fatal("non-uniform shrink loaded cleanly")
+// TestFromFileRequiresTopology: modelfile.Read never returns a File without
+// a topology, but FromFile also takes Files built in memory.
+func TestFromFileRequiresTopology(t *testing.T) {
+	f := bottleneckFile(t)
+	f.Net = nil
+	if _, _, err := FromFile("btl", f); err == nil || !strings.Contains(err.Error(), "no topology") {
+		t.Fatalf("FromFile = %v, want the missing-topology error", err)
 	}
 }

@@ -1,16 +1,20 @@
 // Package modelfile implements the deployable compact-model artifact of the
 // paper's Figure 7 ("compact model" + "opt-code for CPU/GPU" are what PatDNN
 // ships to the phone): a single binary file holding the layerwise
-// representation, the FKW-compressed weights of every pruned conv layer
-// (stored in FP16, the mobile weight precision), and per-layer biases, with a
-// CRC32 integrity footer.
+// representation, the network topology, the FKW-compressed weights of every
+// pattern-pruned conv layer, the dense 1×1/FC records, the BatchNorm
+// parameters and a CRC32 integrity footer. A .patdnn is always a whole graph:
+// the topology record says which operators surround the convs, so a loader
+// never has to guess them.
 //
 // Layout (all integers little-endian):
 //
-//	magic   [8]byte  "PATDNN\x00\x01"       (includes format version)
+//	magic   [8]byte  "PATDNN\x00\x02" (FP16 weights) or "PATDNN\x00\x03" (quantized)
 //	lrLen   uint32   length of the LR JSON section
 //	lr      []byte   lr.Representation JSON
-//	nLayers uint32
+//	quantBits uint8  (\x03 only) grid width, 2..8
+//	nLayers uint32                       pattern-pruned 3×3 convs (standard,
+//	                                     depthwise, transposed)
 //	per layer:
 //	  nameLen uint16, name []byte
 //	  outC, inC, kh, kw uint16
@@ -23,13 +27,6 @@
 //	  stride array [outC*(nPatterns+1)]uint16
 //	  nWeights uint32, weights [nWeights]uint16 (binary16)
 //	  bias [outC]uint16 (binary16)
-//	crc32   uint32 (IEEE, over everything before it)
-//
-// Format v2 (magic "PATDNN\x00\x02") extends v1 with the records a full
-// network graph needs — it is what lets one .patdnn artifact carry ResNet-50
-// or MobileNet-V2 end to end instead of a bare 3×3-conv trunk. After the v1
-// conv-layer section:
-//
 //	nDense  uint32                       connectivity-pruned 1×1 convs + FC layers
 //	per dense layer:
 //	  nameLen uint16, name []byte
@@ -44,26 +41,26 @@
 //	  c       uint32, eps float32
 //	  gamma, beta, mean, var [c]float32 each
 //	topoLen uint32, topo []byte          network topology JSON (layer list with
-//	                                     kinds, shapes, shortcut edges)
-//	crc32   uint32
+//	                                     kinds, shapes, shortcut edges); never
+//	                                     empty
+//	crc32   uint32 (IEEE, over everything before it)
 //
-// Format v3 (magic "PATDNN\x00\x03") stores conv weights quantized: one int8
+// The quantized variant (\x03) stores each conv record's weights as one int8
 // level per FKW weight plus one float32 scale per original output channel
 // (internal/quant's symmetric per-filter encoding), ~4× smaller than the FP16
-// v1/v2 stream. After the LR section a single quantBits byte (2..8) declares
-// the grid width; each conv record's weight subsection becomes
+// stream; the weight subsection becomes
 //
 //	nWeights uint32
 //	scales   [outC]float32   (indexed by original output channel)
 //	qweights [nWeights]int8
 //
-// with biases staying FP16. v3 files always carry the v2 sections (possibly
-// empty). The quantized grid is self-reproducing — the per-filter max-abs
-// weight decodes to exactly ±limit — so read → write round trips are
-// byte-exact, like v1/v2.
+// with biases staying FP16. The quantized grid is self-reproducing — the
+// per-filter max-abs weight decodes to exactly ±limit — so read → write round
+// trips are byte-exact in both variants.
 //
-// Write emits v1 when the File carries no v2 content, so existing artifacts
-// and their byte-exact round trips are untouched; Read accepts all three.
+// The version byte starts at 2: \x01 was a bare 3×3-conv trunk with no
+// topology, whose loader inferred the pools between convs. Read names it in
+// its error; nothing writes it.
 package modelfile
 
 import (
@@ -85,7 +82,7 @@ import (
 )
 
 var (
-	magic   = [8]byte{'P', 'A', 'T', 'D', 'N', 'N', 0, 1}
+	magicV1 = [8]byte{'P', 'A', 'T', 'D', 'N', 'N', 0, 1} // retired; Read rejects it by name
 	magicV2 = [8]byte{'P', 'A', 'T', 'D', 'N', 'N', 0, 2}
 	magicV3 = [8]byte{'P', 'A', 'T', 'D', 'N', 'N', 0, 3}
 )
@@ -96,13 +93,13 @@ type Layer struct {
 	Bias []float32 // len OutC; nil means all-zero
 }
 
-// Dense layer kinds in v2 records.
+// Dense layer kinds.
 const (
 	DenseConv1x1 = 0
 	DenseFC      = 1
 )
 
-// DenseLayer is a v2 record: a connectivity-pruned 1×1 conv (weights
+// DenseLayer is a dense record: a connectivity-pruned 1×1 conv (weights
 // [Co,Ci,1,1], zeros outside kept kernels) or a dense FC matrix ([Out,In]).
 type DenseLayer struct {
 	Name                 string
@@ -114,7 +111,7 @@ type DenseLayer struct {
 	Bias                 []float32 // len OutC; nil means all-zero
 }
 
-// BNLayer is a v2 record holding BatchNorm inference parameters (FP32 — they
+// BNLayer is a record holding BatchNorm inference parameters (FP32 — they
 // are tiny and they fold into conv weights, where FP16 rounding would
 // compound).
 type BNLayer struct {
@@ -123,47 +120,39 @@ type BNLayer struct {
 	Eps                    float32
 }
 
-// File is an in-memory deployable model. V1 files carry only LR + Layers; v2
-// files additionally carry the dense/BN records and the full network
-// topology, which is what the graph executor lowers end to end.
+// File is an in-memory deployable model: the LR, the conv/dense/BN parameter
+// records, and the network topology the graph executor lowers end to end.
 type File struct {
 	LR     *lr.Representation
 	Layers []Layer
 	Dense  []DenseLayer
 	BNs    []BNLayer
 	// Net is the network topology (layer kinds, shapes, shortcut edges).
-	// Non-nil marks a v2 graph artifact.
+	// Mandatory: Write refuses a File without one and Read never returns one.
 	Net *model.Model
-	// QuantBits, when >= 2, marks a v3 quantized artifact: conv weights are
+	// QuantBits, when >= 2, marks a quantized artifact: conv weights are
 	// stored as int8 levels with one float32 scale per output channel.
 	QuantBits int
 }
 
-// isV2 reports whether the file needs the v2 format.
-func (f *File) isV2() bool {
-	return f.Net != nil || len(f.Dense) > 0 || len(f.BNs) > 0
-}
+// quantized reports whether the file stores its conv weights quantized.
+func (f *File) quantized() bool { return f.QuantBits >= 2 }
 
-// isV3 reports whether the file needs the v3 quantized format.
-func (f *File) isV3() bool { return f.QuantBits >= 2 }
-
-// Write serializes the model to w: format v1 when the file holds only
-// pruned-conv records (byte-identical to what previous releases wrote), v2
-// when dense/BN/topology records are present, v3 when QuantBits requests
-// quantized weight storage.
+// Write serializes the model to w, FP16 or — when QuantBits requests it —
+// with quantized conv weight storage.
 func Write(w io.Writer, f *File) error {
-	if f.QuantBits != 0 && !f.isV3() {
+	if f.Net == nil {
+		return fmt.Errorf("modelfile: file has no topology (Net is nil); an artifact is always a whole graph")
+	}
+	if f.QuantBits != 0 && !f.quantized() {
 		return fmt.Errorf("modelfile: QuantBits %d out of range %d..%d (0 disables)",
 			f.QuantBits, quant.MinBits, quant.MaxBits)
 	}
 	var buf bytes.Buffer
-	switch {
-	case f.isV3():
+	if f.quantized() {
 		buf.Write(magicV3[:])
-	case f.isV2():
+	} else {
 		buf.Write(magicV2[:])
-	default:
-		buf.Write(magic[:])
 	}
 
 	lrJSON, err := f.LR.Marshal()
@@ -173,7 +162,7 @@ func Write(w io.Writer, f *File) error {
 	put32(&buf, uint32(len(lrJSON)))
 	buf.Write(lrJSON)
 
-	if f.isV3() {
+	if f.quantized() {
 		if _, err := quant.Limit(f.QuantBits); err != nil {
 			return fmt.Errorf("modelfile: %w", err)
 		}
@@ -219,7 +208,7 @@ func Write(w io.Writer, f *File) error {
 		for _, s := range fkw.Stride {
 			put16(&buf, s)
 		}
-		if f.isV3() {
+		if f.quantized() {
 			q, err := quant.Quantize(fkw, f.QuantBits)
 			if err != nil {
 				return fmt.Errorf("modelfile: layer %s: %w", c.Name, err)
@@ -247,10 +236,8 @@ func Write(w io.Writer, f *File) error {
 		}
 	}
 
-	if f.isV2() || f.isV3() {
-		if err := writeV2(&buf, f); err != nil {
-			return err
-		}
+	if err := writeGraph(&buf, f); err != nil {
+		return err
 	}
 
 	sum := crc32.ChecksumIEEE(buf.Bytes())
@@ -259,8 +246,8 @@ func Write(w io.Writer, f *File) error {
 	return err
 }
 
-// writeV2 appends the v2 sections: dense layers, BN parameters, topology.
-func writeV2(buf *bytes.Buffer, f *File) error {
+// writeGraph appends the dense layers, BN parameters and topology.
+func writeGraph(buf *bytes.Buffer, f *File) error {
 	put32(buf, uint32(len(f.Dense)))
 	for _, d := range f.Dense {
 		if len(d.Name) > 0xffff {
@@ -337,12 +324,14 @@ func Read(r io.Reader) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("modelfile: %w", err)
 	}
-	if len(data) < len(magic)+8 {
+	if len(data) < len(magicV2)+8 {
 		return nil, fmt.Errorf("modelfile: truncated file (%d bytes)", len(data))
 	}
-	v2 := bytes.Equal(data[:8], magicV2[:])
+	if bytes.Equal(data[:8], magicV1[:]) {
+		return nil, fmt.Errorf("modelfile: format v1 (a bare conv trunk with no topology record) is no longer readable; re-export the model as a graph artifact")
+	}
 	v3 := bytes.Equal(data[:8], magicV3[:])
-	if !v2 && !v3 && !bytes.Equal(data[:8], magic[:]) {
+	if !v3 && !bytes.Equal(data[:8], magicV2[:]) {
 		return nil, fmt.Errorf("modelfile: bad magic or unsupported version")
 	}
 	body, footer := data[:len(data)-4], data[len(data)-4:]
@@ -484,21 +473,19 @@ func Read(r io.Reader) (*File, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if v2 || v3 {
-		if err := readV2(d, out); err != nil {
-			return nil, err
-		}
-		if d.off != len(d.data) {
-			return nil, fmt.Errorf("modelfile: %d trailing bytes after v2 sections", len(d.data)-d.off)
-		}
+	if err := readGraph(d, out); err != nil {
+		return nil, err
+	}
+	if d.off != len(d.data) {
+		return nil, fmt.Errorf("modelfile: %d trailing bytes after the topology record", len(d.data)-d.off)
 	}
 	return out, nil
 }
 
-// readV2 parses the dense, BN, and topology sections of a v2 file. Every
-// length and geometry field is validated so a corrupt or crafted record
-// errors instead of panicking (or allocating absurd buffers) later.
-func readV2(d *decoder, out *File) error {
+// readGraph parses the dense, BN, and topology sections. Every length and
+// geometry field is validated so a corrupt or crafted record errors instead
+// of panicking (or allocating absurd buffers) later.
+func readGraph(d *decoder, out *File) error {
 	const maxDense = 1 << 28 // 256M weights ≈ 512 MB encoded; beyond is corrupt
 	nDense := int(d.u32())
 	for i := 0; i < nDense && d.err == nil; i++ {
@@ -578,22 +565,23 @@ func readV2(d *decoder, out *File) error {
 	if d.err != nil {
 		return d.err
 	}
-	if len(topo) > 0 {
-		net, err := unmarshalNet(topo)
-		if err != nil {
-			return err
-		}
-		out.Net = net
-		// A v1 conv record has no depthwise flag; the topology carries the
-		// layer kind, so restore it (the executor's channel mapping needs it).
-		kinds := make(map[string]model.OpKind, len(net.Layers))
-		for _, l := range net.Layers {
-			kinds[l.Name] = l.Kind
-		}
-		for _, layer := range out.Layers {
-			if kinds[layer.Conv.Name] == model.DWConv {
-				layer.Conv.Depthwise = true
-			}
+	if len(topo) == 0 {
+		return fmt.Errorf("modelfile: artifact carries an empty topology record; nothing says which operators surround its convs")
+	}
+	net, err := unmarshalNet(topo)
+	if err != nil {
+		return err
+	}
+	out.Net = net
+	// A conv record has no depthwise flag; the topology carries the layer
+	// kind, so restore it (the executor's channel mapping needs it).
+	kinds := make(map[string]model.OpKind, len(net.Layers))
+	for _, l := range net.Layers {
+		kinds[l.Name] = l.Kind
+	}
+	for _, layer := range out.Layers {
+		if kinds[layer.Conv.Name] == model.DWConv {
+			layer.Conv.Depthwise = true
 		}
 	}
 	return nil
@@ -703,9 +691,6 @@ var kindByName = map[string]model.OpKind{
 }
 
 func marshalNet(m *model.Model) ([]byte, error) {
-	if m == nil {
-		return nil, nil
-	}
 	nj := netJSON{
 		Name: m.Name, Short: m.Short, Dataset: m.Dataset, Classes: m.Classes,
 		InC: m.InC, InH: m.InH, InW: m.InW,

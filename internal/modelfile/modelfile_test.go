@@ -19,7 +19,9 @@ func sampleFile(t *testing.T, seed int64) *File {
 	t.Helper()
 	m := model.VGG16("cifar10")
 	rng := rand.New(rand.NewSource(seed))
-	var f File
+	// Records for the first three convs under the whole VGG topology: the
+	// codec does not cross-check the two (execgraph.FromFile does).
+	f := File{Net: m}
 	rep := &lr.Representation{Model: m.Name, Device: "CPU"}
 	for _, l := range m.ConvLayers()[:3] {
 		c := pruned.Generate(l, pattern.Canonical(8), 3.6, seed, true)
@@ -128,6 +130,11 @@ func TestNon4EntryPatternRejected(t *testing.T) {
 	f := &File{
 		LR:     &lr.Representation{Model: "bad", Device: "CPU"},
 		Layers: []Layer{{Conv: c, Bias: []float32{0, 0}}},
+		Net: &model.Model{Name: "bad", InC: 2, InH: 4, InW: 4, Layers: []*model.Layer{
+			{Name: "input", Kind: model.Input, OutC: 2, OutH: 4, OutW: 4},
+			{Name: "bad", Kind: model.Conv, InC: 2, OutC: 2, KH: 3, KW: 3, Stride: 1, Pad: 1,
+				Groups: 1, InH: 4, InW: 4, OutH: 4, OutW: 4},
+		}},
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, f); err != nil {

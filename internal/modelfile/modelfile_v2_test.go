@@ -1,14 +1,18 @@
 package modelfile
 
-// Format-v2 coverage: round trips for both versions (v1 stays byte-stable),
-// corrupt-v2 records must error — never panic — and a fuzz target hammers the
-// reader with mutated bytes the way FuzzFKWRoundTrip hammers the FKW decoder.
+// Graph-section coverage: full-graph round trips, the three rejections that
+// make the topology mandatory (v1 magic, empty topology on read, nil Net on
+// write), corrupt records must error — never panic — and a fuzz target
+// hammers the reader with mutated bytes the way FuzzFKWRoundTrip hammers the
+// FKW decoder.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"patdnn/internal/compiler/lr"
@@ -135,19 +139,55 @@ func TestImg2ImgTopologyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestV1WritesV1Magic(t *testing.T) {
-	// A file with no v2 content must keep emitting v1 bytes, so artifacts
-	// written by earlier releases and by this one stay interchangeable.
-	f := sampleFile(t, 21)
+// craftedEmpty hand-assembles a CRC-valid artifact holding no records in the
+// layout its magic announces: v1 ends after the conv section; v2 and v3 go on
+// to empty dense and BN sections and a zero-length topology record.
+func craftedEmpty(t testing.TB, magic [8]byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, f); err != nil {
+	buf.Write(magic[:])
+	lrJSON, err := (&lr.Representation{Model: "crafted", Device: "CPU"}).Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes()[:8], magic[:]) {
-		t.Fatalf("v1 content wrote magic %v", buf.Bytes()[:8])
+	put32(&buf, uint32(len(lrJSON)))
+	buf.Write(lrJSON)
+	if magic == magicV3 {
+		buf.WriteByte(8) // quantBits
 	}
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+	put32(&buf, 0) // no conv layers
+	if magic != magicV1 {
+		put32(&buf, 0) // no dense records
+		put32(&buf, 0) // no BN records
+		put32(&buf, 0) // zero-length topology
+	}
+	put32(&buf, crcOf(buf.Bytes()))
+	return buf.Bytes()
+}
+
+// TestTopologyIsMandatory pins the three rejections that leave one loader
+// path: a v1 file (whose loader inferred the operators between convs), a
+// v2/v3 file with an empty topology record, and a File with no Net handed to
+// Write. Each error names its cause.
+func TestTopologyIsMandatory(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		magic [8]byte
+		want  string
+	}{
+		{"v1-magic", magicV1, "format v1"},
+		{"v2-empty-topology", magicV2, "empty topology"},
+		{"v3-empty-topology", magicV3, "empty topology"},
+	} {
+		_, err := Read(bytes.NewReader(craftedEmpty(t, tc.magic)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Read = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	f := sampleV2File(21)
+	f.Net = nil
+	if err := Write(io.Discard, f); err == nil || !strings.Contains(err.Error(), "no topology") {
+		t.Fatalf("Write with nil Net = %v, want the missing-topology error", err)
 	}
 }
 
@@ -337,10 +377,29 @@ func FuzzModelFileRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(tall1x1.Bytes())
+	// Two dense records with one name: both well-formed, so the file reads
+	// back and re-serializes; execgraph.FromFile must refuse it
+	// (TestFromFileRejectsDuplicateNames) rather than let the second shadow
+	// the first.
+	dup := sampleV2File(52)
+	dup.Dense = append(dup.Dense, dup.Dense[0])
+	var dupDense bytes.Buffer
+	if err := Write(&dupDense, dup); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dupDense.Bytes())
+	// Must-reject seeds: a well-formed v1 file, and v2/v3 files whose
+	// topology record is empty.
+	f.Add(craftedEmpty(f, magicV1))
+	f.Add(craftedEmpty(f, magicV2))
+	f.Add(craftedEmpty(f, magicV3))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mf, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if mf.Net == nil || len(mf.Net.Layers) == 0 {
+			t.Fatal("Read returned a file without a topology")
 		}
 		var out bytes.Buffer
 		if err := Write(&out, mf); err != nil {

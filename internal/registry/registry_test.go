@@ -18,17 +18,26 @@ import (
 	"patdnn/internal/pruned"
 )
 
-// tinyFile builds a small valid two-conv artifact (conv 2→4 @8×8, conv 4→4
-// @4×4) whose weights vary with seed, so versions are distinguishable.
+// tinyFile builds a small valid two-conv artifact (conv 2→4 @8×8 → ReLU →
+// pool 2 → conv 4→4 @4×4 → ReLU) whose weights vary with seed, so versions
+// are distinguishable.
 func tinyFile(seed int64) *modelfile.File {
-	set := pattern.Canonical(8)
-	l1 := &model.Layer{Name: "c1", Kind: model.Conv, InC: 2, OutC: 4, KH: 3, KW: 3,
-		Stride: 1, Pad: 1, Groups: 1, InH: 8, InW: 8, OutH: 8, OutW: 8}
-	l2 := &model.Layer{Name: "c2", Kind: model.Conv, InC: 4, OutC: 4, KH: 3, KW: 3,
-		Stride: 1, Pad: 1, Groups: 1, InH: 4, InW: 4, OutH: 4, OutW: 4}
-	f := &modelfile.File{LR: &lr.Representation{Model: "tiny", Device: "CPU"}}
-	for i, l := range []*model.Layer{l1, l2} {
-		c := pruned.Generate(l, set, 2, seed+int64(i), true)
+	conv := func(name string, inC, hw int) *model.Layer {
+		return &model.Layer{Name: name, Kind: model.Conv, InC: inC, OutC: 4, KH: 3, KW: 3,
+			Stride: 1, Pad: 1, Groups: 1, InH: hw, InW: hw, OutH: hw, OutW: hw}
+	}
+	m := &model.Model{Name: "tiny", InC: 2, InH: 8, InW: 8, Layers: []*model.Layer{
+		{Name: "input", Kind: model.Input, OutC: 2, OutH: 8, OutW: 8},
+		conv("c1", 2, 8),
+		{Name: "relu1", Kind: model.ReLU, InC: 4, OutC: 4},
+		{Name: "pool1", Kind: model.MaxPool, InC: 4, OutC: 4, KH: 2, KW: 2, Stride: 2,
+			InH: 8, InW: 8, OutH: 4, OutW: 4},
+		conv("c2", 4, 4),
+		{Name: "relu2", Kind: model.ReLU, InC: 4, OutC: 4},
+	}}
+	f := &modelfile.File{LR: &lr.Representation{Model: m.Name, Device: "CPU"}, Net: m}
+	for i, name := range []string{"c1", "c2"} {
+		c := pruned.Generate(m.Layer(name), pattern.Canonical(8), 2, seed+int64(i), true)
 		f.Layers = append(f.Layers, modelfile.Layer{Conv: c})
 	}
 	return f

@@ -303,22 +303,29 @@ func TinyInput(seed int) []float32 {
 	return in
 }
 
-// WriteTinyArtifact writes a tiny two-conv .patdnn artifact (4x12x12 input)
-// named name@ver into dir. Seed varies the weights, so two versions of one
-// model genuinely differ.
+// WriteTinyArtifact writes a tiny two-conv .patdnn artifact (4x12x12 input →
+// conv 4→8 → ReLU → pool 2 → conv 8→8 → ReLU, output 8x6x6) named name@ver
+// into dir. Seed varies the weights, so two versions of one model genuinely
+// differ.
 func WriteTinyArtifact(t testing.TB, dir, name, ver string, seed int64) string {
 	t.Helper()
-	set := pattern.Canonical(8)
-	layers := []*model.Layer{
-		{Name: "c1", Kind: model.Conv, InC: 4, OutC: 8, KH: 3, KW: 3,
-			Stride: 1, Pad: 1, Groups: 1, InH: 12, InW: 12, OutH: 12, OutW: 12},
-		{Name: "c2", Kind: model.Conv, InC: 8, OutC: 8, KH: 3, KW: 3,
-			Stride: 1, Pad: 1, Groups: 1, InH: 6, InW: 6, OutH: 6, OutW: 6},
+	conv := func(name string, inC, hw int) *model.Layer {
+		return &model.Layer{Name: name, Kind: model.Conv, InC: inC, OutC: 8, KH: 3, KW: 3,
+			Stride: 1, Pad: 1, Groups: 1, InH: hw, InW: hw, OutH: hw, OutW: hw}
 	}
+	m := &model.Model{Name: "tiny-cnn", InC: 4, InH: 12, InW: 12, Layers: []*model.Layer{
+		{Name: "input", Kind: model.Input, OutC: 4, OutH: 12, OutW: 12},
+		conv("c1", 4, 12),
+		{Name: "relu1", Kind: model.ReLU, InC: 8, OutC: 8},
+		{Name: "pool1", Kind: model.MaxPool, InC: 8, OutC: 8, KH: 2, KW: 2, Stride: 2,
+			InH: 12, InW: 12, OutH: 6, OutW: 6},
+		conv("c2", 8, 6),
+		{Name: "relu2", Kind: model.ReLU, InC: 8, OutC: 8},
+	}}
 	rng := rand.New(rand.NewSource(seed))
-	file := &modelfile.File{LR: &lr.Representation{Model: "tiny-cnn", Device: "CPU"}}
-	for i, l := range layers {
-		c := pruned.Generate(l, set, 2, seed+int64(i), true)
+	file := &modelfile.File{LR: &lr.Representation{Model: m.Name, Device: "CPU"}, Net: m}
+	for i, cname := range []string{"c1", "c2"} {
+		c := pruned.Generate(m.Layer(cname), pattern.Canonical(8), 2, seed+int64(i), true)
 		bias := make([]float32, c.OutC)
 		for j := range bias {
 			bias[j] = float32(rng.NormFloat64()) * 0.1

@@ -3,11 +3,10 @@ package serve
 // Offline half of the engine: lower a network into an executable graph plan
 // (graph IR → BN folding + residual/ReLU fusion → pattern/connectivity kernel
 // compilation → liveness-planned arena), and the batched sweep that executes
-// a gathered request batch over the worker pool. Generator models synthesize
-// deterministic parameters at the engine's operating point; registry models
-// take theirs from the .patdnn artifact (v2 graph artifacts carry the full
-// topology; v1 conv-trunk artifacts are reassembled by the same chain
-// convention previous releases served).
+// a gathered request batch over the worker pool. The two compile entry points
+// differ only in where the parameters come from: generator models synthesize
+// deterministic ones at the engine's operating point; registry models take
+// theirs, and their topology, from the .patdnn artifact.
 
 import (
 	"fmt"
@@ -37,40 +36,28 @@ type compiledModel struct {
 	retired atomic.Bool
 }
 
-// compileModel lowers m at the engine's level through the graph executor:
-// deterministic parameters are generated at the engine's operating point
-// (pattern + connectivity pruning for 3×3 convs, magnitude pruning for 1×1s,
-// dense FC, synthetic BN statistics), then the graph passes fold BN into conv
-// weights, fuse residual adds and ReLUs into conv epilogues, and the liveness
-// pass lays out the activation arena.
+// compileModel lowers a generator model: deterministic parameters at the
+// engine's operating point (pattern + connectivity pruning for 3×3 convs,
+// magnitude pruning for 1×1s, dense FC, synthetic BN statistics).
 func (e *Engine) compileModel(m *model.Model) (*compiledModel, error) {
-	cfg := e.cfg
-	tag, err := cfg.compileLevel(false)
+	tag, err := e.cfg.compileLevel(false)
 	if err != nil {
 		return nil, err
 	}
-	params, err := execgraph.Generate(m, cfg.Patterns, cfg.ConnRate, cfg.Seed)
+	params, err := execgraph.Generate(m, e.cfg.Patterns, e.cfg.ConnRate, e.cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	plan, err := execgraph.Compile(m, params, execgraph.Config{Level: tag})
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return &compiledModel{model: m, plan: plan, level: tag}, nil
+	return lower(m, params, tag, "")
 }
 
 // compileFromFile lowers a deployed .patdnn artifact (the registry's unit of
-// serving) into an executable graph plan. V2 artifacts carry the full network
-// topology plus conv/dense/BN records, so the whole graph — residual nets
-// included — serves end to end. V1 artifacts carry only the pruned 3×3 conv
-// trunk; it is reassembled by convention: every conv runs with its bias and a
-// ReLU activation, and a uniform spatial shrink between consecutive convs is
-// realized as the stride==kernel max-pool that produces exactly the next
-// layer's input geometry. Non-chainable layer sequences are rejected at load
-// time rather than served wrong.
+// serving): the whole graph it describes — residual nets and trained
+// classifiers included — serves end to end, and an artifact whose records
+// disagree with its topology is rejected at load time rather than served
+// wrong.
 func (e *Engine) compileFromFile(name, version string, mf *modelfile.File) (*compiledModel, error) {
-	// A v3 quantized artifact serves quantized by default: under "auto" its
+	// A quantized artifact serves quantized by default: under "auto" its
 	// convs compile at packedq8, keeping the int8 stream (and the ~4× smaller
 	// resident footprint) the artifact was built for. An explicit engine
 	// level still wins — the dequantized weights serve at packed.
@@ -78,13 +65,21 @@ func (e *Engine) compileFromFile(name, version string, mf *modelfile.File) (*com
 	if err != nil {
 		return nil, err
 	}
+	// The registry names the artifact and version around any error from here.
 	m, params, err := execgraph.FromFile(name, mf)
 	if err != nil {
-		return nil, fmt.Errorf("serve: artifact %s@%s: %w", name, version, err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
+	return lower(m, params, tag, version)
+}
+
+// lower runs the graph passes — BN folded into conv weights, residual adds
+// and ReLUs fused into conv epilogues, the liveness pass laying out the
+// activation arena — at the level tag.
+func lower(m *model.Model, params *execgraph.Params, tag, version string) (*compiledModel, error) {
 	plan, err := execgraph.Compile(m, params, execgraph.Config{Level: tag})
 	if err != nil {
-		return nil, fmt.Errorf("serve: artifact %s@%s: %w", name, version, err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return &compiledModel{model: m, plan: plan, level: tag, version: version}, nil
 }

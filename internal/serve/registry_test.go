@@ -12,7 +12,6 @@ import (
 
 	"patdnn/internal/compiler/codegen"
 	"patdnn/internal/compiler/lr"
-	"patdnn/internal/model"
 	"patdnn/internal/modelfile"
 	"patdnn/internal/pattern"
 	"patdnn/internal/pruned"
@@ -20,21 +19,17 @@ import (
 	"patdnn/internal/tensor"
 )
 
-// tinyArtifactFile builds a deployable two-conv artifact matching the
-// tinyModel trunk: conv(4→8 @12×12) → [inferred pool 2] → conv(8→8 @6×6),
-// with real biases. Weights vary with seed so versions are distinguishable.
+// tinyArtifactFile builds a deployable two-conv artifact: the tinyModel trunk
+// input → conv(4→8 @12×12) → ReLU → pool 2 → conv(8→8 @6×6) → ReLU as its
+// topology, with real biases. Weights vary with seed so versions are
+// distinguishable.
 func tinyArtifactFile(seed int64) *modelfile.File {
-	set := pattern.Canonical(8)
-	layers := []*model.Layer{
-		{Name: "c1", Kind: model.Conv, InC: 4, OutC: 8, KH: 3, KW: 3,
-			Stride: 1, Pad: 1, Groups: 1, InH: 12, InW: 12, OutH: 12, OutW: 12},
-		{Name: "c2", Kind: model.Conv, InC: 8, OutC: 8, KH: 3, KW: 3,
-			Stride: 1, Pad: 1, Groups: 1, InH: 6, InW: 6, OutH: 6, OutW: 6},
-	}
+	m := tinyModel("tiny-cnn", "")
+	m.Layers = m.Layers[:6] // stop before flatten + fc
 	rng := rand.New(rand.NewSource(seed))
-	f := &modelfile.File{LR: &lr.Representation{Model: "tiny-cnn", Device: "CPU"}}
-	for i, l := range layers {
-		c := pruned.Generate(l, set, 2, seed+int64(i), true)
+	f := &modelfile.File{LR: &lr.Representation{Model: m.Name, Device: "CPU"}, Net: m}
+	for i, name := range []string{"conv1", "conv2"} {
+		c := pruned.Generate(m.Layer(name), pattern.Canonical(8), 2, seed+int64(i), true)
 		bias := make([]float32, c.OutC)
 		for j := range bias {
 			bias[j] = float32(rng.NormFloat64()) * 0.1
@@ -50,7 +45,7 @@ func writeTinyArtifact(t *testing.T, dir, name, ver string, seed int64) string {
 }
 
 // writeTinyArtifactQ writes the tiny trunk quantized to the given bit width
-// (0 keeps FP16 v1/v2; 8 produces a modelfile v3 with int8 weight streams).
+// (0 keeps FP16; 8 produces a quantized artifact with int8 weight streams).
 func writeTinyArtifactQ(t *testing.T, dir, name, ver string, seed int64, bits int) string {
 	t.Helper()
 	path := filepath.Join(dir, registry.FileName(name, ver))

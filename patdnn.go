@@ -106,23 +106,85 @@ func Prune(net *nn.Network, train, test *dataset.Dataset, cfg PruneConfig) (*Pru
 }
 
 // SavePruned writes a trained-and-pruned network (the output of Prune) as a
-// deployable .patdnn compact model: FKW-compressed FP16 weights plus biases
-// and the layerwise representation. The file round-trips through
-// internal/modelfile and runs with cmd/patdnn-run.
+// deployable .patdnn graph artifact — the whole network, not only its conv
+// trunk: every Conv2D ships as its FKW-compressed FP16 pattern-conv record
+// with its bias, ReLU/MaxPool2/Flatten become topology layers, and every
+// Dense ships as an FC record. The file loads through the same path as
+// Compile's artifacts: cmd/patdnn-run executes it and a registry directory
+// serves it as a classifier ([classes,1,1] logits). A layer type outside that
+// list, or a conv without a pruned record in res, is an error — never a
+// partial file.
 func SavePruned(net *nn.Network, res *PruneResult, w io.Writer) error {
-	file := &modelfile.File{LR: &lr.Representation{Model: "custom-cnn", Device: "CPU"}}
-	convs := net.ConvLayers()
-	if len(convs) < len(res.Layers) {
-		return fmt.Errorf("patdnn: network has %d conv layers, result has %d",
-			len(convs), len(res.Layers))
+	m, params, err := exportNetwork(net, res.Layers)
+	if err != nil {
+		return err
 	}
-	for i, pc := range res.Layers {
-		bias := append([]float32(nil), convs[i].Bias.W.Data...)
-		file.Layers = append(file.Layers, modelfile.Layer{Conv: pc, Bias: bias})
-		file.LR.Layers = append(file.LR.Layers,
-			lr.FromPruned(pc, reorder.Build(pc), lr.DefaultTuning()))
+	f, err := artifact(m, params, 0)
+	if err != nil {
+		return err
 	}
-	return modelfile.Write(w, file)
+	return modelfile.Write(w, f)
+}
+
+// exportNetwork describes a trained nn.Network as the (topology, parameters)
+// pair the artifact builder lays out. The i-th Conv2D takes the i-th pruned
+// record. The network's input shape is what the first record saw; a layer
+// ahead of the first conv that changes the shape surfaces as that conv's
+// record not matching what the network carries.
+func exportNetwork(net *nn.Network, convs []*pruned.Conv) (*model.Model, *execgraph.Params, error) {
+	if len(convs) == 0 {
+		return nil, nil, fmt.Errorf("patdnn: no pruned conv records (the first one carries the network's input shape)")
+	}
+	c, h, w := convs[0].InChannels(), convs[0].InH, convs[0].InW // running activation shape
+	m := &model.Model{Name: "custom-cnn", Short: "custom", InC: c, InH: h, InW: w}
+	m.Layers = append(m.Layers, &model.Layer{Name: "input", Kind: model.Input, OutC: c, OutH: h, OutW: w})
+	params := &execgraph.Params{
+		Convs: make(map[string]*execgraph.ConvParams),
+		Dense: make(map[string]*execgraph.DenseParams),
+	}
+	for i, layer := range net.Layers {
+		l := &model.Layer{InC: c, OutC: c, InH: h, InW: w, OutH: h, OutW: w}
+		switch v := layer.(type) {
+		case *nn.Conv2D:
+			if len(convs) == 0 || convs[0].Name != v.Name {
+				return nil, nil, fmt.Errorf("patdnn: conv layer %s has no pruned record (records follow the network's conv order)", v.Name)
+			}
+			pc := convs[0]
+			convs = convs[1:]
+			if pc.Depthwise || pc.InC != c || pc.InH != h || pc.InW != w {
+				return nil, nil, fmt.Errorf("patdnn: pruned record %s expects input [%d,%d,%d] but the network carries [%d,%d,%d]",
+					pc.Name, pc.InC, pc.InH, pc.InW, c, h, w)
+			}
+			l.Name, l.Kind, l.Groups, l.HasBias = v.Name, model.Conv, 1, true
+			l.KH, l.KW, l.Stride, l.Pad = pc.KH, pc.KW, pc.Stride, pc.Pad
+			l.OutC, l.OutH, l.OutW = pc.OutC, pc.OutH, pc.OutW
+			params.Convs[v.Name] = &execgraph.ConvParams{Conv: pc, Bias: append([]float32(nil), v.Bias.W.Data...)}
+		case *nn.ReLULayer:
+			l.Name, l.Kind = fmt.Sprintf("relu%d", i), model.ReLU
+		case *nn.MaxPool2:
+			l.Name, l.Kind = fmt.Sprintf("pool%d", i), model.MaxPool
+			l.KH, l.KW, l.Stride, l.OutH, l.OutW = 2, 2, 2, h/2, w/2
+		case *nn.FlattenLayer:
+			l.Name, l.Kind = fmt.Sprintf("flatten%d", i), model.Flatten
+			l.OutC, l.OutH, l.OutW = c*h*w, 1, 1
+		case *nn.Dense:
+			if c*h*w != v.In {
+				return nil, nil, fmt.Errorf("patdnn: dense layer %s expects %d features but the network carries [%d,%d,%d]", v.Name, v.In, c, h, w)
+			}
+			l = &model.Layer{Name: v.Name, Kind: model.FC, InC: v.In, OutC: v.Out, HasBias: true,
+				InH: 1, InW: 1, OutH: 1, OutW: 1}
+			params.Dense[v.Name] = &execgraph.DenseParams{W: v.Weight.W, Bias: v.Bias.W.Data}
+			m.Classes = v.Out
+		default:
+			return nil, nil, fmt.Errorf("patdnn: layer %d (%T) has no artifact form", i, layer)
+		}
+		m.Layers = append(m.Layers, l)
+		c, h, w = l.OutC, l.OutH, l.OutW
+	}
+	if len(convs) != 0 {
+		return nil, nil, fmt.Errorf("patdnn: pruned record %s matches no conv layer of the network", convs[0].Name)
+	}
+	return m, params, nil
 }
 
 // Compiled describes one of the paper's networks at a pruning operating
@@ -156,9 +218,8 @@ func Compile(network, ds string, patterns int, connRate float64) (*Compiled, err
 
 // file is the one derivation every output shares: the network's generated
 // parameters (pattern-pruned 3×3 convs, connectivity-pruned 1×1 and FC dense
-// records, BatchNorm statistics) laid out as a graph artifact, with the
-// layerwise representation of exactly those convs. Deterministic per
-// (network, patterns, connRate). Networks with operators outside the
+// records, BatchNorm statistics) laid out as a graph artifact. Deterministic
+// per (network, patterns, connRate). Networks with operators outside the
 // executable IR (e.g. the 7×7 ImageNet ResNet stem) are rejected with
 // execgraph.ValidateModel's descriptive error.
 func (c *Compiled) file(bits int) (*modelfile.File, error) {
@@ -166,48 +227,55 @@ func (c *Compiled) file(bits int) (*modelfile.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	return artifact(c.Model, params, bits)
+}
+
+// artifact is the one place a modelfile.File is laid out: the topology, one
+// record per parametric layer in topology order, and the layerwise
+// representation of exactly the standard 3×3 convs shipped. A parametric
+// layer without parameters is an error.
+func artifact(m *model.Model, params *execgraph.Params, bits int) (*modelfile.File, error) {
 	file := &modelfile.File{
-		LR:        &lr.Representation{Model: c.Model.Name, Device: "CPU"},
-		Net:       c.Model,
+		LR:        &lr.Representation{Model: m.Name, Device: "CPU"},
+		Net:       m,
 		QuantBits: bits,
 	}
-	for _, l := range c.Model.Layers {
-		switch l.Kind {
-		case model.ConvTranspose:
+	missing := func(l *model.Layer) error {
+		return fmt.Errorf("patdnn: %s: no parameters for %s layer %s", m.Name, l.Kind, l.Name)
+	}
+	for _, l := range m.Layers {
+		switch {
+		case l.Kind == model.ConvTranspose || (l.IsConv() && l.KH == 3):
 			// Transposed convs ride the 3×3 conv record format (the direct,
 			// pre-flip weights; the topology's kind + out_pad distinguish them
 			// at load time). Upsample layers are parameter-free and live in the
 			// topology alone.
 			cp := params.Convs[l.Name]
-			file.Layers = append(file.Layers, modelfile.Layer{Conv: cp.Conv, Bias: cp.Bias})
-			file.LR.Layers = append(file.LR.Layers,
-				lr.FromPruned(cp.Conv, reorder.Build(cp.Conv), lr.DefaultTuning()))
-		case model.Conv, model.DWConv:
-			if l.KH == 3 {
-				cp := params.Convs[l.Name]
-				file.Layers = append(file.Layers, modelfile.Layer{Conv: cp.Conv, Bias: cp.Bias})
-				if l.Kind == model.Conv {
-					file.LR.Layers = append(file.LR.Layers,
-						lr.FromPruned(cp.Conv, reorder.Build(cp.Conv), lr.DefaultTuning()))
-				}
-				continue
+			if cp == nil {
+				return nil, missing(l)
 			}
+			file.Layers = append(file.Layers, modelfile.Layer{Conv: cp.Conv, Bias: cp.Bias})
+			if l.Kind != model.DWConv {
+				file.LR.Layers = append(file.LR.Layers,
+					lr.FromPruned(cp.Conv, reorder.Build(cp.Conv), lr.DefaultTuning()))
+			}
+		case l.IsConv() || l.Kind == model.FC:
 			dp := params.Dense[l.Name]
-			file.Dense = append(file.Dense, modelfile.DenseLayer{
-				Name: l.Name, Kind: modelfile.DenseConv1x1,
-				OutC: l.OutC, InC: l.InC, Stride: l.Stride,
-				InH: l.InH, InW: l.InW, OutH: l.OutH, OutW: l.OutW,
-				Weights: dp.W.Data, Bias: dp.Bias,
-			})
-		case model.FC:
-			dp := params.Dense[l.Name]
-			file.Dense = append(file.Dense, modelfile.DenseLayer{
-				Name: l.Name, Kind: modelfile.DenseFC,
-				OutC: l.OutC, InC: l.InC,
-				Weights: dp.W.Data, Bias: dp.Bias,
-			})
-		case model.BatchNorm:
+			if dp == nil {
+				return nil, missing(l)
+			}
+			d := modelfile.DenseLayer{Name: l.Name, Kind: modelfile.DenseFC,
+				OutC: l.OutC, InC: l.InC, Weights: dp.W.Data, Bias: dp.Bias}
+			if l.IsConv() {
+				d.Kind, d.Stride = modelfile.DenseConv1x1, l.Stride
+				d.InH, d.InW, d.OutH, d.OutW = l.InH, l.InW, l.OutH, l.OutW
+			}
+			file.Dense = append(file.Dense, d)
+		case l.Kind == model.BatchNorm:
 			bp := params.BNs[l.Name]
+			if bp == nil {
+				return nil, missing(l)
+			}
 			file.BNs = append(file.BNs, modelfile.BNLayer{
 				Name: l.Name, Gamma: bp.Gamma, Beta: bp.Beta,
 				Mean: bp.Mean, Var: bp.Var, Eps: bp.Eps,
