@@ -111,13 +111,25 @@ func main() {
 }
 
 // runSweep measures the tuned dense-layout kernels against the packed
-// FKW-direct backend on a VGG-L4-style layer (128×128 channels, 28×28 map,
-// 8 patterns, 3.6× connectivity) across batch sizes. Each level compiles the
-// layer as a one-conv model and times execgraph's Executor.Run — the batched
-// sweep the serving engine executes.
+// FKW-direct backend on a VGG-L4-style layer (128×128 channels, 8 patterns,
+// 3.6× connectivity) across output planes and batch sizes. The plane axis is
+// the planes the served nets have — 28×28 (the paper's ImageNet L4) down to
+// the 8×8, 4×4 and 2×2 of the CIFAR nets' last blocks — because which
+// microkernel contract a layer takes, and what a level buys on it, is decided
+// by the plane: at most simd.MaxRunPlane pixels run plane-resident, wider ones
+// row-tiled. Each level compiles the layer as a one-conv model and times
+// execgraph's Executor.Run — the batched sweep the serving engine executes.
 func runSweep() {
+	pool := runtime.NewPool(0)
+	for _, hw := range []int{28, 8, 4, 2} {
+		sweepPlane(pool, hw)
+	}
+}
+
+func sweepPlane(pool *runtime.Pool, hw int) {
 	rng := rand.New(rand.NewSource(7))
-	const outC, inC, h, w = 128, 128, 28, 28
+	const outC, inC = 128, 128
+	h, w := hw, hw
 	weights := tensor.New(outC, inC, 3, 3)
 	weights.Randn(rng, 0.1)
 	geom := pruned.ConvGeom{Stride: 1, Pad: 1, InH: h, InW: w, OutH: h, OutW: w}
@@ -136,7 +148,6 @@ func runSweep() {
 	params := &execgraph.Params{Convs: map[string]*execgraph.ConvParams{
 		conv.Name: {Conv: conv, Bias: make([]float32, outC)},
 	}}
-	pool := runtime.NewPool(0)
 	levels := []codegen.Level{codegen.Tuned, codegen.Packed, codegen.PackedQ8}
 	execs := map[codegen.Level]*execgraph.Executor{}
 	for _, lv := range levels {
@@ -161,10 +172,13 @@ func runSweep() {
 		ms := map[codegen.Level]float64{}
 		for _, lv := range levels {
 			ex := execs[lv]
-			ms[lv] = runtime.Measure(5, func() { ex.Run(pool, inputs, outs) })
+			// Enough repetitions that a 2×2 plane's tens of microseconds are
+			// not one timer read.
+			ms[lv] = runtime.Measure(5+2000/(hw*hw), func() { ex.Run(pool, inputs, outs) })
 		}
-		fmt.Printf("%-6d  %15.2fms  %15.2fms  %15.2fms  %8.2fx  %8.2fx\n",
+		fmt.Printf("%-6d  %15.3fms  %15.3fms  %15.3fms  %8.2fx  %8.2fx\n",
 			batch, ms[codegen.Tuned], ms[codegen.Packed], ms[codegen.PackedQ8],
 			ms[codegen.Tuned]/ms[codegen.Packed], ms[codegen.Packed]/ms[codegen.PackedQ8])
 	}
+	fmt.Println()
 }

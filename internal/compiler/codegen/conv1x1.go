@@ -200,7 +200,6 @@ func (p *Plan1x1) ExecuteRangeFused(input, out *tensor.Tensor, from, to int, bia
 			}
 		}
 	}
-	kern := p.kern
 	for f := from; f < to; f++ {
 		var b float32
 		if bias != nil {
@@ -210,9 +209,8 @@ func (p *Plan1x1) ExecuteRangeFused(input, out *tensor.Tensor, from, to int, bia
 		w := p.w[p.rowPtr[f]:p.rowPtr[f+1]]
 		for c0 := 0; c0 < n; c0 += pixBlock1x1 {
 			blk := out.Data[f*n+c0 : f*n+min(c0+pixBlock1x1, n)]
-			cols := len(blk)
 			if shortcut != nil {
-				for i, v := range shortcut.Data[f*n+c0 : f*n+c0+cols] {
+				for i, v := range shortcut.Data[f*n+c0 : f*n+c0+len(blk)] {
 					blk[i] = v + b
 				}
 			} else {
@@ -220,35 +218,47 @@ func (p *Plan1x1) ExecuteRangeFused(input, out *tensor.Tensor, from, to int, bia
 					blk[i] = b
 				}
 			}
-			k := 0
-			for ; k+8 <= len(idx); k += 8 {
-				for t, ch := range idx[k : k+8] {
-					sc.s8[t] = &in[int(ch)*n+c0]
-				}
-				kern.Tile8(&blk[0], cols, &sc.s8, cols, (*[8]float32)(w[k:]), cols, 1)
-			}
-			// The ragged tail: 5–7 kept channels take one more Tile8, 1–4 a
-			// Tile4, with zero weights on the unused taps and their pointers
-			// repeating the filter's last kept channel.
-			if rem := len(idx) - k; rem > 4 {
-				sc.w8 = [8]float32{}
-				copy(sc.w8[:], w[k:])
-				for t := range sc.s8 {
-					sc.s8[t] = &in[int(idx[min(k+t, len(idx)-1)])*n+c0]
-				}
-				kern.Tile8(&blk[0], cols, &sc.s8, cols, &sc.w8, cols, 1)
-			} else if rem > 0 {
-				sc.w4 = [4]float32{}
-				copy(sc.w4[:], w[k:])
-				for t := range sc.s4 {
-					sc.s4[t] = &in[int(idx[min(k+t, len(idx)-1)])*n+c0]
-				}
-				kern.Tile4(&blk[0], cols, &sc.s4, cols, &sc.w4, cols, 1)
+			if n <= simd.MaxRunPlane {
+				p.kern.Run1(&blk[0], len(blk), &in[c0], n, idx, w)
+			} else {
+				p.tileRow(sc, blk, in[c0:], idx, w)
 			}
 			if relu {
 				reluInPlace(blk)
 			}
 		}
+	}
+}
+
+// tileRow folds filter row (idx, w) into blk through the tile kernels: eight
+// kept channels are the eight taps of one Tile8 call over the block, in being
+// the input at the block's first pixel.
+func (p *Plan1x1) tileRow(sc *packedScratch, blk, in []float32, idx []int32, w []float32) {
+	kern, n, cols := p.kern, p.OutH*p.OutW, len(blk)
+	k := 0
+	for ; k+8 <= len(idx); k += 8 {
+		for t, ch := range idx[k : k+8] {
+			sc.s8[t] = &in[int(ch)*n]
+		}
+		kern.Tile8(&blk[0], cols, &sc.s8, cols, (*[8]float32)(w[k:]), cols, 1)
+	}
+	// The ragged tail: 5–7 kept channels take one more Tile8, 1–4 a Tile4,
+	// with zero weights on the unused taps and their pointers repeating the
+	// filter's last kept channel.
+	if rem := len(idx) - k; rem > 4 {
+		sc.w8 = [8]float32{}
+		copy(sc.w8[:], w[k:])
+		for t := range sc.s8 {
+			sc.s8[t] = &in[int(idx[min(k+t, len(idx)-1)])*n]
+		}
+		kern.Tile8(&blk[0], cols, &sc.s8, cols, &sc.w8, cols, 1)
+	} else if rem > 0 {
+		sc.w4 = [4]float32{}
+		copy(sc.w4[:], w[k:])
+		for t := range sc.s4 {
+			sc.s4[t] = &in[int(idx[min(k+t, len(idx)-1)])*n]
+		}
+		kern.Tile4(&blk[0], cols, &sc.s4, cols, &sc.w4, cols, 1)
 	}
 }
 

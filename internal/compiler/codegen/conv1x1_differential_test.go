@@ -4,8 +4,9 @@ package codegen
 // against the arch's microkernels and against the forced-generic set must
 // agree with each other and with the dense tensor.Conv2D reference, across
 // the geometries that leave ragged edges in every loop of the driver —
-// vector tails, pixel-block tails, and every kept-channel remainder the
-// Tile8/Tile4 tail dispatch sees.
+// vector tails, pixel-block tails, every kept-channel remainder the
+// Tile8/Tile4 tail dispatch sees, and on planes of at most simd.MaxRunPlane
+// pixels every block/tail shape and quad remainder of the Run1 kernel.
 
 import (
 	"fmt"
@@ -13,6 +14,8 @@ import (
 	"strings"
 	"testing"
 
+	"patdnn/internal/compiler/lr"
+	"patdnn/internal/pruned"
 	"patdnn/internal/simd"
 	"patdnn/internal/tensor"
 )
@@ -135,8 +138,9 @@ func TestConv1x1AsmMatchesGenericAndDense(t *testing.T) {
 	// groups in front of the remainder, and an all-pruned filter.
 	kept := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 20, 13, 22}
 	const inC = 22
-	// 23×23 leaves a 17-pixel second block behind the first 512.
-	planes := []int{1, 4, 7, 14, 23, 32}
+	// 23×23 leaves a 17-pixel second block behind the first 512; 1×1 to 8×8
+	// (and 14×14 at stride 2) are plane-resident, 9×9 the first tiled plane.
+	planes := []int{1, 2, 3, 4, 5, 7, 8, 9, 14, 23, 32}
 	for _, stride := range []int{1, 2} {
 		for _, hw := range planes {
 			for ep := 0; ep < 8; ep++ {
@@ -217,37 +221,124 @@ func TestConv1x1ExecuteChecksBounds(t *testing.T) {
 		}()
 	}
 	p.ExecuteRangeFused(in, out, 2, 2, nil, nil, true) // empty range is legal
+
+	// The pattern path, on both sides of the geometry rule: a 4×4 plane runs
+	// resident, a 12×12 one tiled, and neither touches a kernel with a
+	// wrong-sized tensor or range.
+	for _, hw := range []int{4, 12} {
+		c, input := stridedConv(rand.New(rand.NewSource(3)), 4, 3, hw, hw, 1, false)
+		for _, level := range []Level{Packed, PackedQ8} {
+			p3, err := Compile(c, level, c3Tune())
+			if err != nil {
+				t.Fatal(err)
+			}
+			padded, out3 := p3.PadInput(input), tensor.New(4, hw, hw)
+			shortcut, short := tensor.New(4, hw, hw), tensor.New(3, hw, hw)
+			cases3 := []struct {
+				name        string
+				padded, out *tensor.Tensor
+				from, to    int
+			}{
+				{"unpadded input", input, out3, 0, 4},
+				{"padded input too large", tensor.New(4, hw+2, hw+2), out3, 0, 4},
+				{"output too small", padded, tensor.New(4, hw, hw-1), 0, 4},
+				{"shortcut too small", padded, out3, 0, 4},
+				{"negative from", padded, out3, -1, 4},
+				{"to past OutC", padded, out3, 0, 5},
+				{"from past to", padded, out3, 3, 2},
+			}
+			for _, cs := range cases3 {
+				for _, residual := range []bool{false, true} {
+					sc := shortcut
+					if cs.name == "shortcut too small" {
+						if sc = short; !residual {
+							continue
+						}
+					}
+					func() {
+						defer func() {
+							msg, _ := recover().(string)
+							if !strings.Contains(msg, "codegen: conv "+c.Name) {
+								t.Errorf("%dx%d %v %s (residual %v): recovered %q, want the driver's own panic", hw, hw, level, cs.name, residual, msg)
+							}
+						}()
+						if residual {
+							p3.ExecuteRangeResidual(cs.padded, cs.out, cs.from, cs.to, nil, sc, false)
+						} else {
+							p3.ExecuteRangeFused(cs.padded, cs.out, cs.from, cs.to, nil, false)
+						}
+					}()
+				}
+			}
+			p3.ExecuteRangeFused(padded, out3, 1, 1, nil, true) // empty range is legal
+		}
+	}
+}
+
+// TestPackedRejectsHostileGeometry pins the build-time half for the pattern
+// path: a layer whose declared output does not fit its declared input — the
+// spans its kernels would be handed leave the source — never becomes a plan,
+// on either side of the geometry rule, and the honest layer still compiles.
+func TestPackedRejectsHostileGeometry(t *testing.T) {
+	for _, g := range []struct{ hw, stride int }{{4, 1}, {12, 1}, {8, 2}, {32, 2}} {
+		c, _ := stridedConv(rand.New(rand.NewSource(4)), 4, 3, g.hw, g.hw, g.stride, false)
+		for _, level := range []Level{Packed, PackedQ8} {
+			if _, err := Compile(c, level, lr.DefaultTuning()); err != nil {
+				t.Fatalf("%dx%d s%d %v: honest layer refused: %v", g.hw, g.hw, g.stride, level, err)
+			}
+			for _, lie := range []func(*pruned.Conv){
+				func(b *pruned.Conv) { b.OutH++ },
+				func(b *pruned.Conv) { b.OutW++ },
+				func(b *pruned.Conv) { b.InH -= 2 },
+				func(b *pruned.Conv) { b.Pad = 0 },
+				func(b *pruned.Conv) { b.OutH = 0 },
+			} {
+				bad := *c
+				lie(&bad)
+				if _, err := Compile(&bad, level, lr.DefaultTuning()); err == nil {
+					t.Errorf("%dx%d s%d %v: compiled with out %dx%d over in %dx%d pad %d", g.hw, g.hw, g.stride, level,
+						bad.OutH, bad.OutW, bad.InH, bad.InW, bad.Pad)
+				}
+			}
+		}
+	}
 }
 
 // TestStridedDriversSteadyStateZeroAllocs: the subsample and split
-// scratch is pooled, so once warm neither strided driver allocates. 100 runs
-// keep the verdict stable under -race, where sync.Pool drops a quarter of
-// its Puts and AllocsPerRun floors the average.
+// scratch is pooled and the run kernels take no pointer arrays, so once warm
+// no driver allocates — strided or stride 1, plane-resident (5×5, 4×4) or
+// tiled (18×18 at stride 2 is a 9×9 plane for the 1×1). 100 runs keep the
+// verdict stable under -race, where sync.Pool drops a quarter of its Puts
+// and AllocsPerRun floors the average.
 func TestStridedDriversSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	w := sparse1x1Weights(rng, 12, []int{3, 12, 0, 7, 9})
-	p1, err := Compile1x1Pruned("alloc", w, geomFor(2, 9, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in1, out1 := tensor.New(12, 9, 9), tensor.New(5, 5, 5)
-	run1 := func() { p1.ExecuteRangeFused(in1, out1, 0, 5, nil, nil, true) }
-	run1()
-	if allocs := testing.AllocsPerRun(100, run1); allocs != 0 {
-		t.Errorf("strided 1x1 driver allocates %.1f objects/run in steady state", allocs)
-	}
-	for _, level := range []Level{Packed, PackedQ8} {
-		c, in := stridedConv(rng, 6, 5, 11, 11, 2, false)
-		p3, err := Compile(c, level, c3Tune())
+	for _, g := range []geom1x1{geomFor(2, 9, 9), geomFor(1, 4, 4), geomFor(2, 18, 18)} {
+		p1, err := Compile1x1Pruned("alloc", w, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		padded := p3.PadInput(in)
-		out3 := tensor.New(c.OutC, c.OutH, c.OutW)
-		run3 := func() { p3.ExecuteRangeFused(padded, out3, 0, c.OutC, nil, true) }
-		run3()
-		if allocs := testing.AllocsPerRun(100, run3); allocs != 0 {
-			t.Errorf("strided 3x3 driver at %v allocates %.1f objects/run in steady state", level, allocs)
+		in1, out1 := tensor.New(12, g.InH, g.InW), tensor.New(5, g.OutH, g.OutW)
+		run1 := func() { p1.ExecuteRangeFused(in1, out1, 0, 5, nil, nil, true) }
+		run1()
+		if allocs := testing.AllocsPerRun(100, run1); allocs != 0 {
+			t.Errorf("1x1 driver (%+v) allocates %.1f objects/run in steady state", g, allocs)
+		}
+	}
+	for _, level := range []Level{Packed, PackedQ8} {
+		for _, g := range []struct{ hw, stride int }{{11, 2}, {4, 1}, {30, 2}} {
+			c, in := stridedConv(rng, 6, 5, g.hw, g.hw, g.stride, false)
+			p3, err := Compile(c, level, c3Tune())
+			if err != nil {
+				t.Fatal(err)
+			}
+			padded := p3.PadInput(in)
+			out3 := tensor.New(c.OutC, c.OutH, c.OutW)
+			run3 := func() { p3.ExecuteRangeFused(padded, out3, 0, c.OutC, nil, true) }
+			run3()
+			if allocs := testing.AllocsPerRun(100, run3); allocs != 0 {
+				t.Errorf("3x3 driver at %v (%dx%d stride %d) allocates %.1f objects/run in steady state", level, g.hw, g.hw, g.stride, allocs)
+			}
 		}
 	}
 }
@@ -262,6 +353,13 @@ func FuzzConv1x1Differential(f *testing.F) {
 	f.Add(int64(2), uint8(9), uint8(3), uint8(7), uint8(5), uint8(1), uint8(30))
 	f.Add(int64(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(6), uint8(0))
 	f.Add(int64(-4), uint8(40), uint8(5), uint8(23), uint8(24), uint8(7), uint8(255))
+	// Plane-resident planes: 2×2, 4×4 with every epilogue, 8×8 at the
+	// threshold, 15×16 at stride 2 (an 8×8 plane), and 3×7 with few kept.
+	f.Add(int64(5), uint8(11), uint8(6), uint8(1), uint8(1), uint8(0), uint8(90))
+	f.Add(int64(6), uint8(39), uint8(11), uint8(3), uint8(3), uint8(14), uint8(200))
+	f.Add(int64(7), uint8(20), uint8(4), uint8(7), uint8(7), uint8(2), uint8(128))
+	f.Add(int64(8), uint8(17), uint8(7), uint8(14), uint8(15), uint8(5), uint8(60))
+	f.Add(int64(9), uint8(6), uint8(2), uint8(2), uint8(6), uint8(8), uint8(20))
 	f.Fuzz(func(t *testing.T, seed int64, inCSel, outCSel, hSel, wSel, flags, keepPct uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		inC, outC := 1+int(inCSel)%40, 1+int(outCSel)%12

@@ -236,6 +236,14 @@ func TestPackedQ8FreesFloatWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The float32 packed plan keeps its FKW stream and nothing else: the dense
+	// tensor the packed walk never reads is dropped the same way.
+	if pFP.Conv.Weights != nil || pFP.FKW.Weights == nil {
+		t.Fatal("Packed plan retained the dense weights or lost its FKW stream")
+	}
+	if c.Weights == nil {
+		t.Fatal("the Packed compile mutated the caller's Conv")
+	}
 	// 1 byte/weight + one float32 scale per filter vs 4 bytes/weight: even on
 	// tiny layers the quantized payload is well under half the FP32 stream.
 	if fp32 := int64(4 * pFP.FKW.NNZ()); 2*qb >= fp32 {

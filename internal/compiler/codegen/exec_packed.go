@@ -31,24 +31,30 @@ package codegen
 // so a compiled plan's behavior is immutable: simd.ForceGeneric only affects
 // plans compiled afterwards, and the hot path reads no globals.
 //
-// The microkernel contract is unit column step, so a strided convolution
-// (Stride s >= 2) first splits each padded input plane (pooled scratch) by
-// row phase and column tap: plane (a, dc) holds padded[i·s+a][j·s+dc] for
-// every output column j. Tap (dr, dc) of output (oh, ow) then reads plane
-// (dr mod s, dc) at (oh + dr div s, ow) — a unit column step again, and a row
-// stride equal to the output's, so a full-width tile is contiguous on both
-// sides and goes to the microkernel as one long row (no per-row vector tail;
-// a 4×4 output plane is two vectors instead of sixteen scalars). The same
-// blocked walk runs over the split planes. Depthwise convs split only the
-// planes of the filters in range.
+// That blocking is for wide planes. A plane of at most simd.MaxRunPlane
+// pixels has rows narrower than a vector — every tile call there is scalar
+// tail behind a fixed call cost — and a strided conv (Stride s >= 2) has no
+// unit column step to give the tiles at all. Both take the other contract:
+// each padded input plane is first split (pooled scratch) by row phase and
+// column tap — plane (a, dc) holds padded[i·s+a][j·s+dc] for every output
+// column j, so tap (dr, dc) of output (oh, ow) reads plane (dr mod s, dc) at
+// (oh + dr div s, ow) — which makes a tap's view of the whole output plane
+// one contiguous span, and the plane is handed to a run kernel (simd.Run4 /
+// Run4Q8) once per (filter, run): the output stays in registers while the
+// run's whole kernel list streams past. Which path a plan takes is fixed when
+// it is built, from its geometry alone (packedLayout). Depthwise convs split
+// only the planes of the filters in range.
 //
 // The bias + ReLU epilogue fuses into the same walk: the driver initializes
 // each output plane itself, so the serving runtime can hand it dirty pooled
 // buffers without a zeroing pass.
 
 import (
+	"fmt"
 	"sync"
 
+	"patdnn/internal/pruned"
+	"patdnn/internal/quant"
 	"patdnn/internal/simd"
 	"patdnn/internal/sparse"
 	"patdnn/internal/tensor"
@@ -96,66 +102,62 @@ func reluInPlace(v []float32) {
 	}
 }
 
-// splitTap is one pattern tap lowered for the plan's stride s (see
-// packedSource): the plane of a channel's split it reads and its displacement
-// there. At stride 1 there is no split: plane 0 and (dr, dc) itself.
-type splitTap struct{ plane, dr, dc int }
+// packedLayout is how a packed plan reads its input, fixed at build time from
+// the geometry alone: resident plans (stride >= 2, or a non-depthwise layer
+// whose output plane is at most simd.MaxRunPlane pixels) split the padded
+// input by row phase × column tap and run plane-resident through the run
+// kernels; the rest sweep the padded input itself through the tile kernels.
+// A stride-1 depthwise run is one kernel long — nothing to stay resident
+// across — so the split copy would cost more than it serves.
+type packedLayout struct {
+	resident    bool
+	chStride    int // elements per input channel of the source
+	planeStride int // elements per split plane (resident only)
+	rowStride   int // elements per source row
+}
 
-func splitTaps(taps [][2]int, s, kw int) (st [4]splitTap) {
+func newPackedLayout(c *pruned.Conv) packedLayout {
+	ph, pw := c.InH+2*c.Pad, c.InW+2*c.Pad
+	if c.Stride == 1 && (c.Depthwise || c.OutH*c.OutW > simd.MaxRunPlane) {
+		return packedLayout{chStride: ph * pw, rowStride: pw}
+	}
+	plane := (ph + c.Stride - 1) / c.Stride * c.OutW
+	return packedLayout{resident: true, chStride: c.Stride * c.KW * plane, planeStride: plane, rowStride: c.OutW}
+}
+
+// tapOffsets lowers a pattern's (dr, dc) taps to element offsets within one
+// source channel, for output pixel (0, 0).
+func (l *packedLayout) tapOffsets(taps [][2]int, s, kw int) (off [4]int) {
 	for t, d := range taps {
-		st[t] = splitTap{0, d[0], d[1]}
-		if s > 1 {
-			st[t] = splitTap{(d[0]%s)*kw + d[1], d[0] / s, 0}
+		off[t] = d[0]*l.rowStride + d[1]
+		if l.resident {
+			off[t] = ((d[0]%s)*kw+d[1])*l.planeStride + d[0]/s*l.rowStride
 		}
 	}
-	return st
+	return off
 }
 
-// packedSrc is the input view a packed driver sweeps: the padded input itself
-// at stride 1, its row-phase × column-tap split otherwise.
-type packedSrc struct {
-	data        []float32
-	chStride    int // elements per input channel
-	planeStride int // elements per split plane
-	rowStride   int // elements per row
-}
-
-// tap returns the offset, within a channel, of tap t for output row ohBase,
-// column 0.
-func (s *packedSrc) tap(t splitTap, ohBase int) int {
-	return t.plane*s.planeStride + (ohBase+t.dr)*s.rowStride + t.dc
-}
-
-// tile returns the microkernel's view of a cols×rows output tile: over a
-// split source a full-width tile is contiguous in input and output alike, so
-// it becomes one row.
-func (s *packedSrc) tile(cols, rows, outW int) (int, int) {
-	if cols == outW && s.rowStride == outW {
-		return cols * rows, 1
+// packedSource returns the data reordered filter positions [from, to) read:
+// padded itself, or for a resident plan its split into sc's scratch.
+func (p *Plan) packedSource(padded *tensor.Tensor, sc *packedScratch, from, to int) []float32 {
+	if !p.lay.resident {
+		return padded.Data
 	}
-	return cols, rows
-}
-
-// packedSource returns the view reordered filter positions [from, to) read
-// their input through, splitting padded into sc's scratch when the plan is
-// strided.
-func (p *Plan) packedSource(padded *tensor.Tensor, sc *packedScratch, from, to int) packedSrc {
-	c, s := p.Conv, p.Conv.Stride
+	c, s, lay := p.Conv, p.Conv.Stride, &p.lay
 	ph, pw := padded.Dim(1), padded.Dim(2)
-	if s == 1 {
-		return packedSrc{data: padded.Data, chStride: ph * pw, rowStride: pw}
-	}
-	plane := (ph + s - 1) / s * c.OutW
-	src := packedSrc{chStride: s * c.KW * plane, planeStride: plane, rowStride: c.OutW}
-	src.data = sc.floats(c.InChannels() * src.chStride)
+	data := sc.floats(c.InChannels() * lay.chStride)
 	split := func(ch int) {
 		in := padded.Data[ch*ph*pw : (ch+1)*ph*pw]
-		dst := src.data[ch*src.chStride:]
+		dst := data[ch*lay.chStride:]
 		for a := 0; a < s; a++ {
 			for dc := 0; dc < c.KW; dc++ {
-				d := dst[(a*c.KW+dc)*plane:]
+				d := dst[(a*c.KW+dc)*lay.planeStride:]
 				for i, y := 0, a; y < ph; i, y = i+1, y+s {
 					row, drow := in[y*pw+dc:(y+1)*pw], d[i*c.OutW:(i+1)*c.OutW]
+					if s == 1 {
+						copy(drow, row)
+						continue
+					}
 					for j := range drow {
 						drow[j] = row[j*s]
 					}
@@ -165,70 +167,205 @@ func (p *Plan) packedSource(padded *tensor.Tensor, sc *packedScratch, from, to i
 	}
 	if c.Depthwise {
 		for pos := from; pos < to; pos++ {
-			split(int(p.FKW.Reorder[pos]))
+			split(p.packed[pos].orig)
 		}
 	} else {
 		for ch := 0; ch < c.InChannels(); ch++ {
 			split(ch)
 		}
 	}
-	return src
+	return data
 }
 
 // packedRun is one pattern run of a filter in the packed view: the taps are
-// decoded once at compile time, and ch/w alias the FKW Index and Weights
-// arrays — executing a run IS walking the packed storage.
+// lowered once at compile time, and ch and w (or q, at PackedQ8) alias the FKW
+// Index and weight arrays — executing a run IS walking the packed storage.
 type packedRun struct {
-	taps [4]splitTap // the pattern's taps, lowered for the plan's stride
-	ch   []uint16    // input channel per kernel (slice of FKW.Index)
-	w    []float32   // 4 weights per kernel (slice of FKW.Weights)
+	off [4]int    // the pattern's taps as source offsets (packedLayout.tapOffsets)
+	ch  []uint16  // input channel per kernel (slice of FKW.Index)
+	w   []float32 // 4 weights per kernel (slice of FKW.Weights); nil at PackedQ8
+	q   []int8    // 4 int8 levels per kernel (slice of the FKW8 stream); nil at Packed
 }
 
-// packedFilter is one reordered filter position's run list plus its original
-// output channel (the FKW Reorder entry).
+// packedFilter is one reordered filter position's run list, its original
+// output channel (the FKW Reorder entry) and, at PackedQ8, the filter's
+// dequantization scale.
 type packedFilter struct {
-	orig int
-	runs []packedRun
+	orig  int
+	scale float32
+	runs  []packedRun
 }
 
-// buildPacked precompiles the FKW arrays into per-filter run views. The
-// Channels/Weights slices alias the FKW storage; only the small run headers
-// are allocated here, once, at compile time — the execution path allocates
-// nothing. The active microkernel set is captured here too, fixing the
-// plan's dispatch for its lifetime.
-func (p *Plan) buildPacked() error {
+// buildPacked precompiles the FKW arrays into per-filter run views over the
+// float32 stream (q8 == nil) or the quantized one. The ch/w/q slices alias
+// the packed storage; only the small run headers are allocated here, once, at
+// compile time — the execution path allocates nothing. The active microkernel
+// set is captured here too, fixing the plan's dispatch for its lifetime, and
+// the dense weight tensor the packed walk never reads is dropped from the
+// plan — via a struct copy, never by mutating the caller's Conv, which other
+// plans may share.
+//
+// No microkernel is bounds-checked, so a layer whose declared output does not
+// follow from its input, kernel, stride and padding is refused here, and the
+// plan then proves (checkRun) that every span the kernels will be handed —
+// channel × chStride + tap offset + the output extent — lies inside the
+// source packedSource returns, before any kernel exists.
+func (p *Plan) buildPacked(q8 *quant.FKW8) error {
 	c := p.Conv
+	if c.Stride < 1 || c.Pad < 0 || c.InH+2*c.Pad < c.KH || c.InW+2*c.Pad < c.KW ||
+		c.OutH != tensor.ConvOutDim(c.InH, c.KH, c.Stride, c.Pad) || c.OutW != tensor.ConvOutDim(c.InW, c.KW, c.Stride, c.Pad) {
+		return fmt.Errorf("codegen: layer %s declares output %dx%d for input %dx%d, kernel %dx%d, stride %d, pad %d",
+			c.Name, c.OutH, c.OutW, c.InH, c.InW, c.KH, c.KW, c.Stride, c.Pad)
+	}
 	p.kern = simd.Active()
+	p.lay = newPackedLayout(c)
 	p.packed = make([]packedFilter, c.OutC)
 	wOff := 0
 	var runs []sparse.Run
 	for pos := 0; pos < c.OutC; pos++ {
+		start := wOff
 		runs, wOff = p.FKW.Runs(runs, pos, wOff)
 		pf := packedFilter{orig: int(p.FKW.Reorder[pos])}
+		if q8 != nil {
+			pf.scale = q8.Scales[pf.orig]
+		}
 		for _, r := range runs {
 			taps, err := sparse.TapOffsets(r.Pattern, c.KH, c.KW)
 			if err != nil {
 				return err
 			}
-			pf.runs = append(pf.runs, packedRun{taps: splitTaps(taps, c.Stride, c.KW), ch: r.Channels, w: r.Weights})
+			run := packedRun{off: p.lay.tapOffsets(taps, c.Stride, c.KW), ch: r.Channels}
+			if n := len(r.Weights); q8 != nil {
+				run.q = q8.Weights[start : start+n]
+				start += n
+			} else {
+				run.w = r.Weights
+			}
+			if err := p.checkRun(&run); err != nil {
+				return err
+			}
+			pf.runs = append(pf.runs, run)
 		}
 		p.packed[pos] = pf
+	}
+	conv := *c
+	conv.Weights = nil
+	p.Conv = &conv
+	return nil
+}
+
+// checkRun is the build-time bounds proof for one run: the farthest element
+// any tap of it reaches — the whole output plane as one span on the resident
+// path, the last row of the last tile on the tiled one — lies inside the
+// source channel, and every kernel's channel inside the source.
+func (p *Plan) checkRun(run *packedRun) error {
+	c := p.Conv
+	channels := c.InChannels()
+	if c.Depthwise {
+		channels = 1 // a depthwise run addresses its filter's own channel as 0
+	}
+	for _, ch := range run.ch {
+		if int(ch) >= channels {
+			return fmt.Errorf("codegen: layer %s: kernel reads input channel %d of %d", c.Name, ch, channels)
+		}
+	}
+	span := c.OutH * c.OutW
+	if !p.lay.resident {
+		span = (c.OutH-1)*p.lay.rowStride + c.OutW
+	}
+	for _, off := range run.off {
+		if off < 0 || off+span > p.lay.chStride {
+			return fmt.Errorf("codegen: layer %s: a %dx%d output at tap offset %d leaves its %d-element source channel (input %dx%d, stride %d, pad %d)",
+				c.Name, c.OutH, c.OutW, off, p.lay.chStride, c.InH, c.InW, c.Stride, c.Pad)
+		}
 	}
 	return nil
 }
 
-// rangePacked is the plain ExecuteRange form: accumulate into a
-// caller-initialized output, no epilogue.
-func (p *Plan) rangePacked(padded, out *tensor.Tensor, from, to int) {
-	p.rangePackedFused(padded, out, from, to, nil, false, false)
+// checkPackedCall is the once-per-call half of the unchecked kernels'
+// boundary: the tensors must hold exactly the plan's element counts and the
+// range must lie in [0, OutC], or the driver panics before any kernel runs.
+// shortcut is nil outside the residual form.
+func (p *Plan) checkPackedCall(padded, out, shortcut *tensor.Tensor, from, to int) {
+	c := p.Conv
+	switch {
+	case from < 0 || from > to || to > c.OutC:
+		panic(fmt.Sprintf("codegen: conv %s: filter range [%d,%d) outside [0,%d]", c.Name, from, to, c.OutC))
+	case len(padded.Data) != p.PaddedLen():
+		panic(fmt.Sprintf("codegen: conv %s: padded input holds %d elements, want %dx%dx%d", c.Name,
+			len(padded.Data), c.InChannels(), c.InH+2*c.Pad, c.InW+2*c.Pad))
+	case len(out.Data) != c.OutC*c.OutH*c.OutW:
+		panic(fmt.Sprintf("codegen: conv %s: output holds %d elements, want %dx%dx%d", c.Name, len(out.Data), c.OutC, c.OutH, c.OutW))
+	case shortcut != nil && len(shortcut.Data) != len(out.Data):
+		panic(fmt.Sprintf("codegen: conv %s: shortcut holds %d elements, want %dx%dx%d", c.Name, len(shortcut.Data), c.OutC, c.OutH, c.OutW))
+	}
 }
 
-// rangePackedFused executes reordered filter positions [from, to) by walking
-// the packed runs through the register-tiled microkernels. When init is set
-// the driver writes each output plane's initial value (bias, or zero) itself;
-// relu applies the fused ReLU epilogue after the plane's last accumulation.
-func (p *Plan) rangePackedFused(padded, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
-	c := p.Conv
+// rangePacked executes reordered filter positions [from, to) of a Packed or
+// PackedQ8 plan. When init is set the driver writes each output plane's
+// initial value (bias, or zero) itself — otherwise it accumulates on top of
+// what the caller put there (a residual shortcut) — and relu applies the
+// fused ReLU epilogue after the plane's last accumulation. At PackedQ8 the
+// filter scale folds into the widened weights, so neither costs extra.
+func (p *Plan) rangePacked(padded, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
+	p.checkPackedCall(padded, out, nil, from, to)
+	sc := packedScratchPool.Get().(*packedScratch)
+	defer putPackedScratch(sc)
+	src := p.packedSource(padded, sc, from, to)
+	if p.lay.resident {
+		p.rangeResident(src, out, from, to, bias, init, relu)
+	} else {
+		p.rangeTiled(src, sc, out, from, to, bias, init, relu)
+	}
+}
+
+// initPlane writes the fused epilogue's initial value of one output plane.
+func initPlane(plane []float32, bias []float32, orig int) {
+	v := float32(0)
+	if bias != nil {
+		v = bias[orig]
+	}
+	for i := range plane {
+		plane[i] = v
+	}
+}
+
+// rangeResident is the run-kernel walk: one kernel call per (filter, run)
+// over the whole output plane, which the split source made one contiguous
+// span per tap.
+func (p *Plan) rangeResident(src []float32, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
+	c, kern, chStride := p.Conv, p.kern, p.lay.chStride
+	n := c.OutH * c.OutW
+	for pos := from; pos < to; pos++ {
+		pf := &p.packed[pos]
+		plane := out.Data[pf.orig*n : (pf.orig+1)*n]
+		if init {
+			initPlane(plane, bias, pf.orig)
+		}
+		base := &src[0]
+		if c.Depthwise {
+			base = &src[pf.orig*chStride]
+		}
+		for ri := range pf.runs {
+			run := &pf.runs[ri]
+			if run.q != nil {
+				kern.Run4Q8(&plane[0], n, base, chStride, run.ch, run.q, pf.scale, &run.off)
+			} else {
+				kern.Run4(&plane[0], n, base, chStride, run.ch, run.w, &run.off)
+			}
+		}
+		if relu {
+			reluInPlace(plane)
+		}
+	}
+}
+
+// rangeTiled is the register-tiled walk over the padded input: filter group
+// × row tile × column chunk × kernel pairs, as drawn at the top of the file.
+// A PackedQ8 kernel pair (or trailing odd kernel) widens its int8 levels,
+// scale folded in, into pooled scratch ahead of the same Tile8 (Tile4) call.
+func (p *Plan) rangeTiled(src []float32, sc *packedScratch, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
+	c, kern, lay := p.Conv, p.kern, &p.lay
 	oHW := c.OutH * c.OutW
 	tileOH := p.Tune.Tile[1]
 	if tileOH < 1 || tileOH > c.OutH {
@@ -242,26 +379,12 @@ func (p *Plan) rangePackedFused(padded, out *tensor.Tensor, from, to int, bias [
 	if pbw < 1 || pbw > c.OutW {
 		pbw = c.OutW
 	}
-	kern := p.kern
-	if kern.Tile8 == nil {
-		kern = simd.Generic()
-	}
-	sc := packedScratchPool.Get().(*packedScratch)
-	defer putPackedScratch(sc)
-	src := p.packedSource(padded, sc, from, to)
 	for gBase := from; gBase < to; gBase += fg {
 		gEnd := min(gBase+fg, to)
 		if init {
 			for pos := gBase; pos < gEnd; pos++ {
-				pf := &p.packed[pos]
-				v := float32(0)
-				if bias != nil {
-					v = bias[pf.orig]
-				}
-				oplane := out.Data[pf.orig*oHW : (pf.orig+1)*oHW]
-				for i := range oplane {
-					oplane[i] = v
-				}
+				orig := p.packed[pos].orig
+				initPlane(out.Data[orig*oHW:(orig+1)*oHW], bias, orig)
 			}
 		}
 		// Row tile outside the group's filter loop: every filter of the group
@@ -274,36 +397,46 @@ func (p *Plan) rangePackedFused(padded, out *tensor.Tensor, from, to int, bias [
 				for ri := range pf.runs {
 					run := &pf.runs[ri]
 					nk := len(run.ch)
-					// Tap row offsets for this tile, owBase added per chunk.
-					o0, o1 := src.tap(run.taps[0], ohBase), src.tap(run.taps[1], ohBase)
-					o2, o3 := src.tap(run.taps[2], ohBase), src.tap(run.taps[3], ohBase)
 					for owBase := 0; owBase < c.OutW; owBase += pbw {
-						cols, rows := src.tile(min(pbw, c.OutW-owBase), rows, c.OutW)
+						cols := min(pbw, c.OutW-owBase)
 						dst := &oplane[ohBase*c.OutW+owBase]
+						// The tile's origin within a source channel.
+						o := ohBase*lay.rowStride + owBase
+						o0, o1, o2, o3 := o+run.off[0], o+run.off[1], o+run.off[2], o+run.off[3]
 						ki := 0
 						for ; ki+2 <= nk; ki += 2 {
 							chA, chB := int(run.ch[ki]), int(run.ch[ki+1])
 							if c.Depthwise {
 								chA, chB = pf.orig, pf.orig
 							}
-							ipA := src.data[chA*src.chStride:]
-							ipB := src.data[chB*src.chStride:]
+							ipA := src[chA*lay.chStride:]
+							ipB := src[chB*lay.chStride:]
 							sc.s8 = [8]*float32{
-								&ipA[o0+owBase], &ipA[o1+owBase], &ipA[o2+owBase], &ipA[o3+owBase],
-								&ipB[o0+owBase], &ipB[o1+owBase], &ipB[o2+owBase], &ipB[o3+owBase],
+								&ipA[o0], &ipA[o1], &ipA[o2], &ipA[o3],
+								&ipB[o0], &ipB[o1], &ipB[o2], &ipB[o3],
 							}
-							kern.Tile8(dst, c.OutW, &sc.s8, src.rowStride, (*[8]float32)(run.w[4*ki:]), cols, rows)
+							w8 := &sc.w8
+							if run.q != nil {
+								simd.WidenQ8(run.q[4*ki:4*ki+8], pf.scale, w8[:])
+							} else {
+								w8 = (*[8]float32)(run.w[4*ki:])
+							}
+							kern.Tile8(dst, c.OutW, &sc.s8, lay.rowStride, w8, cols, rows)
 						}
 						if ki < nk {
 							chA := int(run.ch[ki])
 							if c.Depthwise {
 								chA = pf.orig
 							}
-							ipA := src.data[chA*src.chStride:]
-							sc.s4 = [4]*float32{
-								&ipA[o0+owBase], &ipA[o1+owBase], &ipA[o2+owBase], &ipA[o3+owBase],
+							ipA := src[chA*lay.chStride:]
+							sc.s4 = [4]*float32{&ipA[o0], &ipA[o1], &ipA[o2], &ipA[o3]}
+							w4 := &sc.w4
+							if run.q != nil {
+								simd.WidenQ8(run.q[4*ki:4*ki+4], pf.scale, w4[:])
+							} else {
+								w4 = (*[4]float32)(run.w[4*ki:])
 							}
-							kern.Tile4(dst, c.OutW, &sc.s4, src.rowStride, (*[4]float32)(run.w[4*ki:]), cols, rows)
+							kern.Tile4(dst, c.OutW, &sc.s4, lay.rowStride, w4, cols, rows)
 						}
 					}
 				}
@@ -311,8 +444,8 @@ func (p *Plan) rangePackedFused(padded, out *tensor.Tensor, from, to int, bias [
 		}
 		if relu {
 			for pos := gBase; pos < gEnd; pos++ {
-				pf := &p.packed[pos]
-				reluInPlace(out.Data[pf.orig*oHW : (pf.orig+1)*oHW])
+				orig := p.packed[pos].orig
+				reluInPlace(out.Data[orig*oHW : (orig+1)*oHW])
 			}
 		}
 	}

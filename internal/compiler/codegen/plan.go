@@ -115,13 +115,14 @@ type Plan struct {
 
 	// offsets[id-1] lists the (dr, dc) taps of pattern id.
 	offsets [][][2]int
-	// packed[pos] is the Packed level's precompiled view over the FKW arrays
-	// for reordered filter position pos; nil for other levels.
+	// packed[pos] is the Packed and PackedQ8 levels' precompiled view over the
+	// FKW arrays for reordered filter position pos; nil for other levels. When
+	// set, Conv.Weights is nil — the packed stream is the plan's only weight
+	// storage — and at PackedQ8 so is FKW.Weights: the stream is int8.
 	packed []packedFilter
-	// packedQ8[pos] is the PackedQ8 level's quantized run view; nil for other
-	// levels. When set, Conv.Weights and FKW.Weights are nil — the int8
-	// stream is the plan's only weight storage.
-	packedQ8 []packedQ8Filter
+	// lay is how the packed drivers read their input (split and
+	// plane-resident, or padded and tiled), fixed with packed.
+	lay packedLayout
 	// q8Bytes is the resident size of the quantized weight payload (levels +
 	// scale table), recorded before the float32 streams are dropped.
 	q8Bytes int64
@@ -168,7 +169,7 @@ func Compile(c *pruned.Conv, level Level, tune lr.Tuning) (*Plan, error) {
 		p.offsets[i] = taps
 	}
 	if level == Packed {
-		if err := p.buildPacked(); err != nil {
+		if err := p.buildPacked(nil); err != nil {
 			return nil, err
 		}
 	}
@@ -230,10 +231,8 @@ func (p *Plan) Execute(input *tensor.Tensor, bias []float32) *tensor.Tensor {
 		p.execLRE(padded, out)
 	case Tuned:
 		p.execTuned(padded, out)
-	case Packed:
-		p.rangePacked(padded, out, 0, c.OutC)
-	case PackedQ8:
-		p.rangePackedQ8(padded, out, 0, c.OutC)
+	case Packed, PackedQ8:
+		p.rangePacked(padded, out, 0, c.OutC, nil, false, false)
 	}
 	return out
 }
@@ -251,10 +250,8 @@ func (p *Plan) ExecuteRange(padded *tensor.Tensor, out *tensor.Tensor, from, to 
 		p.rangeLRE(padded, out, from, to)
 	case Tuned:
 		p.rangeTuned(padded, out, from, to)
-	case Packed:
-		p.rangePacked(padded, out, from, to)
-	case PackedQ8:
-		p.rangePackedQ8(padded, out, from, to)
+	case Packed, PackedQ8:
+		p.rangePacked(padded, out, from, to, nil, false, false)
 	}
 }
 
@@ -271,12 +268,8 @@ func (p *Plan) SupportsFused() bool { return p.Level == Packed || p.Level == Pac
 // buffers from a pool are fine. Levels without fused kernels fall back to
 // init + plain range + epilogue passes over just [from, to).
 func (p *Plan) ExecuteRangeFused(padded, out *tensor.Tensor, from, to int, bias []float32, relu bool) {
-	if p.Level == Packed {
-		p.rangePackedFused(padded, out, from, to, bias, true, relu)
-		return
-	}
-	if p.Level == PackedQ8 {
-		p.rangePackedQ8Fused(padded, out, from, to, bias, relu)
+	if p.SupportsFused() {
+		p.rangePacked(padded, out, from, to, bias, true, relu)
 		return
 	}
 	c := p.Conv
@@ -308,6 +301,9 @@ func (p *Plan) ExecuteRangeFused(padded, out *tensor.Tensor, from, to int, bias 
 // runs as one sweep without materializing a separate elementwise add pass.
 // shortcut must be [OutC, OutH, OutW]; out may hold garbage.
 func (p *Plan) ExecuteRangeResidual(padded, out *tensor.Tensor, from, to int, bias []float32, shortcut *tensor.Tensor, relu bool) {
+	if p.SupportsFused() {
+		p.checkPackedCall(padded, out, shortcut, from, to)
+	}
 	c := p.Conv
 	oHW := c.OutH * c.OutW
 	for pos := from; pos < to; pos++ {

@@ -7,9 +7,11 @@ package codegen
 // machine without vector kernels (or under -tags noasm) both plans capture
 // the generic set and the comparison is exact; on AVX2/NEON hardware this is
 // the test that pins the assembly to the pure-Go reference across pattern
-// classes, strides (stride >= 2 reaches the tiles through the input split, so
-// no scalar path shadows it), depthwise, odd output widths, and every
-// tail-remainder geometry the register blocking produces.
+// classes, strides, depthwise, odd output widths, every tail-remainder
+// geometry the register blocking produces, and both sides of the geometry
+// rule: planes of at most simd.MaxRunPlane pixels and every strided layer run
+// plane-resident through the run kernels, wider stride-1 planes through the
+// tiles.
 
 import (
 	"fmt"
@@ -95,22 +97,42 @@ func simdTol(level Level) float64 {
 // ragged edge of the register blocking: output widths around the 8- and
 // 4-lane vector boundaries, strides 1 to 3 (odd and even padded extents, so
 // row phases of unequal height), all three pattern-class sizes, and
-// tile/group/pixel-block knobs that leave odd remainders in every loop.
+// tile/group/pixel-block knobs that leave odd remainders in every loop — and
+// every block/tail shape of the run kernels: 1×1 to 8×8 output planes at
+// strides 1 and 2, the 9×8 plane just past the threshold, and layers pruned
+// down to a single kernel (most filters all-pruned, every run one kernel
+// long). Each layer runs plain, fused over a dirty buffer with and without
+// bias, and as a residual tail over split ranges.
 func TestPackedAsmMatchesGeneric(t *testing.T) {
 	type geom struct {
 		inH, inW, stride, pad, patterns int
+		keep                            int // kept kernels; 0 = random
 	}
 	geoms := []geom{
-		{9, 9, 1, 1, 6},    // OutW 9: one vector + 1-col tail
-		{8, 8, 1, 0, 8},    // OutW 6: sub-vector rows (all tail on AVX2)
-		{12, 23, 1, 1, 8},  // OutW 23: odd width, 7-col tail
-		{16, 16, 1, 1, 12}, // OutW 16: exact vector multiple
-		{14, 33, 1, 1, 8},  // OutW 33: 8|8|8|8|1
-		{13, 13, 2, 1, 6},  // stride 2, padded 15×15: row phases 8 and 7 high
-		{18, 10, 2, 0, 8},  // stride 2, pad 0, even extents
-		{32, 32, 2, 1, 8},  // stride 2, OutW 16: two full vectors per row
-		{8, 9, 2, 1, 12},   // stride 2, OutW 5 over 4 rows: all tail
-		{14, 17, 3, 1, 8},  // stride 3: three row phases × three column taps
+		{9, 9, 1, 1, 6, 0},    // OutW 9: one vector + 1-col tail
+		{8, 8, 1, 0, 8, 0},    // 6×6 plane: resident, 16|16|4
+		{12, 23, 1, 1, 8, 0},  // OutW 23: odd width, 7-col tail
+		{16, 16, 1, 1, 12, 0}, // OutW 16: exact vector multiple
+		{14, 33, 1, 1, 8, 0},  // OutW 33: 8|8|8|8|1
+		{13, 13, 2, 1, 6, 0},  // stride 2, padded 15×15: row phases 8 and 7 high
+		{18, 10, 2, 0, 8, 0},  // stride 2, pad 0, even extents
+		{32, 32, 2, 1, 8, 0},  // stride 2, 16×16 plane: sixteen full blocks
+		{8, 9, 2, 1, 12, 0},   // stride 2, 4×5 plane: 16|4
+		{14, 17, 3, 1, 8, 0},  // stride 3: three row phases × three column taps
+		{1, 1, 1, 1, 8, 0},    // 1×1 plane: masked tail only
+		{2, 2, 1, 1, 8, 0},    // 2×2: one 4-block
+		{3, 3, 1, 1, 6, 0},    // 3×3: 8|1
+		{4, 4, 1, 1, 8, 0},    // 4×4: one 16-block
+		{5, 7, 1, 1, 8, 0},    // 5×7 = 35: 16|16|3
+		{8, 8, 1, 1, 12, 0},   // 8×8 = MaxRunPlane: four blocks
+		{9, 8, 1, 1, 8, 0},    // 9×8 = 72: first plane past the threshold, tiled
+		{2, 2, 2, 1, 8, 0},    // stride 2 to 1×1
+		{4, 4, 2, 1, 8, 0},    // stride 2 to 2×2
+		{7, 7, 2, 1, 8, 0},    // stride 2 to 4×4
+		{16, 16, 2, 1, 8, 0},  // stride 2 to 8×8
+		{4, 4, 1, 1, 8, 1},    // one kernel in the layer: all other filters empty
+		{8, 8, 2, 1, 8, 2},    // two kernels, strided
+		{16, 16, 1, 1, 8, 1},  // one kernel, tiled path
 	}
 	tunings := []lr.Tuning{
 		lr.DefaultTuning(), // tileOH 32, fg 4, pbw 8
@@ -123,7 +145,7 @@ func TestPackedAsmMatchesGeneric(t *testing.T) {
 	}
 	for gi, g := range geoms {
 		for ti, tune := range tunings {
-			t.Run(fmt.Sprintf("g%d_t%d_s%d_w%d", gi, ti, g.stride, g.inW), func(t *testing.T) {
+			t.Run(fmt.Sprintf("g%d_t%d_s%d_%dx%d", gi, ti, g.stride, g.inH, g.inW), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*gi + ti)))
 				outC, inC := 2+rng.Intn(9), 1+rng.Intn(9)
 				w := tensor.New(outC, inC, 3, 3)
@@ -134,6 +156,9 @@ func TestPackedAsmMatchesGeneric(t *testing.T) {
 					OutW: tensor.ConvOutDim(g.inW, 3, g.stride, g.pad),
 				}
 				keep := 1 + rng.Intn(outC*inC)
+				if g.keep > 0 {
+					keep = g.keep
+				}
 				c := pruned.FromWeights(fmt.Sprintf("simd-%d-%d", gi, ti), w,
 					pattern.Canonical(g.patterns), keep, geo)
 				input := tensor.New(inC, g.inH, g.inW)
@@ -142,10 +167,16 @@ func TestPackedAsmMatchesGeneric(t *testing.T) {
 				for i := range bias {
 					bias[i] = float32(rng.NormFloat64()) * 0.25
 				}
+				shortcut := tensor.New(c.OutC, c.OutH, c.OutW)
+				shortcut.Randn(rng, 0.5)
+				dense := refConv(c, input, bias)
 				for _, level := range []Level{Packed, PackedQ8} {
 					pAsm, err := Compile(c, level, tune)
 					if err != nil {
 						t.Fatalf("level %v: %v", level, err)
+					}
+					if want := g.stride > 1 || c.OutH*c.OutW <= simd.MaxRunPlane; pAsm.lay.resident != want {
+						t.Fatalf("level %v: resident = %v for a stride-%d %dx%d plane", level, pAsm.lay.resident, g.stride, c.OutH, c.OutW)
 					}
 					pGen := compileForcedGeneric(t, c, level, tune)
 					want := pGen.Execute(input, bias)
@@ -154,23 +185,40 @@ func TestPackedAsmMatchesGeneric(t *testing.T) {
 						t.Errorf("level %v (%s vs generic): max diff %g",
 							level, pAsm.KernelArch(), got.MaxAbsDiff(want))
 					}
-					if dense := refConv(c, input, bias); level == Packed && !got.AllClose(dense, 1e-4) {
+					if level == Packed && !got.AllClose(dense, 1e-4) {
 						t.Errorf("level %v (%s vs dense reference): max diff %g",
 							level, pAsm.KernelArch(), got.MaxAbsDiff(dense))
 					}
-					// Fused path over a dirty pooled buffer, with ReLU.
+					// Fused path over a dirty pooled buffer, with ReLU, with and
+					// without bias.
 					padded := pAsm.PadInput(input)
-					outAsm := tensor.New(c.OutC, c.OutH, c.OutW)
-					outGen := tensor.New(c.OutC, c.OutH, c.OutW)
-					for i := range outAsm.Data {
-						outAsm.Data[i] = float32(i%5) - 2
-						outGen.Data[i] = -7
+					for _, b := range [][]float32{bias, nil} {
+						outAsm, outGen := dirty(c.OutC, c.OutH, c.OutW), dirty(c.OutC, c.OutH, c.OutW)
+						outGen.Fill(-7)
+						pAsm.ExecuteRangeFused(padded, outAsm, 0, c.OutC, b, true)
+						pGen.ExecuteRangeFused(padded, outGen, 0, c.OutC, b, true)
+						if !outAsm.AllClose(outGen, simdTol(level)) {
+							t.Errorf("level %v fused, bias %v (%s vs generic): max diff %g",
+								level, b != nil, pAsm.KernelArch(), outAsm.MaxAbsDiff(outGen))
+						}
 					}
-					pAsm.ExecuteRangeFused(padded, outAsm, 0, c.OutC, bias, true)
-					pGen.ExecuteRangeFused(padded, outGen, 0, c.OutC, bias, true)
-					if !outAsm.AllClose(outGen, simdTol(level)) {
-						t.Errorf("level %v fused (%s vs generic): max diff %g",
-							level, pAsm.KernelArch(), outAsm.MaxAbsDiff(outGen))
+					// Residual tail (shortcut + bias, no ReLU so it compares with
+					// the dense sum) as three split ranges over a dirty buffer.
+					res, resGen := dirty(c.OutC, c.OutH, c.OutW), dirty(c.OutC, c.OutH, c.OutW)
+					a, b := c.OutC/3, c.OutC-c.OutC/4
+					pAsm.ExecuteRangeResidual(padded, res, b, c.OutC, bias, shortcut, false)
+					pAsm.ExecuteRangeResidual(padded, res, 0, a, bias, shortcut, false)
+					pAsm.ExecuteRangeResidual(padded, res, a, b, bias, shortcut, false)
+					pGen.ExecuteRangeResidual(padded, resGen, 0, c.OutC, bias, shortcut, false)
+					if !res.AllClose(resGen, simdTol(level)) {
+						t.Errorf("level %v residual split ranges (%s vs generic): max diff %g",
+							level, pAsm.KernelArch(), res.MaxAbsDiff(resGen))
+					}
+					for i := range res.Data {
+						res.Data[i] -= shortcut.Data[i]
+					}
+					if level == Packed && !res.AllClose(dense, 1e-4) {
+						t.Errorf("level %v residual minus shortcut vs dense reference: max diff %g", level, res.MaxAbsDiff(dense))
 					}
 				}
 			})
@@ -183,11 +231,18 @@ func TestPackedAsmMatchesGeneric(t *testing.T) {
 // strided depthwise call splits only the planes of its own filter
 // range, so the layer also runs as two split ranges over a dirty buffer.
 func TestPackedAsmMatchesGenericDepthwise(t *testing.T) {
-	for seed := int64(501); seed <= 506; seed++ {
+	// Seeds 501–506 draw 6…17-pixel inputs; 507–512 the 1×1…8×8 planes, which
+	// a strided depthwise layer runs plane-resident one kernel per call.
+	small := [][2]int{{1, 1}, {2, 2}, {4, 4}, {3, 5}, {8, 8}, {7, 2}}
+	for seed := int64(501); seed <= 512; seed++ {
 		for _, stride := range []int{1, 2} {
 			rng := rand.New(rand.NewSource(seed))
 			ch := 2 + rng.Intn(8)
-			c, input := stridedConv(rng, ch, 1, 6+rng.Intn(12), 6+rng.Intn(12), stride, true)
+			inH, inW := 6+rng.Intn(12), 6+rng.Intn(12)
+			if seed > 506 {
+				inH, inW = small[seed-507][0]*stride, small[seed-507][1]*stride
+			}
+			c, input := stridedConv(rng, ch, 1, inH, inW, stride, true)
 			oracle := denseOracle(t, c, input, nil)
 			for _, level := range []Level{Packed, PackedQ8} {
 				pAsm, err := Compile(c, level, c3Tune())
@@ -231,6 +286,12 @@ func FuzzPackedKernelDifferential(f *testing.F) {
 	f.Add(int64(-3), uint8(0), uint8(1), uint8(255), uint8(2), uint8(1))
 	f.Add(int64(11), uint8(1), uint8(0), uint8(77), uint8(2), uint8(2))
 	f.Add(int64(12), uint8(2), uint8(0), uint8(130), uint8(2), uint8(3))
+	// Small planes (rng draws 1…18-pixel inputs): seed 9 is 2×1 → 1×1 at
+	// stride 2, 31 a 4×3 plane, 64 a 1×2 depthwise, 70 a 3×3 at PackedQ8.
+	f.Add(int64(9), uint8(1), uint8(100), uint8(9), uint8(1), uint8(0))
+	f.Add(int64(31), uint8(0), uint8(3), uint8(40), uint8(0), uint8(0))
+	f.Add(int64(64), uint8(2), uint8(0), uint8(200), uint8(0), uint8(2))
+	f.Add(int64(70), uint8(1), uint8(255), uint8(17), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, patSize, connPct, knob, strideSel, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		outC := 1 + rng.Intn(10)
@@ -249,7 +310,7 @@ func FuzzPackedKernelDifferential(f *testing.F) {
 		w := tensor.New(outC, inC, 3, 3)
 		w.Randn(rng, 0.25)
 		stride := 1 + int(strideSel)%2
-		inH, inW := 5+rng.Intn(14), 5+rng.Intn(14)
+		inH, inW := 1+rng.Intn(18), 1+rng.Intn(18)
 		geo := pruned.ConvGeom{
 			Stride: stride, Pad: 1, InH: inH, InW: inW,
 			OutH: tensor.ConvOutDim(inH, 3, stride, 1),

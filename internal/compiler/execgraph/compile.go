@@ -158,8 +158,9 @@ func (p *Plan) ArenaBytes() (planned, naive int64) {
 }
 
 // MemoryBytes is the resident parameter footprint the registry's memory
-// budget accounts for: dense pruned weights + packed FKW arrays for pattern
-// convs, kept weights + indices for 1×1s, dense FC matrices, and biases.
+// budget accounts for: the packed FKW arrays for pattern convs (plus the
+// dense pruned weights at the levels below Packed, whose kernels read them),
+// kept weights + indices for 1×1s, dense FC matrices, and biases.
 func (p *Plan) MemoryBytes() int64 {
 	var b int64
 	for _, n := range p.Nodes {
@@ -170,7 +171,9 @@ func (p *Plan) MemoryBytes() int64 {
 				// are the int8 levels + per-filter scales, plus FKW indices.
 				b += int64(n.Plan.FKW.OverheadBytes()) + qb
 			} else {
-				b += 4 * int64(n.Plan.Conv.TotalWeights())
+				if w := n.Plan.Conv.Weights; w != nil {
+					b += 4 * int64(w.Len())
+				}
 				b += int64(n.Plan.FKW.TotalBytes(4))
 			}
 		case KindConv1x1:

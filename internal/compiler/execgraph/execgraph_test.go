@@ -384,6 +384,9 @@ func TestCorruptGeometry1x1RejectedAtCompile(t *testing.T) {
 // TestAutoCompilesPacked: "auto" is the packed family, not a per-layer
 // choice — every pattern conv of every servable built-in net compiles at
 // codegen.Packed, so an auto plan and a packed plan compute identical bits.
+// A packed node holds no dense weights (the packed walk never reads them)
+// and MemoryBytes does not charge for them; the Params keep theirs, which is
+// what lets the second compile below, and the reference, work.
 func TestAutoCompilesPacked(t *testing.T) {
 	nets := []*model.Model{
 		model.VGG16("cifar10"), model.ResNet50("cifar10"),
@@ -394,14 +397,43 @@ func TestAutoCompilesPacked(t *testing.T) {
 	for _, m := range nets {
 		auto, params := compileAt(t, m, LevelAuto)
 		for _, n := range auto.Nodes {
-			if (n.Kind == KindConv || n.Kind == KindConvT) && n.Plan.Level != codegen.Packed {
+			if n.Kind != KindConv && n.Kind != KindConvT {
+				continue
+			}
+			if n.Plan.Level != codegen.Packed {
 				t.Fatalf("%s/%s: auto compiled %s at %v, want %v",
 					m.Short, m.Dataset, n.Name, n.Plan.Level, codegen.Packed)
 			}
+			if n.Plan.Conv.Weights != nil {
+				t.Fatalf("%s/%s: packed node %s holds dense weights", m.Short, m.Dataset, n.Name)
+			}
+		}
+		for name, cp := range params.Convs {
+			if cp.Conv.Weights == nil {
+				t.Fatalf("%s/%s: compile dropped the weights of params conv %s", m.Short, m.Dataset, name)
+			}
+		}
+		var resident int64
+		for _, n := range auto.Nodes {
+			switch n.Kind {
+			case KindConv, KindConvT:
+				resident += int64(n.Plan.FKW.TotalBytes(4))
+			case KindConv1x1:
+				resident += n.Plan1x1.MemoryBytes()
+			case KindFC:
+				resident += 4 * int64(n.W.Len())
+			}
+			resident += 4 * int64(len(n.Bias))
+		}
+		if b := auto.MemoryBytes(); b != resident {
+			t.Fatalf("%s/%s: MemoryBytes %d, the packed arrays + 1x1 CSRs + FC + biases are %d", m.Short, m.Dataset, b, resident)
 		}
 		packed, err := Compile(m, params, Config{Level: "packed"})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if a, b := auto.MemoryBytes(), packed.MemoryBytes(); a != b {
+			t.Fatalf("%s/%s: MemoryBytes %d at auto, %d at packed", m.Short, m.Dataset, a, b)
 		}
 		x := genInput(m, 5)
 		got := tensor.New(auto.OutC, auto.OutH, auto.OutW)

@@ -58,7 +58,7 @@ func (e *Engine) compileModel(m *model.Model) (*compiledModel, error) {
 // wrong.
 func (e *Engine) compileFromFile(name, version string, mf *modelfile.File) (*compiledModel, error) {
 	// A quantized artifact serves quantized by default: under "auto" its
-	// convs compile at packedq8, keeping the int8 stream (and the ~4× smaller
+	// convs compile at packedq8, keeping the int8 stream (and the smaller
 	// resident footprint) the artifact was built for. An explicit engine
 	// level still wins — the dequantized weights serve at packed.
 	tag, err := e.cfg.compileLevel(mf.QuantBits >= 2)

@@ -267,9 +267,11 @@ func TestRegistryMemoryBudgetEvictsAndLazilyRecompiles(t *testing.T) {
 }
 
 // TestRegistryQuantizedBudgetHoldsMoreVersions is the quantized-LRU proof:
-// a v3 int8 artifact is byte-accounted at its real (~4× smaller) resident
-// size, so a memory budget sized to hold one-and-a-half FP32 copies of the
-// same trunk keeps three quantized versions resident with zero evictions.
+// a v3 int8 artifact is byte-accounted at its real resident size — a quarter
+// of the weight stream, the same FKW indices and biases, which on this tiny
+// trunk is under two-thirds of the packed FP32 plan (neither holds dense
+// weights) — so a memory budget sized for two FP32 copies of the same trunk
+// keeps three quantized versions resident with zero evictions.
 func TestRegistryQuantizedBudgetHoldsMoreVersions(t *testing.T) {
 	ctx := context.Background()
 
@@ -285,23 +287,23 @@ func TestRegistryQuantizedBudgetHoldsMoreVersions(t *testing.T) {
 		t.Fatalf("FP32 resident bytes = %d", fp32)
 	}
 
-	// The same trunk quantized: int8 levels + per-filter scales replace both
-	// float32 streams, so one version's footprint lands well under half the
-	// FP32 figure (in practice ~4× smaller).
+	// The same trunk quantized: int8 levels + per-filter scales replace the
+	// float32 stream, so one version's footprint lands under two-thirds of
+	// the FP32 figure here (on a weight-dominated net, ~3× smaller).
 	qDir := t.TempDir()
 	for i, ver := range []string{"v1", "v2", "v3"} {
 		writeTinyArtifactQ(t, qDir, "tiny", ver, 100+int64(i)*100, 8)
 	}
-	qEng, _ := registryEngine(t, qDir, fp32+fp32/2, Config{Workers: 2})
+	qEng, _ := registryEngine(t, qDir, 2*fp32, Config{Workers: 2})
 	if _, err := qEng.Infer(ctx, Request{Network: "tiny@v1"}); err != nil {
 		t.Fatal(err)
 	}
 	q8 := qEng.Stats().Registry.BytesInUse
-	if q8 <= 0 || 2*q8 >= fp32 {
-		t.Fatalf("quantized resident bytes = %d, want well under half of FP32 %d", q8, fp32)
+	if q8 <= 0 || 3*q8 >= 2*fp32 {
+		t.Fatalf("quantized resident bytes = %d, want under two-thirds of FP32 %d", q8, fp32)
 	}
 
-	// A budget that admits one-and-a-half FP32 copies holds all three
+	// A budget that admits two FP32 copies holds all three
 	// quantized versions at once: no evictions, all resident, and every
 	// listing row carries the quantized level.
 	for _, net := range []string{"tiny@v2", "tiny@v3"} {
@@ -367,8 +369,9 @@ func TestQuantizedRegistryServesEndToEnd(t *testing.T) {
 		t.Fatalf("quantized output diverged from FP32 packed by %g", d)
 	}
 
-	// /models reports the quantized level and a resident footprint well
-	// under the FP32 artifact's.
+	// /models reports the quantized level and a resident footprint under
+	// two-thirds of the FP32 artifact's (same indices and biases, a quarter
+	// of the weight stream).
 	var qBytes, fpBytes int64
 	for _, m := range eng.Models() {
 		if m.Level != codegen.LevelTag(codegen.PackedQ8) {
@@ -382,8 +385,8 @@ func TestQuantizedRegistryServesEndToEnd(t *testing.T) {
 		}
 		fpBytes = m.MemoryBytes
 	}
-	if qBytes <= 0 || 2*qBytes >= fpBytes {
-		t.Fatalf("quantized resident bytes %d, want well under half of FP32 %d", qBytes, fpBytes)
+	if qBytes <= 0 || 3*qBytes >= 2*fpBytes {
+		t.Fatalf("quantized resident bytes %d, want under two-thirds of FP32 %d", qBytes, fpBytes)
 	}
 }
 

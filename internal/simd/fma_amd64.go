@@ -14,14 +14,42 @@ func fmaTile4AVX2(dst *float32, dstStride int, src *[4]*float32, srcStride int, 
 //go:noescape
 func fmaTile8AVX2(dst *float32, dstStride int, src *[8]*float32, srcStride int, w *[8]float32, cols, rows int)
 
+// AVX2+FMA run kernels (fma_amd64.s), unchecked like the tiles: the slices
+// only carry base pointers and the kernel count.
+
 //go:noescape
-func fmaTile8Q8AVX2(dst *float32, dstStride int, src *[8]*float32, srcStride int, q *[8]int8, scale float32, cols, rows int)
+func runTaps4AVX2(dst *float32, n int, base *float32, chStride int, ch []uint16, w []float32, tapOff *[4]int)
+
+//go:noescape
+func runTaps4Q8AVX2(dst *float32, n int, base *float32, chStride int, ch []uint16, q []int8, scale float32, tapOff *[4]int)
+
+//go:noescape
+func runRow1AVX2(dst *float32, n int, base *float32, chStride int, ch []int32, w []float32)
+
+// composeTile8/composeTile4 are this build's tiles as plain functions, for
+// tiles.go: the AVX2 kernels where the probe accepted the core.
+func composeTile8(dst *float32, dstStride int, src *[8]*float32, srcStride int, w *[8]float32, cols, rows int) {
+	if cpu.HasAVX2FMA {
+		fmaTile8AVX2(dst, dstStride, src, srcStride, w, cols, rows)
+		return
+	}
+	fmaTile8Generic(dst, dstStride, src, srcStride, w, cols, rows)
+}
+
+func composeTile4(dst *float32, dstStride int, src *[4]*float32, srcStride int, w *[4]float32, cols, rows int) {
+	if cpu.HasAVX2FMA {
+		fmaTile4AVX2(dst, dstStride, src, srcStride, w, cols, rows)
+		return
+	}
+	fmaTile4Generic(dst, dstStride, src, srcStride, w, cols, rows)
+}
 
 func init() {
 	if cpu.HasAVX2FMA {
 		bestSet = Kernels{
 			Name: "avx2", Lanes: 8,
-			Tile4: fmaTile4AVX2, Tile8: fmaTile8AVX2, Tile8Q8: fmaTile8Q8AVX2,
+			Tile4: fmaTile4AVX2, Tile8: fmaTile8AVX2,
+			Run4: runTaps4AVX2, Run4Q8: runTaps4Q8AVX2, Run1: runRow1AVX2,
 		}
 	}
 }

@@ -70,20 +70,15 @@ func fmaTile8Generic(dst *float32, dstStride int, src *[8]*float32, srcStride in
 	}
 }
 
-func fmaTile8Q8Generic(dst *float32, dstStride int, src *[8]*float32, srcStride int, q *[8]int8, scale float32, cols, rows int) {
-	var w [8]float32
+// WidenQ8 converts int8 quantization levels to scaled float32 weights — how
+// the PackedQ8 stream reaches the tile kernels: the drivers widen a kernel
+// pair's eight levels (or an odd kernel's four) into scratch ahead of the
+// Tile8/Tile4 call. Eight scalar converts ahead of a sweep of hundreds of
+// FMAs measure the same as widening in-register did, so the tiles have no
+// int8 form; the run kernels, whose sweep per kernel is a few FMAs, do.
+func WidenQ8(q []int8, scale float32, w []float32) {
+	w = w[:len(q)]
 	for i, lv := range q {
 		w[i] = scale * float32(lv)
 	}
-	fmaTile8Generic(dst, dstStride, src, srcStride, &w, cols, rows)
-}
-
-// WidenQ8 converts a quad of int8 quantization levels to scaled float32
-// weights — the Go-side widening the 4-tap Q8 path and the NEON Q8 wrapper
-// use (only the amd64 8-tap kernel widens in-register).
-func WidenQ8(q []int8, scale float32, w *[4]float32) {
-	w[0] = scale * float32(q[0])
-	w[1] = scale * float32(q[1])
-	w[2] = scale * float32(q[2])
-	w[3] = scale * float32(q[3])
 }

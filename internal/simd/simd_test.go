@@ -91,37 +91,6 @@ func TestTile8AsmMatchesGeneric(t *testing.T) {
 	}
 }
 
-func TestTile8Q8AsmMatchesGeneric(t *testing.T) {
-	if bestSet.Tile8Q8 == nil {
-		t.Skip("no asm kernels in this build")
-	}
-	rng := rand.New(rand.NewSource(47))
-	for _, tc := range tileCases {
-		dstLen := (tc.rows-1)*tc.dstStride + tc.cols
-		srcLen := (tc.rows-1)*tc.srcStride + tc.cols
-		want := randSlice(rng, dstLen)
-		got := append([]float32(nil), want...)
-		var srcs [8][]float32
-		var ptrs [8]*float32
-		for i := range srcs {
-			srcs[i] = randSlice(rng, srcLen)
-			ptrs[i] = &srcs[i][0]
-		}
-		var q [8]int8
-		for i := range q {
-			q[i] = int8(rng.Intn(255) - 127)
-		}
-		scale := rng.Float32() * 0.05
-		genericSet.Tile8Q8(&want[0], tc.dstStride, &ptrs, tc.srcStride, &q, scale, tc.cols, tc.rows)
-		bestSet.Tile8Q8(&got[0], tc.dstStride, &ptrs, tc.srcStride, &q, scale, tc.cols, tc.rows)
-		// Q8 weights reach ±(127·scale), so reassociation between the two
-		// FMA chains shows up above the f32 ulp of the plain-float cases.
-		if d := maxAbsDiff(want, got); d > 1e-4 {
-			t.Fatalf("tile8q8 %+v: asm vs generic max diff %g", tc, d)
-		}
-	}
-}
-
 func TestForceGeneric(t *testing.T) {
 	defer ForceGeneric(false)
 	ForceGeneric(true)
@@ -136,7 +105,7 @@ func TestForceGeneric(t *testing.T) {
 
 func TestGenericAlwaysComplete(t *testing.T) {
 	g := Generic()
-	if g.Tile4 == nil || g.Tile8 == nil || g.Tile8Q8 == nil || g.Name != "generic" || g.Lanes != 1 {
+	if g.Tile4 == nil || g.Tile8 == nil || g.Run4 == nil || g.Run4Q8 == nil || g.Run1 == nil || g.Name != "generic" || g.Lanes != 1 {
 		t.Fatalf("generic kernel set incomplete: %+v", g)
 	}
 }

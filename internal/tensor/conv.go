@@ -397,20 +397,38 @@ func MaxPool2D(input *Tensor, k int) (*Tensor, []int) {
 // caller-provided [C, H/k, W/k] tensor (which may hold garbage — every
 // element is overwritten) and skips the argmax bookkeeping training needs, so
 // pooled scratch buffers flow through without allocation. Like MaxPool2D it
-// panics when k does not evenly divide H and W.
+// panics when k does not evenly divide H and W. A window's maximum is taken
+// with the builtin max, which compiles without a branch: a NaN anywhere in
+// the window is the window's result. k = 2, the only window the served nets
+// use, walks row pairs as slices instead of indexing element by element.
 func MaxPool2DInto(input *Tensor, k int, out *Tensor) {
 	c, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
 	validPool(h, w, k)
 	ho, wo := h/k, w/k
+	if k == 2 {
+		for r := 0; r < c*ho; r++ { // h = 2·ho: output row r pools input rows 2r, 2r+1
+			top, bot := input.Data[2*r*w:(2*r+1)*w], input.Data[(2*r+1)*w:(2*r+2)*w]
+			orow := out.Data[r*wo : (r+1)*wo]
+			for j := range orow {
+				orow[j] = max(top[2*j], top[2*j+1], bot[2*j], bot[2*j+1])
+			}
+		}
+		return
+	}
+	maxPoolWindows(input, k, out)
+}
+
+// maxPoolWindows is MaxPool2DInto's general loop, for any window.
+func maxPoolWindows(input *Tensor, k int, out *Tensor) {
+	c, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
+	ho, wo := h/k, w/k
 	for ic := 0; ic < c; ic++ {
 		for oh := 0; oh < ho; oh++ {
 			for ow := 0; ow < wo; ow++ {
-				best := float32(-3.4e38)
+				best := input.Data[(ic*h+oh*k)*w+ow*k]
 				for r := 0; r < k; r++ {
 					for cc := 0; cc < k; cc++ {
-						if v := input.Data[(ic*h+oh*k+r)*w+ow*k+cc]; v > best {
-							best = v
-						}
+						best = max(best, input.Data[(ic*h+oh*k+r)*w+ow*k+cc])
 					}
 				}
 				out.Data[(ic*ho+oh)*wo+ow] = best
@@ -458,18 +476,30 @@ func AddInto(a, b, out *Tensor) {
 // o in [from, to), with an optional fused ReLU epilogue — the ranged form the
 // worker pool parallelizes a fully-connected layer with. w is [Out, In]; x
 // and out are flat feature vectors ([C,1,1] views work). out needs no
-// pre-initialization. bias may be nil.
+// pre-initialization. bias may be nil. The dot product runs as four
+// independent partial sums (i mod 4, a ragged tail joining the first),
+// combined as (a0+a1)+(a2+a3) before the bias: one chain would wait out the
+// add latency on every element.
 func FCIntoRange(out, w, x *Tensor, bias []float32, relu bool, from, to int) {
 	in := w.Dim(1)
-	xd := x.Data
+	xd := x.Data[:in]
 	for o := from; o < to; o++ {
 		row := w.Data[o*in : (o+1)*in]
-		var acc float32
-		if bias != nil {
-			acc = bias[o]
+		var a0, a1, a2, a3 float32
+		i := 0
+		for ; i+4 <= len(row); i += 4 {
+			r, v := row[i:i+4:i+4], xd[i:i+4:i+4]
+			a0 += r[0] * v[0]
+			a1 += r[1] * v[1]
+			a2 += r[2] * v[2]
+			a3 += r[3] * v[3]
 		}
-		for i, wv := range row {
-			acc += wv * xd[i]
+		for ; i < len(row); i++ {
+			a0 += row[i] * xd[i]
+		}
+		acc := (a0 + a1) + (a2 + a3)
+		if bias != nil {
+			acc += bias[o]
 		}
 		if relu && acc < 0 {
 			acc = 0

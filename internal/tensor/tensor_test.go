@@ -201,6 +201,103 @@ func TestMaxPool2D(t *testing.T) {
 	}
 }
 
+// TestMaxPool2DIntoRowPairsMatchWindows pins the k = 2 row-pair path to the
+// general window loop bit for bit — ragged plane shapes, ±0, ±Inf, and NaN,
+// which both propagate (a NaN in a window is its result) — and, on NaN-free
+// data, to MaxPool2D.
+func TestMaxPool2DIntoRowPairsMatchWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := math.Float32frombits(1 << 31)
+	for _, shape := range [][3]int{{1, 2, 2}, {3, 2, 6}, {2, 6, 2}, {5, 8, 10}, {64, 32, 32}} {
+		for _, special := range []bool{false, true} {
+			in := New(shape[0], shape[1], shape[2])
+			in.Randn(rng, 1)
+			if special {
+				for i := 0; i < len(in.Data); i += 3 {
+					in.Data[i] = []float32{nan, inf, -inf, 0, negZero, -math.MaxFloat32}[rng.Intn(6)]
+				}
+			}
+			got, want := New(shape[0], shape[1]/2, shape[2]/2), New(shape[0], shape[1]/2, shape[2]/2)
+			got.Fill(-7)
+			MaxPool2DInto(in, 2, got)
+			maxPoolWindows(in, 2, want)
+			for i := range want.Data {
+				g, w := got.Data[i], want.Data[i]
+				if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+					t.Fatalf("shape %v special %v: element %d = %g, window loop gives %g", shape, special, i, g, w)
+				}
+			}
+			if !special {
+				ref, _ := MaxPool2D(in, 2)
+				if d := got.MaxAbsDiff(ref); d != 0 {
+					t.Fatalf("shape %v: differs from MaxPool2D by %g", shape, d)
+				}
+			}
+		}
+	}
+	// The documented NaN rule, both paths: one NaN makes the window NaN.
+	in := New(1, 6, 6)
+	in.Set(nan, 0, 0, 1)
+	in.Set(8, 0, 5, 5)
+	for _, k := range []int{2, 3} {
+		out := New(1, 6/k, 6/k)
+		MaxPool2DInto(in, k, out)
+		if v := out.Data[0]; v == v {
+			t.Errorf("k=%d: window holding NaN pooled to %g", k, v)
+		}
+		if v := out.Data[len(out.Data)-1]; v != 8 {
+			t.Errorf("k=%d: last window pooled to %g, want 8", k, v)
+		}
+	}
+}
+
+// TestFCIntoRangeMatchesMatMul pins the four-chain dot product to MatMul at
+// 1e-5 relative, over input widths on every side of the 4-element step, with
+// and without bias and ReLU, as a whole and as split ranges over a dirty out.
+func TestFCIntoRangeMatchesMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, in := range []int{1, 2, 3, 4, 5, 7, 8, 13, 512, 515} {
+		for ep := 0; ep < 4; ep++ {
+			const outF = 9
+			w, x := New(outF, in), New(in, 1)
+			w.Randn(rng, 0.5)
+			x.Randn(rng, 1)
+			var bias []float32
+			if ep&1 != 0 {
+				bias = make([]float32, outF)
+				for i := range bias {
+					bias[i] = float32(rng.NormFloat64())
+				}
+			}
+			relu := ep&2 != 0
+			want := MatMul(w, x)
+			for o := range want.Data {
+				if bias != nil {
+					want.Data[o] += bias[o]
+				}
+				if relu && want.Data[o] < 0 {
+					want.Data[o] = 0
+				}
+			}
+			got, split := New(outF), New(outF)
+			got.Fill(-7)
+			split.Fill(9)
+			FCIntoRange(got, w, x, bias, relu, 0, outF)
+			FCIntoRange(split, w, x, bias, relu, 4, outF)
+			FCIntoRange(split, w, x, bias, relu, 0, 4)
+			for o := range want.Data {
+				if d := math.Abs(float64(got.Data[o] - want.Data[o])); d > 1e-5*math.Max(1, math.Abs(float64(want.Data[o]))) {
+					t.Fatalf("in=%d ep=%d: out[%d] = %g, MatMul gives %g", in, ep, o, got.Data[o], want.Data[o])
+				}
+				if split.Data[o] != got.Data[o] {
+					t.Fatalf("in=%d ep=%d: split ranges give out[%d] = %g, whole range %g", in, ep, o, split.Data[o], got.Data[o])
+				}
+			}
+		}
+	}
+}
+
 func TestAvgPoolGlobal(t *testing.T) {
 	in := FromSlice([]float32{1, 2, 3, 4, 10, 10, 10, 10}, 2, 2, 2)
 	out := AvgPool2DGlobal(in)
