@@ -160,45 +160,83 @@ func (p *Plan1x1) Execute(input *tensor.Tensor, bias []float32) *tensor.Tensor {
 // epilogue the graph executor uses: each output block is initialized by the
 // kernel itself — to bias, or to the matching shortcut block plus bias when
 // shortcut is non-nil (fused residual add) — the sparse channel combination
-// accumulates on top through the tile microkernels, and relu optionally
-// clamps before moving on. out may hold garbage (pooled arena buffers need no
+// accumulates on top through the microkernels, and relu optionally clamps
+// before moving on. out may hold garbage (pooled arena buffers need no
 // zeroing pass); 1×1 convs take the raw, unpadded input.
 //
 // A strided 1×1 conv is the stride-1 conv over the subsampled input, so
-// Stride >= 2 gathers the InC planes once per call into pooled scratch
-// (InC·OutH·OutW floats against NNZ·OutH·OutW MACs) and runs the same walk.
+// Stride >= 2 gathers the InC planes per call into pooled scratch (InC·OutH·
+// OutW floats against NNZ·OutH·OutW MACs) and runs the same walk; the graph
+// executor subsamples once per input instead (PrepareSource) and calls
+// ExecuteRangeSource.
 //
 // The microkernels are not bounds-checked, so the tensor sizes and the range
 // are checked here, once per call, and a mismatch panics before any of them
 // runs.
 func (p *Plan1x1) ExecuteRangeFused(input, out *tensor.Tensor, from, to int, bias []float32, shortcut *tensor.Tensor, relu bool) {
+	if len(input.Data) != p.InC*p.InH*p.InW {
+		panic(fmt.Sprintf("codegen: 1x1 conv %s: input holds %d elements, want %dx%dx%d", p.Name, len(input.Data), p.InC, p.InH, p.InW))
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	in := input.Data
+	if p.Stride > 1 {
+		in = sc.floats(p.InC * p.OutH * p.OutW)
+		p.PrepareSource(input, in, 0, p.InC)
+	}
+	p.ExecuteRangeSource(in, &sc.Scratch, out, from, to, bias, shortcut, relu)
+}
+
+// SourceLen is the element count of the subsampled input PrepareSource
+// writes for a strided plan, and 0 at stride 1, where ExecuteRangeSource
+// reads the input as is.
+func (p *Plan1x1) SourceLen() int {
+	if p.Stride == 1 {
+		return 0
+	}
+	return p.InC * p.OutH * p.OutW
+}
+
+// PrepareSource subsamples input channels [c0, c1) of a strided plan into
+// src (InC·OutH·OutW elements): element (oh, ow) of each plane is input
+// (oh·Stride, ow·Stride). Disjoint channel ranges may be prepared
+// concurrently.
+func (p *Plan1x1) PrepareSource(input *tensor.Tensor, src []float32, c0, c1 int) {
+	n := p.OutH * p.OutW
+	switch {
+	case c0 < 0 || c0 > c1 || c1 > p.InC:
+		panic(fmt.Sprintf("codegen: 1x1 conv %s: channel range [%d,%d) outside [0,%d]", p.Name, c0, c1, p.InC))
+	case len(input.Data) != p.InC*p.InH*p.InW || len(src) != p.InC*n:
+		panic(fmt.Sprintf("codegen: 1x1 conv %s: input %d / source %d elements, want %dx%dx%d / %dx%dx%d", p.Name,
+			len(input.Data), len(src), p.InC, p.InH, p.InW, p.InC, p.OutH, p.OutW))
+	}
+	for ch := c0; ch < c1; ch++ {
+		plane := input.Data[ch*p.InH*p.InW : (ch+1)*p.InH*p.InW]
+		dst := src[ch*n : (ch+1)*n]
+		for oh := 0; oh < p.OutH; oh++ {
+			row, drow := plane[oh*p.Stride*p.InW:], dst[oh*p.OutW:(oh+1)*p.OutW]
+			for ow := range drow {
+				drow[ow] = row[ow*p.Stride]
+			}
+		}
+	}
+}
+
+// ExecuteRangeSource is ExecuteRangeFused over the input as the walk reads
+// it: the input itself at stride 1, what PrepareSource wrote otherwise. sc is
+// the caller's scratch for this range; ranges running concurrently need
+// their own.
+func (p *Plan1x1) ExecuteRangeSource(in []float32, sc *Scratch, out *tensor.Tensor, from, to int, bias []float32, shortcut *tensor.Tensor, relu bool) {
 	n := p.OutH * p.OutW
 	switch {
 	case from < 0 || from > to || to > p.OutC:
 		panic(fmt.Sprintf("codegen: 1x1 conv %s: filter range [%d,%d) outside [0,%d]", p.Name, from, to, p.OutC))
-	case len(input.Data) != p.InC*p.InH*p.InW:
-		panic(fmt.Sprintf("codegen: 1x1 conv %s: input holds %d elements, want %dx%dx%d", p.Name, len(input.Data), p.InC, p.InH, p.InW))
+	case len(in) != p.InC*n:
+		panic(fmt.Sprintf("codegen: 1x1 conv %s: source holds %d elements, want %dx%dx%d", p.Name, len(in), p.InC, p.OutH, p.OutW))
 	case len(out.Data) != p.OutC*n:
 		panic(fmt.Sprintf("codegen: 1x1 conv %s: output holds %d elements, want %dx%dx%d", p.Name, len(out.Data), p.OutC, p.OutH, p.OutW))
 	case shortcut != nil && len(shortcut.Data) != p.OutC*n:
 		panic(fmt.Sprintf("codegen: 1x1 conv %s: shortcut holds %d elements, want %dx%dx%d", p.Name, len(shortcut.Data), p.OutC, p.OutH, p.OutW))
-	}
-	sc := packedScratchPool.Get().(*packedScratch)
-	defer putPackedScratch(sc)
-	in := input.Data
-	if p.Stride > 1 {
-		in = sc.floats(p.InC * n)
-		i := 0
-		for ch := 0; ch < p.InC; ch++ {
-			plane := input.Data[ch*p.InH*p.InW : (ch+1)*p.InH*p.InW]
-			for oh := 0; oh < p.OutH; oh++ {
-				row := plane[oh*p.Stride*p.InW:]
-				for ow := 0; ow < p.OutW; ow++ {
-					in[i] = row[ow*p.Stride]
-					i++
-				}
-			}
-		}
 	}
 	for f := from; f < to; f++ {
 		var b float32
@@ -230,10 +268,15 @@ func (p *Plan1x1) ExecuteRangeFused(input, out *tensor.Tensor, from, to int, bia
 	}
 }
 
+// KeptPrefix is the CSR row pointer: filter f keeps
+// KeptPrefix()[f+1]−KeptPrefix()[f] weights. The graph executor cuts
+// filter ranges on it so every worker gets an equal share of the MACs.
+func (p *Plan1x1) KeptPrefix() []int32 { return p.rowPtr }
+
 // tileRow folds filter row (idx, w) into blk through the tile kernels: eight
 // kept channels are the eight taps of one Tile8 call over the block, in being
 // the input at the block's first pixel.
-func (p *Plan1x1) tileRow(sc *packedScratch, blk, in []float32, idx []int32, w []float32) {
+func (p *Plan1x1) tileRow(sc *Scratch, blk, in []float32, idx []int32, w []float32) {
 	kern, n, cols := p.kern, p.OutH*p.OutW, len(blk)
 	k := 0
 	for ; k+8 <= len(idx); k += 8 {

@@ -131,6 +131,24 @@ func check1x1(t *testing.T, rng *rand.Rand, w *tensor.Tensor, g geom1x1, useBias
 	if !split.AllClose(outAsm, 1e-6) {
 		t.Errorf("split ranges vs full range: max diff %g", split.MaxAbsDiff(outAsm))
 	}
+	// The graph executor's form: a strided input subsampled once, in two
+	// channel ranges, into dirty scratch; each filter range on its own
+	// Scratch. Same kernels over the same source: bit for bit.
+	src := in.Data
+	if n := asm.SourceLen(); n > 0 {
+		src = dirty(1, 1, n).Data
+		asm.PrepareSource(in, src, inC/2, inC)
+		asm.PrepareSource(in, src, 0, inC/2)
+	} else if g.Stride != 1 {
+		t.Fatalf("stride %d plan reads its input as is", g.Stride)
+	}
+	var sc [2]Scratch
+	viaSrc := dirty(outC, g.OutH, g.OutW)
+	asm.ExecuteRangeSource(src, &sc[0], viaSrc, a, outC, bias, shortcut, relu)
+	asm.ExecuteRangeSource(src, &sc[1], viaSrc, 0, a, bias, shortcut, relu)
+	if d := viaSrc.MaxAbsDiff(outAsm); d != 0 {
+		t.Errorf("prepared source vs ExecuteRangeFused: max diff %g", d)
+	}
 }
 
 func TestConv1x1AsmMatchesGenericAndDense(t *testing.T) {
@@ -221,6 +239,22 @@ func TestConv1x1ExecuteChecksBounds(t *testing.T) {
 		}()
 	}
 	p.ExecuteRangeFused(in, out, 2, 2, nil, nil, true) // empty range is legal
+	src := make([]float32, p.SourceLen())
+	for name, call := range map[string]func(){
+		"source too small":       func() { p.ExecuteRangeSource(src[1:], &Scratch{}, out, 0, 4, nil, nil, false) },
+		"source range past InC":  func() { p.PrepareSource(in, src, 0, 7) },
+		"source input too small": func() { p.PrepareSource(tensor.New(6, 8, 7), src, 0, 6) },
+		"source too large":       func() { p.PrepareSource(in, append(src, 0), 0, 6) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "codegen: 1x1 conv bounds") {
+					t.Errorf("%s: recovered %q, want the driver's own panic", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
 
 	// The pattern path, on both sides of the geometry rule: a 4×4 plane runs
 	// resident, a 12×12 one tiled, and neither touches a kernel with a
@@ -271,6 +305,22 @@ func TestConv1x1ExecuteChecksBounds(t *testing.T) {
 				}
 			}
 			p3.ExecuteRangeFused(padded, out3, 1, 1, nil, true) // empty range is legal
+			src := make([]float32, p3.SourceLen(1))
+			for name, call := range map[string]func(){
+				"source too small":      func() { p3.ExecuteRangeSource(src[1:], &Scratch{}, out3, 0, 4, nil, nil, false) },
+				"source range past InC": func() { p3.PrepareSource(input, 1, src, 0, 4) },
+				"source input too wide": func() { p3.PrepareSource(tensor.New(3, hw, hw+1), 1, src, 0, 3) },
+				"source too large":      func() { p3.PrepareSource(input, 1, append(src, 0), 0, 3) },
+			} {
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, "codegen: conv "+c.Name) {
+							t.Errorf("%dx%d %v %s: recovered %q, want the driver's own panic", hw, hw, level, name, msg)
+						}
+					}()
+					call()
+				}()
+			}
 		}
 	}
 }

@@ -288,3 +288,87 @@ func TestDifferentialPadIntoDirtyScratch(t *testing.T) {
 		t.Fatalf("PadInto differs from PadInput by %g", got.MaxAbsDiff(want))
 	}
 }
+
+// TestPrepareSourceMatchesPadded pins the graph executor's form of a packed
+// conv — the source prepared once from the unpadded (or dilated) input, in
+// channel ranges, into dirty scratch; filter ranges on their own Scratch —
+// to the self-contained entry point over the padded input, bit for bit: the
+// same kernels see the same source. It covers both sides of the geometry
+// rule (resident planes up to simd.MaxRunPlane pixels and every strided
+// layer, tiled wider ones), pad 0 (where the tiled source is the input
+// itself), depthwise, a transposed conv's dilated input, and every epilogue.
+func TestPrepareSourceMatchesPadded(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type geo struct{ hw, stride, pad, dil int }
+	var geos []geo
+	for _, hw := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12} {
+		for _, stride := range []int{1, 2} {
+			geos = append(geos, geo{hw, stride, 1, 1})
+		}
+	}
+	geos = append(geos, geo{6, 1, 0, 1}, geo{10, 1, 0, 1}, geo{9, 2, 0, 1}, geo{3, 1, 1, 2}, geo{6, 1, 1, 2}, geo{4, 1, 0, 3})
+	for _, g := range geos {
+		for _, dw := range []bool{false, true} {
+			// A dilated input of h×w lands on (h−1)·dil+1 rows (+1 of output
+			// padding when dil > 1) of the equivalent conv.
+			inHW := (g.hw-1)*g.dil + 1
+			if g.dil > 1 {
+				inHW++
+			}
+			if inHW+2*g.pad < 3 {
+				continue
+			}
+			outC, inC := 6, 5
+			if dw {
+				inC = 1
+			}
+			w := tensor.New(outC, inC, 3, 3)
+			w.Randn(rng, 0.25)
+			geom := pruned.ConvGeom{Stride: g.stride, Pad: g.pad, InH: inHW, InW: inHW,
+				OutH: tensor.ConvOutDim(inHW, 3, g.stride, g.pad), OutW: tensor.ConvOutDim(inHW, 3, g.stride, g.pad)}
+			c := pruned.FromWeights("prep", w, pattern.Canonical(8), 1+rng.Intn(outC*inC), geom)
+			c.Depthwise = dw
+			input := tensor.New(c.InChannels(), g.hw, g.hw)
+			input.Randn(rng, 0.5)
+			bias := make([]float32, outC)
+			for i := range bias {
+				bias[i] = float32(rng.NormFloat64())
+			}
+			shortcut := tensor.New(outC, c.OutH, c.OutW)
+			shortcut.Randn(rng, 0.5)
+			padded := tensor.New(c.InChannels(), inHW+2*g.pad, inHW+2*g.pad)
+			DilatePadInto(input, padded, g.dil, g.pad)
+			for _, level := range []Level{Packed, PackedQ8} {
+				p, err := Compile(c, level, c3Tune())
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := input.Data
+				if n := p.SourceLen(g.dil); n > 0 {
+					src = dirty(1, 1, n).Data
+					mid := c.InChannels() / 2
+					p.PrepareSource(input, g.dil, src, mid, c.InChannels())
+					p.PrepareSource(input, g.dil, src, 0, mid)
+				} else if g.pad != 0 || g.dil != 1 {
+					t.Fatalf("%+v: SourceLen 0 for a padded or dilated input", g)
+				}
+				for _, sc := range []*tensor.Tensor{nil, shortcut} {
+					for _, relu := range []bool{false, true} {
+						want := dirty(outC, c.OutH, c.OutW)
+						p.ExecuteRangeResidual(padded, want, 0, outC, bias, sc, relu)
+						got := dirty(outC, c.OutH, c.OutW)
+						var scratch [3]Scratch
+						a, b := outC/3, outC-outC/4
+						p.ExecuteRangeSource(src, &scratch[0], got, b, outC, bias, sc, relu)
+						p.ExecuteRangeSource(src, &scratch[1], got, 0, a, bias, sc, relu)
+						p.ExecuteRangeSource(src, &scratch[2], got, a, b, bias, sc, relu)
+						if d := got.MaxAbsDiff(want); d != 0 {
+							t.Fatalf("%+v dw %v %v residual %v relu %v: source path differs by %g",
+								g, dw, level, sc != nil, relu, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}

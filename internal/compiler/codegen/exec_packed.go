@@ -35,19 +35,27 @@ package codegen
 // pixels has rows narrower than a vector — every tile call there is scalar
 // tail behind a fixed call cost — and a strided conv (Stride s >= 2) has no
 // unit column step to give the tiles at all. Both take the other contract:
-// each padded input plane is first split (pooled scratch) by row phase and
-// column tap — plane (a, dc) holds padded[i·s+a][j·s+dc] for every output
-// column j, so tap (dr, dc) of output (oh, ow) reads plane (dr mod s, dc) at
-// (oh + dr div s, ow) — which makes a tap's view of the whole output plane
-// one contiguous span, and the plane is handed to a run kernel (simd.Run4 /
-// Run4Q8) once per (filter, run): the output stays in registers while the
-// run's whole kernel list streams past. Which path a plan takes is fixed when
-// it is built, from its geometry alone (packedLayout). Depthwise convs split
-// only the planes of the filters in range.
+// the input is first split by row phase and column tap — plane (a, dc) holds
+// padded[i·s+a][j·s+dc] for every output column j, so tap (dr, dc) of output
+// (oh, ow) reads plane (dr mod s, dc) at (oh + dr div s, ow) — which makes a
+// tap's view of the whole output plane one contiguous span, and the plane is
+// handed to a run kernel (simd.Run4 / Run4Q8) once per (filter, run): the
+// output stays in registers while the run's whole kernel list streams past.
+// Which path a plan takes is fixed when it is built, from its geometry alone
+// (packedLayout).
 //
-// The bias + ReLU epilogue fuses into the same walk: the driver initializes
-// each output plane itself, so the serving runtime can hand it dirty pooled
-// buffers without a zeroing pass.
+// The source a driver reads — that split, or the zero-padded input of a
+// tiled plan — is prepared once per input, not once per filter range:
+// PrepareSource writes any channel range of it straight from the unpadded
+// producer output (zero border included), so the graph executor runs it as
+// one parallel pass over channels into an arena slot and every compute range
+// reads the same slot through ExecuteRangeSource. The self-contained entry
+// points (ExecuteRange*, Execute) take the padded input and prepare the
+// source per call in pooled scratch instead.
+//
+// The bias (or residual) + ReLU epilogue fuses into the same walk: the
+// driver initializes each output plane itself, so the serving runtime can
+// hand it dirty arena buffers without a zeroing pass.
 
 import (
 	"fmt"
@@ -60,32 +68,40 @@ import (
 	"patdnn/internal/tensor"
 )
 
-// packedScratch holds the pointer/weight buffers a driver call hands to the
-// microkernels, and the float scratch a strided layer lowers its input into.
-// The calls go through func values, so escape analysis cannot prove the
-// arrays don't leak and stack copies would be heap-allocated on every call;
-// pooling one scratch per driver invocation keeps the serving hot path
-// allocation-free.
-type packedScratch struct {
-	s8  [8]*float32
-	s4  [4]*float32
-	w8  [8]float32
-	w4  [4]float32
+// Scratch is the pointer and weight arrays one tiled driver call hands the
+// microkernels. The calls go through func values, so escape analysis cannot
+// prove the arrays don't leak and stack copies would be heap-allocated on
+// every call; a caller running ranges concurrently owns one Scratch per
+// concurrent range (the graph executor keeps one per batch item and compute
+// part). The zero value is ready to use.
+type Scratch struct {
+	s8 [8]*float32
+	s4 [4]*float32
+	w8 [8]float32
+	w4 [4]float32
+}
+
+// pooledScratch backs the self-contained entry points, which also prepare
+// their source per call: buf holds the split or subsampled input.
+type pooledScratch struct {
+	Scratch
 	buf []float32
 }
 
-var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(pooledScratch) }}
 
-// putPackedScratch clears the held input pointers (so a pooled scratch never
-// pins a retired activation buffer) and returns sc to the pool. The float
-// scratch is the pool's own and stays.
-func putPackedScratch(sc *packedScratch) {
-	*sc = packedScratch{buf: sc.buf}
-	packedScratchPool.Put(sc)
+func getScratch() *pooledScratch { return scratchPool.Get().(*pooledScratch) }
+
+// putScratch clears the held input pointers (so a pooled scratch never pins
+// a retired activation buffer) and returns sc to the pool. The float scratch
+// is the pool's own and stays.
+func putScratch(sc *pooledScratch) {
+	sc.Scratch = Scratch{}
+	scratchPool.Put(sc)
 }
 
 // floats returns n floats of scratch with undefined contents.
-func (sc *packedScratch) floats(n int) []float32 {
+func (sc *pooledScratch) floats(n int) []float32 {
 	if cap(sc.buf) < n {
 		sc.buf = make([]float32, n)
 	}
@@ -137,44 +153,156 @@ func (l *packedLayout) tapOffsets(taps [][2]int, s, kw int) (off [4]int) {
 	return off
 }
 
-// packedSource returns the data reordered filter positions [from, to) read:
-// padded itself, or for a resident plan its split into sc's scratch.
-func (p *Plan) packedSource(padded *tensor.Tensor, sc *packedScratch, from, to int) []float32 {
-	if !p.lay.resident {
-		return padded.Data
+// sourceLen is the element count of the source the drivers read: the split
+// for a resident plan, the padded input for a tiled one.
+func (p *Plan) sourceLen() int {
+	if p.lay.resident {
+		return p.Conv.InChannels() * p.lay.chStride
 	}
+	return p.PaddedLen()
+}
+
+// SourceLen is the element count of the source PrepareSource writes and
+// ExecuteRangeSource reads, for an input dilated by dil (a transposed conv's
+// stride; 1 otherwise): the row-phase × column-tap split of a plane-resident
+// plan, the zero-padded input of a tiled one. It is 0 when the plan reads its
+// input as is — tiled, unpadded, undilated — and nothing needs preparing.
+func (p *Plan) SourceLen(dil int) int {
+	if !p.lay.resident && p.Conv.Pad == 0 && dil == 1 {
+		return 0
+	}
+	return p.sourceLen()
+}
+
+// PrepareSource writes input channels [c0, c1) of the plan's source into src
+// (SourceLen elements, prior contents irrelevant) from the unpadded input,
+// whose elements land dil apart in the padded frame: the split of a resident
+// plan, the padded input of a tiled one, zero border and dilation gaps
+// included. Disjoint channel ranges may be prepared concurrently.
+func (p *Plan) PrepareSource(input *tensor.Tensor, dil int, src []float32, c0, c1 int) {
+	c := p.Conv
+	ch, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
+	switch {
+	case c0 < 0 || c0 > c1 || c1 > c.InChannels():
+		panic(fmt.Sprintf("codegen: conv %s: channel range [%d,%d) outside [0,%d]", c.Name, c0, c1, c.InChannels()))
+	case len(src) != p.sourceLen():
+		panic(fmt.Sprintf("codegen: conv %s: source holds %d elements, want %d", c.Name, len(src), p.sourceLen()))
+	case dil < 1 || ch != c.InChannels() || h < 1 || w < 1 || (h-1)*dil >= c.InH || (w-1)*dil >= c.InW ||
+		dil == 1 && (h != c.InH || w != c.InW):
+		panic(fmt.Sprintf("codegen: conv %s: input [%d,%d,%d] at dilation %d does not fill [%d,%d,%d]",
+			c.Name, ch, h, w, dil, c.InChannels(), c.InH, c.InW))
+	}
+	ph, pw := c.InH+2*c.Pad, c.InW+2*c.Pad
+	for ch := c0; ch < c1; ch++ {
+		in := input.Data[ch*h*w : (ch+1)*h*w]
+		switch {
+		case p.lay.resident:
+			p.splitPlane(in, h, w, c.Pad, dil, src[ch*p.lay.chStride:(ch+1)*p.lay.chStride])
+		case dil == 1:
+			padPlane(in, h, w, c.Pad, src[ch*ph*pw:(ch+1)*ph*pw])
+		default:
+			dilatePadPlane(in, h, w, dil, c.Pad, pw, src[ch*ph*pw:(ch+1)*ph*pw])
+		}
+	}
+}
+
+// splitPlane writes one channel's row-phase × column-tap split from its
+// h×w input plane in, placed dil apart at offset pd in the padded frame:
+// split row i of plane (a, dc) is padded row i·s+a sampled at columns
+// j·s+dc, j < OutW, and a position no input element lands on reads 0.
+func (p *Plan) splitPlane(in []float32, h, w, pd, dil int, dst []float32) {
 	c, s, lay := p.Conv, p.Conv.Stride, &p.lay
-	ph, pw := padded.Dim(1), padded.Dim(2)
-	data := sc.floats(c.InChannels() * lay.chStride)
-	split := func(ch int) {
-		in := padded.Data[ch*ph*pw : (ch+1)*ph*pw]
-		dst := data[ch*lay.chStride:]
+	ph, ow := c.InH+2*c.Pad, c.OutW
+	if s == 1 && dil == 1 && ow == w && pd <= w {
+		// Same padding: plane dc is the input shifted by dc−pd elements
+		// with the row ends that wrapped zeroed — one copy per plane.
+		for dc := 0; dc < c.KW; dc++ {
+			d := dst[dc*lay.planeStride : (dc+1)*lay.planeStride]
+			clear(d[:pd*ow])
+			clear(d[(pd+h)*ow:])
+			body, sh := d[pd*ow:(pd+h)*ow], dc-pd
+			if sh >= 0 {
+				copy(body, in[sh:])
+				for r := w - sh; r < len(body); r += w {
+					clear(body[r : r+sh])
+				}
+			} else {
+				copy(body[-sh:], in)
+				for r := 0; r < len(body); r += w {
+					clear(body[r : r-sh])
+				}
+			}
+		}
+		return
+	}
+	for dc := 0; dc < c.KW; dc++ {
+		// Undilated, output columns [lo, hi) read input columns
+		// lo·s+dc−pd onward, s apart; the rest are border.
+		lo := min((max(pd-dc, 0)+s-1)/s, ow)
+		hi := max(min((max(w+pd-dc, 0)+s-1)/s, ow), lo)
+		x0 := lo*s + dc - pd
 		for a := 0; a < s; a++ {
-			for dc := 0; dc < c.KW; dc++ {
-				d := dst[(a*c.KW+dc)*lay.planeStride:]
-				for i, y := 0, a; y < ph; i, y = i+1, y+s {
-					row, drow := in[y*pw+dc:(y+1)*pw], d[i*c.OutW:(i+1)*c.OutW]
-					if s == 1 {
-						copy(drow, row)
-						continue
+			d := dst[(a*c.KW+dc)*lay.planeStride:]
+			for i, y := 0, a; y < ph; i, y = i+1, y+s {
+				drow := d[i*ow : (i+1)*ow]
+				iy := y - pd
+				if dil > 1 {
+					p.splitRowDilated(drow, in, h, w, iy, dc-pd, dil)
+					continue
+				}
+				if iy < 0 || iy >= h {
+					clear(drow)
+					continue
+				}
+				row := in[iy*w : (iy+1)*w]
+				for j := range drow[:lo] {
+					drow[j] = 0
+				}
+				if s == 1 {
+					copy(drow[lo:hi], row[x0:])
+				} else {
+					for j, x := lo, x0; j < hi; j, x = j+1, x+s {
+						drow[j] = row[x]
 					}
-					for j := range drow {
-						drow[j] = row[j*s]
-					}
+				}
+				for j := hi; j < ow; j++ {
+					drow[j] = 0
 				}
 			}
 		}
 	}
-	if c.Depthwise {
-		for pos := from; pos < to; pos++ {
-			split(p.packed[pos].orig)
-		}
-	} else {
-		for ch := 0; ch < c.InChannels(); ch++ {
-			split(ch)
+}
+
+// splitRowDilated fills one split row from a dil-dilated input: column j
+// reads dilated position (iy, j·s+x0), which holds an input element only on
+// the dilation grid inside the input.
+func (p *Plan) splitRowDilated(drow, in []float32, h, w, iy, x0, dil int) {
+	clear(drow)
+	if iy < 0 || iy%dil != 0 || iy/dil >= h {
+		return
+	}
+	row := in[iy/dil*w : (iy/dil+1)*w]
+	for j := range drow {
+		if x := j*p.Conv.Stride + x0; x >= 0 && x%dil == 0 && x/dil < w {
+			drow[j] = row[x/dil]
 		}
 	}
-	return data
+}
+
+// preparePadded prepares the whole source from the padded input, for the
+// self-contained entry points: the padded input itself for a tiled plan, its
+// split into sc's scratch for a resident one.
+func (p *Plan) preparePadded(padded *tensor.Tensor, sc *pooledScratch) []float32 {
+	if !p.lay.resident {
+		return padded.Data
+	}
+	c := p.Conv
+	ph, pw := padded.Dim(1), padded.Dim(2)
+	src := sc.floats(p.sourceLen())
+	for ch := 0; ch < c.InChannels(); ch++ {
+		p.splitPlane(padded.Data[ch*ph*pw:(ch+1)*ph*pw], ph, pw, 0, 1, src[ch*p.lay.chStride:(ch+1)*p.lay.chStride])
+	}
+	return src
 }
 
 // packedRun is one pattern run of a filter in the packed view: the taps are
@@ -283,17 +411,18 @@ func (p *Plan) checkRun(run *packedRun) error {
 }
 
 // checkPackedCall is the once-per-call half of the unchecked kernels'
-// boundary: the tensors must hold exactly the plan's element counts and the
-// range must lie in [0, OutC], or the driver panics before any kernel runs.
-// shortcut is nil outside the residual form.
-func (p *Plan) checkPackedCall(padded, out, shortcut *tensor.Tensor, from, to int) {
+// boundary: the source must hold exactly want elements, the output and
+// shortcut exactly the plan's, and the range must lie in [0, OutC], or the
+// driver panics before any kernel runs. shortcut is nil outside the residual
+// form.
+func (p *Plan) checkPackedCall(src, want int, out, shortcut *tensor.Tensor, from, to int) {
 	c := p.Conv
 	switch {
 	case from < 0 || from > to || to > c.OutC:
 		panic(fmt.Sprintf("codegen: conv %s: filter range [%d,%d) outside [0,%d]", c.Name, from, to, c.OutC))
-	case len(padded.Data) != p.PaddedLen():
-		panic(fmt.Sprintf("codegen: conv %s: padded input holds %d elements, want %dx%dx%d", c.Name,
-			len(padded.Data), c.InChannels(), c.InH+2*c.Pad, c.InW+2*c.Pad))
+	case src != want:
+		panic(fmt.Sprintf("codegen: conv %s: input holds %d elements, want %d (%dx%dx%d padded)", c.Name,
+			src, want, c.InChannels(), c.InH+2*c.Pad, c.InW+2*c.Pad))
 	case len(out.Data) != c.OutC*c.OutH*c.OutW:
 		panic(fmt.Sprintf("codegen: conv %s: output holds %d elements, want %dx%dx%d", c.Name, len(out.Data), c.OutC, c.OutH, c.OutW))
 	case shortcut != nil && len(shortcut.Data) != len(out.Data):
@@ -302,28 +431,50 @@ func (p *Plan) checkPackedCall(padded, out, shortcut *tensor.Tensor, from, to in
 }
 
 // rangePacked executes reordered filter positions [from, to) of a Packed or
-// PackedQ8 plan. When init is set the driver writes each output plane's
-// initial value (bias, or zero) itself — otherwise it accumulates on top of
-// what the caller put there (a residual shortcut) — and relu applies the
-// fused ReLU epilogue after the plane's last accumulation. At PackedQ8 the
-// filter scale folds into the widened weights, so neither costs extra.
-func (p *Plan) rangePacked(padded, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
-	p.checkPackedCall(padded, out, nil, from, to)
-	sc := packedScratchPool.Get().(*packedScratch)
-	defer putPackedScratch(sc)
-	src := p.packedSource(padded, sc, from, to)
+// PackedQ8 plan over the padded input, preparing the source in pooled
+// scratch. When init is set the driver writes each output plane's initial
+// value (the shortcut plane, plus bias, or zero) itself — otherwise it
+// accumulates on top of what the caller put there — and relu applies the
+// fused ReLU epilogue after the plane's last accumulation.
+func (p *Plan) rangePacked(padded, out *tensor.Tensor, from, to int, bias []float32, shortcut *tensor.Tensor, init, relu bool) {
+	p.checkPackedCall(len(padded.Data), p.PaddedLen(), out, shortcut, from, to)
+	sc := getScratch()
+	defer putScratch(sc)
+	p.rangeSource(p.preparePadded(padded, sc), &sc.Scratch, out, from, to, bias, shortcut, init, relu)
+}
+
+// ExecuteRangeSource is ExecuteRangeFused — or, with a non-nil shortcut,
+// ExecuteRangeResidual — over a source PrepareSource wrote (or, when
+// SourceLen is 0, the unpadded input itself). sc is the caller's scratch for
+// this range; ranges running concurrently need their own. Packed levels only.
+func (p *Plan) ExecuteRangeSource(src []float32, sc *Scratch, out *tensor.Tensor, from, to int, bias []float32, shortcut *tensor.Tensor, relu bool) {
+	if !p.SupportsFused() {
+		panic(fmt.Sprintf("codegen: conv %s: ExecuteRangeSource needs a packed plan, not %v", p.Conv.Name, p.Level))
+	}
+	p.checkPackedCall(len(src), p.sourceLen(), out, shortcut, from, to)
+	p.rangeSource(src, sc, out, from, to, bias, shortcut, true, relu)
+}
+
+func (p *Plan) rangeSource(src []float32, sc *Scratch, out *tensor.Tensor, from, to int, bias []float32, shortcut *tensor.Tensor, init, relu bool) {
 	if p.lay.resident {
-		p.rangeResident(src, out, from, to, bias, init, relu)
+		p.rangeResident(src, out, from, to, bias, shortcut, init, relu)
 	} else {
-		p.rangeTiled(src, sc, out, from, to, bias, init, relu)
+		p.rangeTiled(src, sc, out, from, to, bias, shortcut, init, relu)
 	}
 }
 
-// initPlane writes the fused epilogue's initial value of one output plane.
-func initPlane(plane []float32, bias []float32, orig int) {
+// initPlane writes the fused epilogue's initial value of one output plane:
+// the matching shortcut plane (when given) plus the bias (when given).
+func initPlane(plane []float32, bias []float32, shortcut *tensor.Tensor, orig int) {
 	v := float32(0)
 	if bias != nil {
 		v = bias[orig]
+	}
+	if shortcut != nil {
+		for i, x := range shortcut.Data[orig*len(plane) : (orig+1)*len(plane)] {
+			plane[i] = x + v
+		}
+		return
 	}
 	for i := range plane {
 		plane[i] = v
@@ -333,14 +484,14 @@ func initPlane(plane []float32, bias []float32, orig int) {
 // rangeResident is the run-kernel walk: one kernel call per (filter, run)
 // over the whole output plane, which the split source made one contiguous
 // span per tap.
-func (p *Plan) rangeResident(src []float32, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
+func (p *Plan) rangeResident(src []float32, out *tensor.Tensor, from, to int, bias []float32, shortcut *tensor.Tensor, init, relu bool) {
 	c, kern, chStride := p.Conv, p.kern, p.lay.chStride
 	n := c.OutH * c.OutW
 	for pos := from; pos < to; pos++ {
 		pf := &p.packed[pos]
 		plane := out.Data[pf.orig*n : (pf.orig+1)*n]
 		if init {
-			initPlane(plane, bias, pf.orig)
+			initPlane(plane, bias, shortcut, pf.orig)
 		}
 		base := &src[0]
 		if c.Depthwise {
@@ -363,8 +514,8 @@ func (p *Plan) rangeResident(src []float32, out *tensor.Tensor, from, to int, bi
 // rangeTiled is the register-tiled walk over the padded input: filter group
 // × row tile × column chunk × kernel pairs, as drawn at the top of the file.
 // A PackedQ8 kernel pair (or trailing odd kernel) widens its int8 levels,
-// scale folded in, into pooled scratch ahead of the same Tile8 (Tile4) call.
-func (p *Plan) rangeTiled(src []float32, sc *packedScratch, out *tensor.Tensor, from, to int, bias []float32, init, relu bool) {
+// scale folded in, into sc ahead of the same Tile8 (Tile4) call.
+func (p *Plan) rangeTiled(src []float32, sc *Scratch, out *tensor.Tensor, from, to int, bias []float32, shortcut *tensor.Tensor, init, relu bool) {
 	c, kern, lay := p.Conv, p.kern, &p.lay
 	oHW := c.OutH * c.OutW
 	tileOH := p.Tune.Tile[1]
@@ -384,7 +535,7 @@ func (p *Plan) rangeTiled(src []float32, sc *packedScratch, out *tensor.Tensor, 
 		if init {
 			for pos := gBase; pos < gEnd; pos++ {
 				orig := p.packed[pos].orig
-				initPlane(out.Data[orig*oHW:(orig+1)*oHW], bias, orig)
+				initPlane(out.Data[orig*oHW:(orig+1)*oHW], bias, shortcut, orig)
 			}
 		}
 		// Row tile outside the group's filter loop: every filter of the group

@@ -136,6 +136,12 @@ type Plan struct {
 // ("avx2", "neon", or "generic"); empty for non-packed levels.
 func (p *Plan) KernelArch() string { return p.kern.Name }
 
+// KeptPrefix is the FKW Offset array: reordered filter position pos keeps
+// KeptPrefix()[pos+1]−KeptPrefix()[pos] kernels. The graph executor cuts
+// filter ranges on it so every worker gets an equal share of the MACs —
+// FKR sorts heavy filters first, so equal counts would not.
+func (p *Plan) KeptPrefix() []int32 { return p.FKW.Offset }
+
 // Compile builds the plan for the requested level. Layers must carry weights.
 func Compile(c *pruned.Conv, level Level, tune lr.Tuning) (*Plan, error) {
 	if c.Weights == nil {
@@ -232,7 +238,7 @@ func (p *Plan) Execute(input *tensor.Tensor, bias []float32) *tensor.Tensor {
 	case Tuned:
 		p.execTuned(padded, out)
 	case Packed, PackedQ8:
-		p.rangePacked(padded, out, 0, c.OutC, nil, false, false)
+		p.rangePacked(padded, out, 0, c.OutC, nil, nil, false, false)
 	}
 	return out
 }
@@ -251,7 +257,7 @@ func (p *Plan) ExecuteRange(padded *tensor.Tensor, out *tensor.Tensor, from, to 
 	case Tuned:
 		p.rangeTuned(padded, out, from, to)
 	case Packed, PackedQ8:
-		p.rangePacked(padded, out, from, to, nil, false, false)
+		p.rangePacked(padded, out, from, to, nil, nil, false, false)
 	}
 }
 
@@ -268,30 +274,7 @@ func (p *Plan) SupportsFused() bool { return p.Level == Packed || p.Level == Pac
 // buffers from a pool are fine. Levels without fused kernels fall back to
 // init + plain range + epilogue passes over just [from, to).
 func (p *Plan) ExecuteRangeFused(padded, out *tensor.Tensor, from, to int, bias []float32, relu bool) {
-	if p.SupportsFused() {
-		p.rangePacked(padded, out, from, to, bias, true, relu)
-		return
-	}
-	c := p.Conv
-	oHW := c.OutH * c.OutW
-	for pos := from; pos < to; pos++ {
-		f := p.FKR.FilterPerm[pos]
-		plane := out.Data[f*oHW : (f+1)*oHW]
-		v := float32(0)
-		if bias != nil {
-			v = bias[f]
-		}
-		for i := range plane {
-			plane[i] = v
-		}
-	}
-	p.ExecuteRange(padded, out, from, to)
-	if relu {
-		for pos := from; pos < to; pos++ {
-			f := p.FKR.FilterPerm[pos]
-			reluInPlace(out.Data[f*oHW : (f+1)*oHW])
-		}
-	}
+	p.ExecuteRangeResidual(padded, out, from, to, bias, nil, relu)
 }
 
 // ExecuteRangeResidual computes output channels (in plan order) [from, to)
@@ -299,25 +282,17 @@ func (p *Plan) ExecuteRangeFused(padded, out *tensor.Tensor, from, to int, bias 
 // matching plane of shortcut (plus bias), the convolution accumulates on top,
 // and relu optionally clamps — so a bottleneck tail (conv+bn → add → relu)
 // runs as one sweep without materializing a separate elementwise add pass.
-// shortcut must be [OutC, OutH, OutW]; out may hold garbage.
+// shortcut must be [OutC, OutH, OutW] (nil is ExecuteRangeFused); out may
+// hold garbage.
 func (p *Plan) ExecuteRangeResidual(padded, out *tensor.Tensor, from, to int, bias []float32, shortcut *tensor.Tensor, relu bool) {
 	if p.SupportsFused() {
-		p.checkPackedCall(padded, out, shortcut, from, to)
+		p.rangePacked(padded, out, from, to, bias, shortcut, true, relu)
+		return
 	}
-	c := p.Conv
-	oHW := c.OutH * c.OutW
+	oHW := p.Conv.OutH * p.Conv.OutW
 	for pos := from; pos < to; pos++ {
 		f := p.FKR.FilterPerm[pos]
-		plane := out.Data[f*oHW : (f+1)*oHW]
-		sc := shortcut.Data[f*oHW : (f+1)*oHW]
-		if bias != nil {
-			b := bias[f]
-			for i, v := range sc {
-				plane[i] = v + b
-			}
-		} else {
-			copy(plane, sc)
-		}
+		initPlane(out.Data[f*oHW:(f+1)*oHW], bias, shortcut, f)
 	}
 	p.ExecuteRange(padded, out, from, to) // every level accumulates
 	if relu {
@@ -343,21 +318,26 @@ func (p *Plan) PaddedLen() int {
 
 // PadInto copies input into the zero-padded view out ([C, H+2p, W+2p] over
 // scratch whose contents may be garbage): only the border is zeroed, the
-// interior is fully overwritten. The graph executor uses it directly with
-// prebuilt arena views (tensor construction would allocate in its hot path).
+// interior is fully overwritten. The graph executor prepares its sources with
+// Plan.PrepareSource, which does the same per channel range.
 func PadInto(input, out *tensor.Tensor, pd int) {
 	c, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
-	ph, pw := h+2*pd, w+2*pd
+	n := (h + 2*pd) * (w + 2*pd)
 	for ic := 0; ic < c; ic++ {
-		plane := out.Data[ic*ph*pw : (ic+1)*ph*pw]
-		clear(plane[:pd*pw])
-		clear(plane[(ph-pd)*pw:])
-		for y := 0; y < h; y++ {
-			row := plane[(y+pd)*pw : (y+pd+1)*pw]
-			clear(row[:pd])
-			copy(row[pd:pd+w], input.Data[(ic*h+y)*w:(ic*h+y)*w+w])
-			clear(row[pd+w:])
-		}
+		padPlane(input.Data[ic*h*w:(ic+1)*h*w], h, w, pd, out.Data[ic*n:(ic+1)*n])
+	}
+}
+
+// padPlane is PadInto for one h×w plane.
+func padPlane(in []float32, h, w, pd int, plane []float32) {
+	ph, pw := h+2*pd, w+2*pd
+	clear(plane[:pd*pw])
+	clear(plane[(ph-pd)*pw:])
+	for y := 0; y < h; y++ {
+		row := plane[(y+pd)*pw : (y+pd+1)*pw]
+		clear(row[:pd])
+		copy(row[pd:pd+w], in[y*w:(y+1)*w])
+		clear(row[pd+w:])
 	}
 }
 
@@ -365,25 +345,29 @@ func PadInto(input, out *tensor.Tensor, pd int) {
 // whose contents may be garbage: element (y, x) of each input plane lands at
 // (pd + y*stride, pd + x*stride), and every other element of out is zeroed.
 // This is the staging step of transposed-conv execution — the stride-1
-// equivalent conv then sweeps out with PadInto-style arena views, so the FKW
-// packed walk and microkernels apply unchanged. out's dims determine the
-// dilated extent (trailing output-padding rows/cols stay zero).
+// equivalent conv then sweeps out like a padded input, so the FKW packed
+// walk and microkernels apply unchanged. out's dims determine the dilated
+// extent (trailing output-padding rows/cols stay zero).
 func DilatePadInto(input, out *tensor.Tensor, stride, pd int) {
 	c, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
-	ph, pw := out.Dim(1), out.Dim(2)
+	n := out.Dim(1) * out.Dim(2)
 	for ic := 0; ic < c; ic++ {
-		plane := out.Data[ic*ph*pw : (ic+1)*ph*pw]
-		clear(plane)
-		for y := 0; y < h; y++ {
-			src := input.Data[(ic*h+y)*w : (ic*h+y)*w+w]
-			row := plane[(pd+y*stride)*pw+pd:]
-			if stride == 1 {
-				copy(row[:w], src)
-				continue
-			}
-			for x, v := range src {
-				row[x*stride] = v
-			}
+		dilatePadPlane(input.Data[ic*h*w:(ic+1)*h*w], h, w, stride, pd, out.Dim(2), out.Data[ic*n:(ic+1)*n])
+	}
+}
+
+// dilatePadPlane is DilatePadInto for one h×w plane into a pw-wide one.
+func dilatePadPlane(in []float32, h, w, stride, pd, pw int, plane []float32) {
+	clear(plane)
+	for y := 0; y < h; y++ {
+		src := in[y*w : (y+1)*w]
+		row := plane[(pd+y*stride)*pw+pd:]
+		if stride == 1 {
+			copy(row[:w], src)
+			continue
+		}
+		for x, v := range src {
+			row[x*stride] = v
 		}
 	}
 }

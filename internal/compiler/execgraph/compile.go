@@ -98,10 +98,38 @@ type Node struct {
 
 	OutC, OutH, OutW int
 
-	// Static memory plan: arena buffer IDs for the node output and, for
-	// padded convs, the padding scratch (-1 when unused).
+	// Static memory plan: arena buffer IDs for the node output and, for convs
+	// that read a prepared source (padded, split or subsampled input), the
+	// source scratch (-1 when unused). Flatten, and a ReLU that is the last
+	// reader of its input's buffer, share the input's slot.
 	slot    int
-	padSlot int
+	srcSlot int
+}
+
+// sourceLen is the element count of the prepared source the node's conv
+// reads, or 0 when it reads its input as is.
+func (n *Node) sourceLen() int {
+	switch n.Kind {
+	case KindConv:
+		return n.Plan.SourceLen(1)
+	case KindConvT:
+		return n.Plan.SourceLen(n.DilStride)
+	case KindConv1x1:
+		return n.Plan1x1.SourceLen()
+	}
+	return 0
+}
+
+// keptPrefix is the kept-weight prefix sum over the node's filter positions
+// that its compute parts are cut on; nil (cut by count) for an FC.
+func (n *Node) keptPrefix() []int32 {
+	switch n.Kind {
+	case KindConv, KindConvT:
+		return n.Plan.KeptPrefix()
+	case KindConv1x1:
+		return n.Plan1x1.KeptPrefix()
+	}
+	return nil
 }
 
 // FusedOps counts what the graph passes fused away — the numbers /models
@@ -329,7 +357,7 @@ func (p *Plan) lower(m *model.Model, g *graphopt.Graph, gn *graphopt.Node, param
 		Kind: KindInput, Name: l.Name, Op: gn.Op,
 		Inputs: append([]int(nil), gn.Inputs...), Shortcut: -1,
 		ReLU: gn.FusedReLU, BNFolded: gn.BN != nil,
-		slot: -1, padSlot: -1,
+		slot: -1, srcSlot: -1,
 	}
 	var in [3]int
 	if len(n.Inputs) > 0 {
@@ -553,13 +581,21 @@ func (p *Plan) finish(m *model.Model) error {
 	return nil
 }
 
-// planArena runs the liveness analysis: every node output (and every padded
-// conv's padding scratch) is assigned a buffer, and a buffer is reused for a
-// later tensor as soon as its previous occupant's live range [def, lastUse]
-// has closed. Greedy first-fit on size, the same discipline TVM's static
-// memory planner uses; offsets are the prefix sums of the final buffer sizes,
-// so one arena allocation serves a whole inference with zero steady-state
-// allocation.
+// planArena runs the liveness analysis: every node output (and every conv's
+// prepared source) is assigned a buffer, and a buffer is reused for a later
+// tensor as soon as its previous occupant's live range [def, lastUse] has
+// closed. Greedy first-fit on size, the same discipline TVM's static memory
+// planner uses; offsets are the prefix sums of the final buffer sizes, so one
+// arena allocation serves a whole inference with zero steady-state
+// allocation. Offsets are rounded up to 16 floats, a cache line: one
+// odd-sized buffer (VGG's and ResNet's first padded input, 3×34×34 floats)
+// used to put every later one 48 bytes off a line, so half the kernels'
+// 32-byte loads straddled two — ResNet-50's 1×1 convs ran 20–30 % slower.
+//
+// Two nodes take their input's buffer instead of a new one: Flatten, whose
+// output is its input's bytes, and a standalone ReLU that is the last reader
+// of its input's buffer, which then clamps in place. The buffer stays live
+// until the last use of any value in it.
 func (p *Plan) planArena() {
 	nN := len(p.Nodes)
 	lastUse := make([]int, nN)
@@ -591,36 +627,56 @@ func (p *Plan) planArena() {
 		bufs = append(bufs, buffer{size: sz})
 		return len(bufs) - 1
 	}
+	// root[i] is the node whose buffer holds node i's output: i itself, or
+	// for an alias its input's root, whose live range then covers the alias's.
+	root := make([]int, nN)
 	released := make([]bool, nN)
-	padReleased := make([]bool, nN)
+	srcReleased := make([]bool, nN)
 	for i, n := range p.Nodes {
-		// Close live ranges that ended strictly before this node; padding
-		// scratch lives only during its own node.
+		// Close live ranges that ended strictly before this node; a prepared
+		// source lives only during its own node.
 		for j := 0; j < i; j++ {
-			if !released[j] && lastUse[j] < i {
+			if root[j] == j && !released[j] && lastUse[j] < i {
 				bufs[p.Nodes[j].slot].free = true
 				released[j] = true
 			}
-			if ps := p.Nodes[j].padSlot; ps >= 0 && !padReleased[j] {
-				bufs[ps].free = true
-				padReleased[j] = true
+			if ss := p.Nodes[j].srcSlot; ss >= 0 && !srcReleased[j] {
+				bufs[ss].free = true
+				srcReleased[j] = true
 			}
 		}
-		// A transposed conv always needs the scratch, even at equivalent pad 0:
-		// the dilated input is materialized there.
-		if (n.Kind == KindConv && n.Plan.Conv.Pad > 0) || n.Kind == KindConvT {
-			n.padSlot = alloc(n.Plan.PaddedLen())
-			p.naiveLen += n.Plan.PaddedLen()
+		if sz := n.sourceLen(); sz > 0 {
+			n.srcSlot = alloc(sz)
+			p.naiveLen += sz
 		}
 		sz := n.OutC * n.OutH * n.OutW
-		n.slot = alloc(sz)
 		p.naiveLen += sz
+		root[i] = i
+		if in := aliasOf(n, i, root, lastUse); in >= 0 {
+			r := root[in]
+			root[i], n.slot = r, p.Nodes[r].slot
+			lastUse[r] = max(lastUse[r], lastUse[i])
+			continue
+		}
+		n.slot = alloc(sz)
 	}
 	p.bufOffsets = make([]int, len(bufs))
 	off := 0
 	for i, b := range bufs {
 		p.bufOffsets[i] = off
-		off += b.size
+		off += (b.size + 15) &^ 15
 	}
 	p.arenaLen = off
+}
+
+// aliasOf returns the input whose buffer node i runs on, or -1: a Flatten's
+// always, a ReLU's when no later node reads that buffer.
+func aliasOf(n *Node, i int, root, lastUse []int) int {
+	switch {
+	case n.Kind == KindFlatten:
+		return n.Inputs[0]
+	case n.Kind == KindReLU && lastUse[root[n.Inputs[0]]] == i:
+		return n.Inputs[0]
+	}
+	return -1
 }

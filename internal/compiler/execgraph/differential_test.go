@@ -5,8 +5,9 @@ package execgraph
 // epilogues, liveness-planned arena buffers) against the dense unfused
 // reference forward pass, over the paper's three evaluation networks in
 // their CIFAR variants, at both the tuned dense-layout kernels and the
-// packed FKW-direct backend. A BN-folding scale/shift bug, a residual
-// sign/shape error, or an arena aliasing bug all surface here as a >1e-4
+// packed FKW-direct backend, the latter on one, two and four workers. A BN-folding
+// scale/shift bug, a residual sign/shape error, an arena aliasing bug, or a
+// filter cut that drops or doubles a range all surface here as a >1e-4
 // divergence.
 
 import (
@@ -26,14 +27,11 @@ func TestDifferentialPaperNetworks(t *testing.T) {
 		model.ResNet50("cifar10"),
 		model.MobileNetV2("cifar10"),
 	}
-	pool := runtime.NewPool(0)
+	pools := []*runtime.Pool{runtime.NewPool(1), runtime.NewPool(2), runtime.NewPool(4)}
 	for _, m := range nets {
 		m := m
 		t.Run(m.Short, func(t *testing.T) {
-			params, err := Generate(m, 8, 3.6, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, params := paperPlan(t, m, "packed")
 			x := genInput(m, 11)
 			want, err := Reference(m, params, x)
 			if err != nil {
@@ -43,10 +41,7 @@ func TestDifferentialPaperNetworks(t *testing.T) {
 				t.Fatalf("reference output has %d classes, want %d", want.Dim(0), m.Classes)
 			}
 			for _, level := range []string{"tuned", "packed"} {
-				plan, err := Compile(m, params, Config{Level: level})
-				if err != nil {
-					t.Fatalf("level %s: %v", level, err)
-				}
+				plan, _ := paperPlan(t, m, level)
 				// The paper claim under test: zero BatchNorm nodes execute,
 				// and every residual add rides a conv epilogue.
 				adds := 0
@@ -68,24 +63,29 @@ func TestDifferentialPaperNetworks(t *testing.T) {
 				}
 
 				// Batched execution: every batch lane must match the dense
-				// reference independently (lane 0 and lane 2 share an input).
+				// reference independently (lane 0 and lane 2 share an input),
+				// at every pool width.
 				xs := []*tensor.Tensor{x, genInput(m, 12), x}
-				outs := make([]*tensor.Tensor, len(xs))
-				for i := range outs {
-					outs[i] = tensor.New(plan.OutC, plan.OutH, plan.OutW)
-				}
-				plan.Execute(pool, xs, outs)
-				for _, lane := range []int{0, 2} {
-					if d := outs[lane].MaxAbsDiff(want); d > 1e-4 {
-						t.Fatalf("level %s: lane %d diverged from dense reference by %g", level, lane, d)
-					}
-				}
 				want2, err := Reference(m, params, xs[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := outs[1].MaxAbsDiff(want2); d > 1e-4 {
-					t.Fatalf("level %s: lane 1 diverged from dense reference by %g", level, d)
+				widths := pools // the worker sweep is the packed path's; tuned runs once
+				if level == "tuned" {
+					widths = pools[1:2]
+				}
+				for _, pool := range widths {
+					outs := make([]*tensor.Tensor, len(xs))
+					for i := range outs {
+						outs[i] = tensor.New(plan.OutC, plan.OutH, plan.OutW)
+					}
+					plan.Execute(pool, xs, outs)
+					for lane, w := range []*tensor.Tensor{want, want2, want} {
+						if d := outs[lane].MaxAbsDiff(w); d > 1e-4 {
+							t.Fatalf("level %s, %d workers: lane %d diverged from dense reference by %g",
+								level, pool.Workers(), lane, d)
+						}
+					}
 				}
 			}
 		})

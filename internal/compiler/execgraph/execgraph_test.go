@@ -2,6 +2,7 @@ package execgraph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -85,6 +86,37 @@ func genInput(m *model.Model, seed int64) *tensor.Tensor {
 	return x
 }
 
+var (
+	paperParams sync.Map // "Short/Dataset" → *Params
+	paperPlans  sync.Map // "Short/Dataset/level" → *Plan
+)
+
+// paperPlan is compileAt for a paper network, generated once and compiled
+// once per level per test binary: a ResNet-50 compile takes tens of seconds
+// under -race, and the tests that share it only read the plan.
+func paperPlan(t testing.TB, m *model.Model, level string) (*Plan, *Params) {
+	t.Helper()
+	net := m.Short + "/" + m.Dataset
+	pp, ok := paperParams.Load(net)
+	if !ok {
+		params, err := Generate(m, 8, 3.6, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, _ = paperParams.LoadOrStore(net, params)
+	}
+	params := pp.(*Params)
+	if p, ok := paperPlans.Load(net + "/" + level); ok {
+		return p.(*Plan), params
+	}
+	plan, err := Compile(m, params, Config{Level: level})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := paperPlans.LoadOrStore(net+"/"+level, plan)
+	return p.(*Plan), params
+}
+
 func compileAt(t testing.TB, m *model.Model, level string) (*Plan, *Params) {
 	t.Helper()
 	params, err := Generate(m, 8, 3.6, 42)
@@ -145,7 +177,7 @@ func TestArenaReusesBuffers(t *testing.T) {
 	// bottleneck has nothing reusable (everything stays live for the
 	// shortcut), so the reuse assertion applies to the real nets.
 	for _, m := range []*model.Model{model.VGG16("cifar10"), model.ResNet50("cifar10")} {
-		plan, _ := compileAt(t, m, "tuned")
+		plan, _ := paperPlan(t, m, "tuned")
 		planned, naive := plan.ArenaBytes()
 		if planned <= 0 || naive <= 0 {
 			t.Fatalf("%s: empty arena plan", m.Name)
@@ -156,51 +188,150 @@ func TestArenaReusesBuffers(t *testing.T) {
 	}
 }
 
+// glueModel is a conv-free tail whose ReLUs cannot fuse: r1 clamps a pool
+// output the add still reads (so it must copy), r2 is the add's last use
+// (so it clamps in place), and the flatten feeds the FC.
+func glueModel() *model.Model {
+	const c, h = 8, 8
+	m := &model.Model{Name: "Glue", Short: "GLU", Dataset: "synthetic", Classes: 4, InC: c, InH: h, InW: h}
+	act := func(name string, kind model.OpKind, hw int) *model.Layer {
+		return &model.Layer{Name: name, Kind: kind, InC: c, OutC: c, InH: hw, InW: hw, OutH: hw, OutW: hw}
+	}
+	pool := act("p", model.MaxPool, h)
+	pool.KH, pool.KW, pool.Stride, pool.OutH, pool.OutW = 2, 2, 2, h/2, h/2
+	add := act("add", model.Add, h/2)
+	add.ShortcutOf = "p"
+	m.Layers = []*model.Layer{
+		{Name: "input", Kind: model.Input, OutC: c, OutH: h, OutW: h},
+		pool, act("r1", model.ReLU, h/2), add, act("r2", model.ReLU, h/2),
+		{Name: "flat", Kind: model.Flatten, InC: c, OutC: c * h * h / 4, InH: h / 2, InW: h / 2, OutH: 1, OutW: 1},
+		{Name: "fc", Kind: model.FC, InC: c * h * h / 4, OutC: 4, InH: 1, InW: 1, OutH: 1, OutW: 1, HasBias: true},
+	}
+	return m
+}
+
 // TestArenaSlotsNeverAliasLiveTensors checks the memory plan structurally: no
-// node's output buffer may coincide with a buffer still holding a live input
-// (a tensor consumed by this or a later node), and padding scratch must not
-// alias anything live during its node.
+// two live values share a buffer. Flatten, and a standalone ReLU that is its
+// input's last use, are their input's value — they run on its buffer, and the
+// test pins that they do — while any other output may not coincide with a
+// buffer still holding a live value, and a prepared source must not alias
+// anything live during its node.
 func TestArenaSlotsNeverAliasLiveTensors(t *testing.T) {
-	for _, m := range []*model.Model{bottleneckModel(), model.ResNet50("cifar10")} {
-		plan, _ := compileAt(t, m, "tuned")
-		last := make([]int, len(plan.Nodes))
-		for i := range last {
-			last[i] = i
+	aliases := 0
+	type netLevel struct {
+		m     *model.Model
+		level string
+	}
+	// The paper nets at packed, where plane-resident convs bring split slots;
+	// the small graphs at both slot layouts.
+	cases := []netLevel{{model.VGG16("cifar10"), "packed"}, {model.ResNet50("cifar10"), "packed"}}
+	for _, level := range []string{"tuned", "packed"} {
+		cases = append(cases, netLevel{bottleneckModel(), level}, netLevel{glueModel(), level})
+	}
+	for _, c := range cases {
+		func(m *model.Model, level string) {
+			plan, _ := paperPlan(t, m, level)
+			nN := len(plan.Nodes)
+			last := make([]int, nN)
+			for i := range last {
+				last[i] = i
+			}
+			for id, n := range plan.Nodes {
+				for _, in := range n.Inputs {
+					last[in] = max(last[in], id)
+				}
+			}
+			last[nN-1] = nN
+			// value[i] is the node whose output node i's buffer holds.
+			value := make([]int, nN)
+			for i, n := range plan.Nodes {
+				value[i] = i
+				in := -1
+				if len(n.Inputs) > 0 {
+					in = n.Inputs[0]
+				}
+				switch {
+				case n.Kind == KindFlatten, n.Kind == KindReLU && last[value[in]] == i:
+					if n.slot != plan.Nodes[in].slot {
+						t.Fatalf("%s/%s: %s %s does not run on its input's buffer", m.Name, level, n.Kind, n.Name)
+					}
+					value[i] = value[in]
+					last[value[i]] = max(last[value[i]], last[i])
+					aliases++
+				case n.Kind == KindReLU && n.slot == plan.Nodes[in].slot:
+					t.Fatalf("%s/%s: relu %s clamps %s in place, which node %d still reads", m.Name, level, n.Name,
+						plan.Nodes[in].Name, last[value[in]])
+				}
+			}
+			for i, n := range plan.Nodes {
+				for j := 0; j < i; j++ {
+					if value[j] != j || last[j] < i {
+						continue
+					}
+					if value[i] != j && plan.Nodes[j].slot == n.slot {
+						t.Fatalf("%s/%s: node %s reuses the buffer of still-live %s", m.Name, level, n.Name, plan.Nodes[j].Name)
+					}
+					if n.srcSlot >= 0 && plan.Nodes[j].slot == n.srcSlot {
+						t.Fatalf("%s/%s: source scratch of %s aliases live %s", m.Name, level, n.Name, plan.Nodes[j].Name)
+					}
+				}
+				if n.srcSlot >= 0 && n.srcSlot == n.slot {
+					t.Fatalf("%s/%s: node %s source scratch aliases its own output", m.Name, level, n.Name)
+				}
+			}
+		}(c.m, c.level)
+	}
+	if aliases == 0 {
+		t.Fatal("no flatten or in-place relu was planned; the alias rule went untested")
+	}
+}
+
+// TestGlueNodesMatchReference runs the aliasing tail — an in-place ReLU, a
+// copying one, a flatten on its input's buffer — against the dense
+// reference, batched, at one and two workers.
+func TestGlueNodesMatchReference(t *testing.T) {
+	m := glueModel()
+	plan, params := compileAt(t, m, "packed")
+	kinds := map[Kind]int{}
+	for _, n := range plan.Nodes {
+		kinds[n.Kind]++
+	}
+	if kinds[KindReLU] != 2 || kinds[KindFlatten] != 1 || kinds[KindAdd] != 1 {
+		t.Fatalf("glue model lowered to %v, want two standalone relus, a flatten and an add", kinds)
+	}
+	for _, workers := range []int{1, 2} {
+		pool := runtime.NewPool(workers)
+		xs := []*tensor.Tensor{genInput(m, 1), genInput(m, 2), genInput(m, 3)}
+		outs := make([]*tensor.Tensor, len(xs))
+		for i := range outs {
+			outs[i] = tensor.New(plan.OutC, plan.OutH, plan.OutW)
 		}
-		for id, n := range plan.Nodes {
-			for _, in := range n.Inputs {
-				if id > last[in] {
-					last[in] = id
+		ex := plan.NewExecutor()
+		for rep := 0; rep < 2; rep++ { // the second run starts from a dirty arena
+			ex.Run(pool, xs, outs)
+			for i, x := range xs {
+				want, err := Reference(m, params, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := outs[i].MaxAbsDiff(want); d > 1e-5 {
+					t.Fatalf("workers %d item %d: executor diverged from reference by %g", workers, i, d)
 				}
 			}
 		}
-		last[len(plan.Nodes)-1] = len(plan.Nodes)
-		for i, n := range plan.Nodes {
-			for j := 0; j < i; j++ {
-				if last[j] >= i && plan.Nodes[j].slot == n.slot {
-					t.Fatalf("%s: node %s reuses the buffer of still-live %s",
-						m.Name, n.Name, plan.Nodes[j].Name)
-				}
-				if last[j] >= i && n.padSlot >= 0 && plan.Nodes[j].slot == n.padSlot {
-					t.Fatalf("%s: pad scratch of %s aliases live %s",
-						m.Name, n.Name, plan.Nodes[j].Name)
-				}
-			}
-			if n.padSlot >= 0 && n.padSlot == n.slot {
-				t.Fatalf("%s: node %s pad scratch aliases its own output", m.Name, n.Name)
-			}
-		}
+		pool.Close()
 	}
 }
 
 // TestExecutorBatchedZeroAllocs is the arena-reuse acceptance check: a warm
 // executor sweeping a batch over a ResNet bottleneck block performs zero
-// steady-state allocations. Workers=1 keeps ParallelFor on the calling
-// goroutine so goroutine spawns don't count against the kernel path.
+// steady-state allocations — on one worker, and on two, where every fork is
+// published to the pool's standing worker rather than spawned. The
+// executor's states own every scratch the kernels use, so the verdict holds
+// under -race, which empties sync.Pools at will.
 func TestExecutorBatchedZeroAllocs(t *testing.T) {
 	m := bottleneckModel()
 	plan, _ := compileAt(t, m, "packed")
-	pool := runtime.NewPool(1)
 	const batch = 4
 	xs := make([]*tensor.Tensor, batch)
 	outs := make([]*tensor.Tensor, batch)
@@ -208,12 +339,16 @@ func TestExecutorBatchedZeroAllocs(t *testing.T) {
 		xs[i] = genInput(m, int64(i))
 		outs[i] = tensor.New(plan.OutC, plan.OutH, plan.OutW)
 	}
-	ex := plan.NewExecutor()
-	ex.Run(pool, xs, outs) // warm the per-item states
-	if allocs := testing.AllocsPerRun(10, func() {
-		ex.Run(pool, xs, outs)
-	}); allocs != 0 {
-		t.Fatalf("batched sweep allocates %.1f objects/run in steady state, want 0", allocs)
+	for _, workers := range []int{1, 2} {
+		pool := runtime.NewPool(workers)
+		ex := plan.NewExecutor()
+		ex.Run(pool, xs, outs) // warm the per-item states and start the workers
+		if allocs := testing.AllocsPerRun(10, func() {
+			ex.Run(pool, xs, outs)
+		}); allocs != 0 {
+			t.Errorf("%d workers: batched sweep allocates %.1f objects/run in steady state, want 0", workers, allocs)
+		}
+		pool.Close()
 	}
 }
 
@@ -442,6 +577,60 @@ func TestAutoCompilesPacked(t *testing.T) {
 		packed.Execute(pool, []*tensor.Tensor{x}, []*tensor.Tensor{want})
 		if d := got.MaxAbsDiff(want); d != 0 {
 			t.Fatalf("%s/%s: auto and packed plans differ by %g", m.Short, m.Dataset, d)
+		}
+	}
+}
+
+// TestCostBalancedCuts pins how the executor splits a conv across workers:
+// by kept-weight prefix sum, not filter count. FKR sorts heavy filters first,
+// so equal counts hand the first chunks the most MACs; the cuts must leave no
+// chunk more than one filter above the ideal share, for every conv of VGG-16
+// and ResNet-50 on two and four workers, and the executor must run exactly
+// those cuts.
+func TestCostBalancedCuts(t *testing.T) {
+	for _, m := range []*model.Model{model.VGG16("cifar10"), model.ResNet50("cifar10")} {
+		plan, _ := paperPlan(t, m, "packed")
+		x := genInput(m, 3)
+		for _, workers := range []int{2, 4} {
+			pool := runtime.NewPool(workers)
+			parts := pool.Chunks()
+			ex := plan.NewExecutor()
+			ex.Run(pool, []*tensor.Tensor{x}, []*tensor.Tensor{tensor.New(plan.OutC, plan.OutH, plan.OutW)})
+			pool.Close()
+			worst, countWorst := 0.0, 0.0
+			for i, n := range plan.Nodes {
+				if n.Kind != KindConv && n.Kind != KindConv1x1 {
+					continue
+				}
+				prefix := n.keptPrefix()
+				cuts := balancedCuts(prefix, n.OutC, parts, nil)
+				if len(cuts) != parts+1 || cuts[0] != 0 || cuts[parts] != n.OutC {
+					t.Fatalf("%s %s: cuts %v do not cover [0, %d] in %d parts", m.Short, n.Name, cuts, n.OutC, parts)
+				}
+				if fmt.Sprint(cuts) != fmt.Sprint(ex.cuts[i]) {
+					t.Fatalf("%s %s: executor cut %v, want %v", m.Short, n.Name, ex.cuts[i], cuts)
+				}
+				heaviest := int32(0)
+				for f := 0; f < n.OutC; f++ {
+					heaviest = max(heaviest, prefix[f+1]-prefix[f])
+				}
+				ideal := float64(prefix[n.OutC]) / float64(parts)
+				for k := 0; k < parts; k++ {
+					if cuts[k] > cuts[k+1] {
+						t.Fatalf("%s %s: cuts %v not monotone", m.Short, n.Name, cuts)
+					}
+					part := float64(prefix[cuts[k+1]] - prefix[cuts[k]])
+					if part > ideal+float64(heaviest) {
+						t.Errorf("%s %s on %d workers: part %d holds %g kept weights, ideal %g + heaviest filter %d",
+							m.Short, n.Name, workers, k, part, ideal, heaviest)
+					}
+					worst = max(worst, part/ideal)
+					byCount := float64(prefix[(k+1)*n.OutC/parts] - prefix[k*n.OutC/parts])
+					countWorst = max(countWorst, byCount/ideal)
+				}
+			}
+			t.Logf("%s on %d workers (%d parts): largest part %.3f× the ideal share (equal filter counts: %.3f×)",
+				m.Short, workers, parts, worst, countWorst)
 		}
 	}
 }

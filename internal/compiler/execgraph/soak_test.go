@@ -38,18 +38,17 @@ func TestDifferentialSoakAllNetsAllLevels(t *testing.T) {
 	for _, m := range nets {
 		m := m
 		t.Run(m.Short, func(t *testing.T) {
-			params, err := Generate(m, 8, 3.6, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, params := paperPlan(t, m, "packed")
 			// Two references: the batch sweep below runs two distinct lanes,
 			// and each must match its own input's dense forward pass.
 			xs := []*tensor.Tensor{genInput(m, 21), genInput(m, 22)}
 			wants := make([]*tensor.Tensor, len(xs))
 			for i, x := range xs {
-				if wants[i], err = Reference(m, params, x); err != nil {
+				want, err := Reference(m, params, x)
+				if err != nil {
 					t.Fatal(err)
 				}
+				wants[i] = want
 			}
 			for _, level := range levels {
 				level := level
@@ -58,10 +57,7 @@ func TestDifferentialSoakAllNetsAllLevels(t *testing.T) {
 					tol = 5e-2
 				}
 				t.Run(level, func(t *testing.T) {
-					plan, err := Compile(m, params, Config{Level: level})
-					if err != nil {
-						t.Fatal(err)
-					}
+					plan, _ := paperPlan(t, m, level)
 					outs := make([]*tensor.Tensor, len(xs))
 					for i := range outs {
 						outs[i] = tensor.New(plan.OutC, plan.OutH, plan.OutW)

@@ -278,11 +278,13 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		rp.recordSuccess()
-		copyResponse(w, resp)
-		rp.inflight.Add(-1)
+		// Counted before the reply goes out, so a client that reads the
+		// counters after its answer sees its own spill.
 		if spill && resp.StatusCode == http.StatusOK {
 			rt.spillServed.Add(1)
 		}
+		copyResponse(w, resp)
+		rp.inflight.Add(-1)
 		return
 	}
 	// Both attempts shed or died. 429 tells the client the fleet is

@@ -2,6 +2,9 @@ package runtime
 
 import (
 	"math/rand"
+	goruntime "runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,18 +194,176 @@ func TestPoolLimit(t *testing.T) {
 	if p.Limit(8) != p {
 		t.Fatal("Limit(width) should return the same pool")
 	}
-	// A limited pool still covers the whole range, with at most n chunks
-	// in flight: ParallelFor correctness is width-independent.
+	// A limited pool still covers the whole range, cut into Chunks() pieces,
+	// with at most its width of goroutines in flight although all of the
+	// parent's workers poll the same job.
 	lp := p.Limit(2)
 	var covered [64]int32
+	var chunks, inFlight, most atomic.Int32
 	lp.ParallelFor(64, func(start, end int) {
+		chunks.Add(1)
+		now := inFlight.Add(1)
+		for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
+		}
 		for i := start; i < end; i++ {
 			atomic.AddInt32(&covered[i], 1)
 		}
+		for t0 := time.Now(); time.Since(t0) < 50*time.Microsecond; {
+		}
+		inFlight.Add(-1)
 	})
 	for i, c := range covered {
 		if c != 1 {
 			t.Fatalf("limited pool: index %d covered %d times", i, c)
 		}
+	}
+	if int(chunks.Load()) != lp.Chunks() || most.Load() > 2 {
+		t.Fatalf("Limit(2): %d chunks on up to %d goroutines, want %d on at most 2", chunks.Load(), most.Load(), lp.Chunks())
+	}
+}
+
+// covers runs one fork of n on p and reports whether every index ran exactly
+// once.
+func covers(p *Pool, n int) bool {
+	hits := make([]int32, n)
+	p.ParallelFor(n, func(start, end int) {
+		for i := start; i < end; i++ {
+			atomic.AddInt32(&hits[i], 1)
+		}
+	})
+	for _, h := range hits {
+		if h != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestParallelForConcurrentForks: eight goroutines fork at once on one pool
+// and on its Limit view, and every fork covers every index exactly once. Run under -race, this is
+// the check on the claim protocol: a helper reading a finished fork's fields,
+// or claiming a chunk of the next one, would double or drop an index.
+func TestParallelForConcurrentForks(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	views := []*Pool{p, p.Limit(2)}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if n := 1 + (g*7+i)%40; !covers(views[(g+i)%2], n) {
+					t.Errorf("goroutine %d fork %d: [0,%d) not covered exactly once", g, i, n)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// onWorker reports whether the calling goroutine is one of a team's workers
+// (as opposed to a goroutine that called ParallelFor).
+func onWorker() bool {
+	pcs := make([]uintptr, 32)
+	frames := goruntime.CallersFrames(pcs[:goruntime.Callers(1, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "(*team).work") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestParallelForPanicOnWorkerAndCaller forces each of a two-chunk fork's
+// chunks onto a different goroutine — the first to start waits for the
+// second — and panics in the worker's chunk, then in the caller's. Both
+// panics reach the caller with their value, and the pool keeps working.
+func TestParallelForPanicOnWorkerAndCaller(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	for _, where := range []string{"worker", "caller"} {
+		var started atomic.Int32
+		second := make(chan struct{})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			p.ParallelFor(2, func(start, end int) {
+				if started.Add(1) == 1 {
+					<-second
+				} else {
+					close(second)
+				}
+				if onWorker() == (where == "worker") {
+					panic("boom on " + where)
+				}
+			})
+			return nil
+		}()
+		if got != "boom on "+where {
+			t.Fatalf("panic on the %s: recovered %v", where, got)
+		}
+		if !covers(p, 64) {
+			t.Fatalf("pool unusable after a panic on the %s", where)
+		}
+	}
+}
+
+// TestPoolWorkersExit: Close returns once every worker has exited, and a
+// pool nobody references any more — nor any Limit view cut from it — stops
+// its workers without being closed, while a live view keeps them.
+func TestPoolWorkersExit(t *testing.T) {
+	p := NewPool(3)
+	if !covers(p, 16) {
+		t.Fatal("fork before Close")
+	}
+	tm := p.team
+	p.Close()
+	select {
+	case <-tm.done:
+	default:
+		t.Fatal("Close returned with workers still running")
+	}
+	if !covers(p, 16) || !covers(p.Limit(2), 16) {
+		t.Fatal("a closed pool must still run forks, on the caller")
+	}
+
+	view, held := func() (*Pool, *team) {
+		v := NewPool(3).Limit(2)
+		covers(v, 16)
+		return v, v.team
+	}()
+	for range 3 {
+		goruntime.GC()
+	}
+	if !covers(view, 16) {
+		t.Fatal("fork on a live view")
+	}
+	select {
+	case <-held.done:
+		t.Fatal("workers stopped while a view of their pool was reachable")
+	default:
+	}
+	goruntime.KeepAlive(view)
+
+	released := func() *team {
+		p := NewPool(3)
+		covers(p.Limit(2), 16)
+		return p.team
+	}()
+	for i := 0; ; i++ {
+		goruntime.GC()
+		select {
+		case <-released.done:
+			return
+		default:
+		}
+		if i == 1000 {
+			t.Fatal("workers of an unreachable pool never stopped")
+		}
+		goruntime.Gosched()
 	}
 }

@@ -609,9 +609,9 @@ func (cm *compiledModel) response(out *tensor.Tensor, r batchResult) *Response {
 	}
 }
 
-// Close drains every batcher, closes the attached registry (if any), and
-// stops the engine. In-flight requests complete; later Infer calls return
-// ErrClosed. Close is idempotent.
+// Close drains every batcher, stops the worker pool, closes the attached
+// registry (if any), and stops the engine. In-flight requests complete;
+// later Infer calls return ErrClosed. Close is idempotent.
 func (e *Engine) Close() error {
 	e.lifecycle.Lock()
 	if e.closed {
@@ -627,6 +627,8 @@ func (e *Engine) Close() error {
 	e.mu.Unlock()
 	e.lifecycle.Unlock()
 	e.wg.Wait()
+	// Every lane has exited, so nothing forks on the pool any more.
+	e.pool.Close()
 	if reg != nil {
 		// After e.closed is set the registry's Release callbacks are no-ops,
 		// so closing it here cannot race the batcher shutdown above.

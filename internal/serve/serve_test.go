@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -215,6 +216,40 @@ func TestEngineCloseDrainsAndRejects(t *testing.T) {
 	if _, err := eng.Infer(context.Background(),
 		Request{Network: "tiny", Dataset: "synthetic"}); err != ErrClosed {
 		t.Fatalf("Infer after Close = %v, want ErrClosed", err)
+	}
+}
+
+// poolWorkers counts runtime.Pool worker goroutines, started or not.
+func poolWorkers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := goruntime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by patdnn/internal/runtime.(*team).start")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestEngineCloseStopsPoolWorkers: the engine's pool keeps standing workers
+// between sweeps, and Close leaves none of them behind. Other tests' pools
+// only ever stop while this runs, so the counts are compared one way.
+func TestEngineCloseStopsPoolWorkers(t *testing.T) {
+	before := poolWorkers()
+	eng := New(Config{Workers: 3})
+	if err := eng.RegisterModel(tinyModel("tiny", "synthetic")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Infer(context.Background(), Request{Network: "tiny", Dataset: "synthetic", Input: tinyInput(1)}); err != nil {
+		t.Fatal(err)
+	}
+	running := poolWorkers()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := poolWorkers()
+	if running-after < 2 || after > before {
+		t.Fatalf("pool worker goroutines: %d before New, %d serving, %d after Close; want the engine's 2 gone", before, running, after)
 	}
 }
 

@@ -402,11 +402,17 @@ func MaxPool2D(input *Tensor, k int) (*Tensor, []int) {
 // the window is the window's result. k = 2, the only window the served nets
 // use, walks row pairs as slices instead of indexing element by element.
 func MaxPool2DInto(input *Tensor, k int, out *Tensor) {
-	c, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
+	MaxPool2DRange(input, k, out, 0, input.Dim(0))
+}
+
+// MaxPool2DRange is MaxPool2DInto over channels [c0, c1) only, so a caller
+// can split one pool across workers.
+func MaxPool2DRange(input *Tensor, k int, out *Tensor, c0, c1 int) {
+	h, w := input.Dim(1), input.Dim(2)
 	validPool(h, w, k)
 	ho, wo := h/k, w/k
 	if k == 2 {
-		for r := 0; r < c*ho; r++ { // h = 2·ho: output row r pools input rows 2r, 2r+1
+		for r := c0 * ho; r < c1*ho; r++ { // h = 2·ho: output row r pools input rows 2r, 2r+1
 			top, bot := input.Data[2*r*w:(2*r+1)*w], input.Data[(2*r+1)*w:(2*r+2)*w]
 			orow := out.Data[r*wo : (r+1)*wo]
 			for j := range orow {
@@ -415,14 +421,14 @@ func MaxPool2DInto(input *Tensor, k int, out *Tensor) {
 		}
 		return
 	}
-	maxPoolWindows(input, k, out)
+	maxPoolWindows(input, k, out, c0, c1)
 }
 
-// maxPoolWindows is MaxPool2DInto's general loop, for any window.
-func maxPoolWindows(input *Tensor, k int, out *Tensor) {
-	c, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
+// maxPoolWindows is MaxPool2DRange's general loop, for any window.
+func maxPoolWindows(input *Tensor, k int, out *Tensor, c0, c1 int) {
+	h, w := input.Dim(1), input.Dim(2)
 	ho, wo := h/k, w/k
-	for ic := 0; ic < c; ic++ {
+	for ic := c0; ic < c1; ic++ {
 		for oh := 0; oh < ho; oh++ {
 			for ow := 0; ow < wo; ow++ {
 				best := input.Data[(ic*h+oh*k)*w+ow*k]

@@ -219,13 +219,20 @@ func TestMaxPool2DIntoRowPairsMatchWindows(t *testing.T) {
 				}
 			}
 			got, want := New(shape[0], shape[1]/2, shape[2]/2), New(shape[0], shape[1]/2, shape[2]/2)
+			halves := New(shape[0], shape[1]/2, shape[2]/2)
 			got.Fill(-7)
+			halves.Fill(-7)
 			MaxPool2DInto(in, 2, got)
-			maxPoolWindows(in, 2, want)
+			maxPoolWindows(in, 2, want, 0, shape[0])
+			MaxPool2DRange(in, 2, halves, shape[0]/2, shape[0]) // channel ranges compose
+			MaxPool2DRange(in, 2, halves, 0, shape[0]/2)
 			for i := range want.Data {
-				g, w := got.Data[i], want.Data[i]
+				g, w, hv := got.Data[i], want.Data[i], halves.Data[i]
 				if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
 					t.Fatalf("shape %v special %v: element %d = %g, window loop gives %g", shape, special, i, g, w)
+				}
+				if math.Float32bits(g) != math.Float32bits(hv) {
+					t.Fatalf("shape %v special %v: element %d = %g whole, %g by channel halves", shape, special, i, g, hv)
 				}
 			}
 			if !special {
