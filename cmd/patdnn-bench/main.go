@@ -39,13 +39,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	run := flag.String("run", "", "experiment ID to run, or 'all'")
 	sweep := flag.Bool("sweep", false, "run the Tuned-vs-Packed kernel sweep")
-	serveJSON := flag.String("serve-json", "",
-		"measure serving throughput + p50/p99 latency and write the versioned JSON artifact (BENCH_serve.json) to this path")
-	serveRequests := flag.Int("serve-requests", 96, "timed requests per -serve-json case")
-	serveNet := flag.String("serve-net", "VGG",
-		"network the -serve-json sweep drives (VGG, RNT, MBNT, SR; CIFAR-10 variants) — CI uploads one artifact per net")
-	serveLevel := flag.String("serve-level", "",
-		"pin the -serve-json engine to packed or packedq8 (the quantized-serving baseline); empty = engine default")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
 	flag.Parse()
@@ -79,12 +72,6 @@ func main() {
 	}
 
 	switch {
-	case *serveJSON != "":
-		if err := writeServeBench(*serveJSON, *serveRequests, *serveNet, *serveLevel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote serve benchmark artifact to %s\n", *serveJSON)
 	case *sweep:
 		runSweep()
 	case *list:

@@ -128,7 +128,6 @@ func main() {
 		}
 		pc := pruned.Generate(first, pattern.Canonical(*patterns), *connRate, 1, true)
 		fmt.Printf("\ngenerated CPU code for %s at each optimization level:\n", first.Name)
-		var tuned *codegen.Plan
 		for _, level := range codegen.AllLevels() {
 			plan, err := codegen.Compile(pc, level, lr.DefaultTuning())
 			if err != nil {
@@ -136,11 +135,7 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Println(plan.EmitSource())
-			if level == codegen.Tuned {
-				tuned = plan
-			}
 		}
-		fmt.Printf("generated GPU (OpenCL) code for %s:\n%s\n", first.Name, tuned.EmitOpenCL())
 		fkw, err := sparse.Encode(pc, nil)
 		if err == nil {
 			csr := sparse.FromConvWeights(pc.Weights)

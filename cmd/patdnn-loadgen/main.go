@@ -14,8 +14,8 @@
 //	    -bg-clients 16 -slo-p99 50ms -json LOADGEN_vgg.json
 //
 // Exit status: 0 on success, 1 when -slo-p99 is violated, 2 on run errors.
-// -json writes the histogram artifact in the BENCH_serve schema (the same
-// format cmd/patdnn-bench emits and cmd/patdnn-benchgate consumes).
+// -json writes the per-class results and histograms as a JSON report
+// (internal/loadgen's Report) for CI artifacts and jq assertions.
 package main
 
 import (
@@ -54,7 +54,7 @@ func run() int {
 	bgClients := flag.Int("bg-clients", 0, "background batch-class closed-loop clients (0 = no background stream)")
 	bgTimeout := flag.Duration("bg-timeout", 0, "background stream per-request deadline (0 = none)")
 	sloP99 := flag.Duration("slo-p99", 0, "assert the primary stream's p99 <= this; exit 1 on violation (0 = off)")
-	jsonPath := flag.String("json", "", "write the per-class histogram report (BENCH_serve schema) to this file")
+	jsonPath := flag.String("json", "", "write the per-class histogram report (JSON) to this file")
 	flag.Parse()
 
 	// A request-bounded primary stream runs to completion: the -duration

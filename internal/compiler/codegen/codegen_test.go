@@ -40,6 +40,15 @@ func refConv(c *pruned.Conv, input *tensor.Tensor, bias []float32) *tensor.Tenso
 	return tensor.Conv2D(input, c.Weights, b, tensor.ConvSpec{Stride: c.Stride, Pad: c.Pad})
 }
 
+// padFor returns input zero-padded by p's conv pad: the [C, H+2p, W+2p]
+// source the ExecuteRange entry points read.
+func padFor(p *Plan, input *tensor.Tensor) *tensor.Tensor {
+	pd := p.Conv.Pad
+	out := tensor.New(input.Dim(0), input.Dim(1)+2*pd, input.Dim(2)+2*pd)
+	PadInto(input, out, pd)
+	return out
+}
+
 func TestAllLevelsMatchReference(t *testing.T) {
 	for _, stride := range []int{1, 2} {
 		c := smallPruned(t, 1, stride)
@@ -91,7 +100,7 @@ func TestExecuteRangeComposes(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := p.Execute(input, nil)
-		padded := p.PadInput(input)
+		padded := padFor(p, input)
 		split := tensor.New(c.OutC, c.OutH, c.OutW)
 		mid := c.OutC / 2
 		p.ExecuteRange(padded, split, 0, mid)

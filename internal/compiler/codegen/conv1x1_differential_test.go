@@ -266,7 +266,7 @@ func TestConv1x1ExecuteChecksBounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			padded, out3 := p3.PadInput(input), tensor.New(4, hw, hw)
+			padded, out3 := padFor(p3, input), tensor.New(4, hw, hw)
 			shortcut, short := tensor.New(4, hw, hw), tensor.New(3, hw, hw)
 			cases3 := []struct {
 				name        string
@@ -382,7 +382,7 @@ func TestStridedDriversSteadyStateZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			padded := p3.PadInput(in)
+			padded := padFor(p3, in)
 			out3 := tensor.New(c.OutC, c.OutH, c.OutW)
 			run3 := func() { p3.ExecuteRangeFused(padded, out3, 0, c.OutC, nil, true) }
 			run3()

@@ -196,24 +196,6 @@ func (p *Plan) QuantizedWeightBytes() (int64, bool) {
 	return p.q8Bytes, true
 }
 
-// pad returns input copied into a zero-padded buffer [C, H+2p, W+2p].
-func pad(input *tensor.Tensor, p int) *tensor.Tensor {
-	if p == 0 {
-		return input
-	}
-	c, h, w := input.Dim(0), input.Dim(1), input.Dim(2)
-	out := tensor.New(c, h+2*p, w+2*p)
-	pw := w + 2*p
-	for ic := 0; ic < c; ic++ {
-		for y := 0; y < h; y++ {
-			src := input.Data[(ic*h+y)*w : (ic*h+y)*w+w]
-			dstOff := (ic*(h+2*p)+y+p)*pw + p
-			copy(out.Data[dstOff:dstOff+w], src)
-		}
-	}
-	return out
-}
-
 // Execute runs the compiled layer on a [InC, InH, InW] input and returns the
 // [OutC, OutH, OutW] output. bias may be nil.
 func (p *Plan) Execute(input *tensor.Tensor, bias []float32) *tensor.Tensor {
@@ -227,7 +209,8 @@ func (p *Plan) Execute(input *tensor.Tensor, bias []float32) *tensor.Tensor {
 			}
 		}
 	}
-	padded := pad(input, c.Pad)
+	padded := tensor.New(input.Dim(0), input.Dim(1)+2*c.Pad, input.Dim(2)+2*c.Pad)
+	PadInto(input, padded, c.Pad)
 	switch p.Level {
 	case NoOpt:
 		p.execNoOpt(padded, out)
@@ -301,12 +284,6 @@ func (p *Plan) ExecuteRangeResidual(padded, out *tensor.Tensor, from, to int, bi
 			reluInPlace(out.Data[f*oHW : (f+1)*oHW])
 		}
 	}
-}
-
-// PadInput exposes the padding step for callers that split a layer with
-// ExecuteRange.
-func (p *Plan) PadInput(input *tensor.Tensor) *tensor.Tensor {
-	return pad(input, p.Conv.Pad)
 }
 
 // PaddedLen returns the element count of the padded input — what PadInto's

@@ -191,7 +191,7 @@ func TestPackedAsmMatchesGeneric(t *testing.T) {
 					}
 					// Fused path over a dirty pooled buffer, with ReLU, with and
 					// without bias.
-					padded := pAsm.PadInput(input)
+					padded := padFor(pAsm, input)
 					for _, b := range [][]float32{bias, nil} {
 						outAsm, outGen := dirty(c.OutC, c.OutH, c.OutW), dirty(c.OutC, c.OutH, c.OutW)
 						outGen.Fill(-7)
@@ -258,7 +258,7 @@ func TestPackedAsmMatchesGenericDepthwise(t *testing.T) {
 				if level == Packed && !got.AllClose(oracle, 1e-4) {
 					t.Errorf("seed %d stride %d depthwise vs NoOpt oracle: max diff %g", seed, stride, got.MaxAbsDiff(oracle))
 				}
-				padded := pAsm.PadInput(input)
+				padded := padFor(pAsm, input)
 				split := tensor.New(c.OutC, c.OutH, c.OutW)
 				for i := range split.Data {
 					split.Data[i] = -7

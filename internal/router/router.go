@@ -283,8 +283,14 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		if spill && resp.StatusCode == http.StatusOK {
 			rt.spillServed.Add(1)
 		}
-		copyResponse(w, resp)
+		err = copyResponse(w, resp)
 		rp.inflight.Add(-1)
+		if err != nil {
+			// A chunked reply cut off mid-body would otherwise reach the
+			// client as a cleanly terminated short one: abort the connection
+			// instead, as httputil.ReverseProxy does.
+			panic(http.ErrAbortHandler)
+		}
 		return
 	}
 	// Both attempts shed or died. 429 tells the client the fleet is
@@ -375,8 +381,9 @@ func (rt *Router) forward(ctx context.Context, url string, orig *http.Request, b
 
 // copyResponse relays a backend response — status, content type, length, the
 // replica-attribution header, body — to the client. Passing the length on
-// keeps this hop from re-framing a large reply as chunks.
-func copyResponse(w http.ResponseWriter, resp *http.Response) {
+// keeps this hop from re-framing a large reply as chunks. The error is the
+// body copy's: the reply reached the client cut short.
+func copyResponse(w http.ResponseWriter, resp *http.Response) error {
 	defer resp.Body.Close()
 	if resp.ContentLength >= 0 {
 		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
@@ -388,11 +395,20 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 		w.Header().Set(serve.ReplicaHeader, id)
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	_, err := io.Copy(w, resp.Body)
+	return err
 }
 
+// maxDrain bounds what drainBody reads of a reply the router discards.
+const maxDrain = 64 << 10
+
+// drainBody discards a reply (a shed before a spill, a probe answer). A short
+// body is read to the end so its connection goes back to the pool; past
+// maxDrain the connection is closed instead, so a replica that streams an
+// endless body cannot hold the request.
 func drainBody(resp *http.Response) {
-	io.Copy(io.Discard, resp.Body)
+	// A failed drain costs only the connection's reuse.
+	_, _ = io.CopyN(io.Discard, resp.Body, maxDrain)
 	resp.Body.Close()
 }
 

@@ -1,8 +1,9 @@
 package router_test
 
-// The /infer wire contract on both hops: every case below is put to a replica
-// directly (serve.NewHandler) and to the router in front of it
-// (router.Handler), and both must give the same answer.
+// The /infer wire contract on both hops: the serve-backed cases are put to a
+// replica directly (serve.NewHandler) and to the router in front of it
+// (router.Handler), and both must give the same answer. The fake-replica
+// cases put replies no real replica sends to the router alone.
 
 import (
 	"bufio"
@@ -10,13 +11,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"patdnn/internal/router"
 	"patdnn/internal/router/routertest"
@@ -200,4 +204,114 @@ func TestNoCrossTalkThroughPooledBuffers(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// fakeFront puts a router in front of replicas that answer /readyz with 200
+// and /infer with infer, and returns the router's URL.
+func fakeFront(t *testing.T, replicas int, infer http.HandlerFunc) string {
+	t.Helper()
+	var urls []string
+	for i := 0; i < replicas; i++ {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /readyz", func(http.ResponseWriter, *http.Request) {})
+		mux.HandleFunc("POST /infer", infer)
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	rt, err := router.New(router.Config{Replicas: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	return front.URL
+}
+
+// postInfer sends one small /infer through url with a client-side bound, so
+// a router that holds the request fails the test instead of hanging it.
+func postInfer(url string) (*http.Response, []byte, error) {
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(url+"/infer", "application/json",
+		strings.NewReader(`{"network":"SR","dataset":"cifar10"}`))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp, body, err
+}
+
+// TestEndlessShedStillSpills: the first /infer is shed with a 429 whose body
+// never ends. The router must give up on that body and take the sibling's
+// answer, not read the shed until the client gives up.
+func TestEndlessShedStillSpills(t *testing.T) {
+	const answer = `{"from":"sibling"}`
+	var calls atomic.Int32
+	url := fakeFront(t, 2, func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) > 1 {
+			io.WriteString(w, answer)
+			return
+		}
+		w.WriteHeader(http.StatusTooManyRequests)
+		chunk := bytes.Repeat([]byte("x"), 32<<10)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	})
+	resp, body, err := postInfer(url)
+	if err != nil {
+		t.Fatalf("spill past an endless shed: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || string(body) != answer {
+		t.Fatalf("status %d, body %.200q: want the sibling's 200 %q", resp.StatusCode, body, answer)
+	}
+}
+
+// TestTruncatedReplyIsAnError: a chunked 200 cut off mid-body must reach the
+// client as a broken stream, never as a short body ending in a clean EOF; the
+// router then serves the next request.
+func TestTruncatedReplyIsAnError(t *testing.T) {
+	const answer = `{"shape":[1]}`
+	var calls atomic.Int32
+	url := fakeFront(t, 1, func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) > 1 {
+			io.WriteString(w, answer)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"output":[`+strings.Repeat("0.5,", 16<<10))
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler) // drop the connection mid-body
+	})
+	if _, body, err := postInfer(url); err == nil {
+		t.Fatalf("a reply cut off after %d bytes reached the client as a clean EOF", len(body))
+	}
+	resp, body, err := postInfer(url)
+	if err != nil || resp.StatusCode != http.StatusOK || string(body) != answer {
+		t.Fatalf("next request: err %v, body %.200q", err, body)
+	}
+}
+
+// TestMalformedReplyIsRelayed: the router never rewrites a reply, so a 200
+// that is not JSON reaches the client byte for byte.
+func TestMalformedReplyIsRelayed(t *testing.T) {
+	const answer = "{\"output\": [1, 2,\x00 not json"
+	url := fakeFront(t, 1, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, answer)
+	})
+	resp, body, err := postInfer(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(body) != answer {
+		t.Fatalf("status %d, body %q: want 200 %q", resp.StatusCode, body, answer)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q not relayed", ct)
+	}
 }

@@ -138,7 +138,8 @@ func TestParallelForSplitMatchesSequential(t *testing.T) {
 			bias[i] = float32(i) * 0.1
 		}
 		want := plan.Execute(in, bias)
-		padded := plan.PadInput(in)
+		padded := tensor.New(in.Dim(0), in.Dim(1)+2*c.Pad, in.Dim(2)+2*c.Pad)
+		codegen.PadInto(in, padded, c.Pad)
 		for _, workers := range []int{1, 2, 4, 8} {
 			got := tensor.New(c.OutC, c.OutH, c.OutW)
 			for oc := 0; oc < c.OutC; oc++ {
