@@ -137,9 +137,9 @@ func BenchmarkHostPatternPacked(b *testing.B)  { benchHostLevel(b, codegen.Packe
 //
 // The acceptance sweep for the FKW-direct backend: both levels compile the
 // same VGG-style bench layer as a one-conv model and run it through the graph
-// executor's batched sweep, exactly as the serving engine would (batch×OutC
-// ParallelFor, arena-resident padding, fused bias+ReLU epilogue); the only
-// variable is the kernel generation. ns/op is per batch.
+// executor, exactly as the serving engine would (filter ranges across the
+// pool, arena-resident padding, fused bias+ReLU epilogue); the only variable
+// is the kernel generation. ns/op is per inference.
 
 // hostExecutor compiles the bench layer at level as a one-conv model:
 // input → conv+bias → ReLU, the ReLU fused into the conv epilogue.
@@ -162,15 +162,12 @@ func hostExecutor(b *testing.B, level codegen.Level) *execgraph.Executor {
 	return plan.NewExecutor()
 }
 
-func benchBatchedLevel(b *testing.B, level codegen.Level, batch int) {
+func benchExecutorLevel(b *testing.B, level codegen.Level) {
 	ex := hostExecutor(b, level)
 	pool := runtime.NewPool(0)
 	c := hostFix.conv
-	inputs := make([]*tensor.Tensor, batch)
-	outs := make([]*tensor.Tensor, batch)
-	for i := range inputs {
-		inputs[i], outs[i] = hostFix.input, tensor.New(c.OutC, c.OutH, c.OutW)
-	}
+	inputs := []*tensor.Tensor{hostFix.input}
+	outs := []*tensor.Tensor{tensor.New(c.OutC, c.OutH, c.OutW)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -178,13 +175,8 @@ func benchBatchedLevel(b *testing.B, level codegen.Level, batch int) {
 	}
 }
 
-func BenchmarkTuned(b *testing.B)  { benchBatchedLevel(b, codegen.Tuned, 4) }
-func BenchmarkPacked(b *testing.B) { benchBatchedLevel(b, codegen.Packed, 4) }
-
-func BenchmarkTunedBatch8(b *testing.B)  { benchBatchedLevel(b, codegen.Tuned, 8) }
-func BenchmarkPackedBatch8(b *testing.B) { benchBatchedLevel(b, codegen.Packed, 8) }
-
-func BenchmarkHostPatternTunedParallel(b *testing.B) { benchBatchedLevel(b, codegen.Tuned, 1) }
+func BenchmarkTuned(b *testing.B)  { benchExecutorLevel(b, codegen.Tuned) }
+func BenchmarkPacked(b *testing.B) { benchExecutorLevel(b, codegen.Packed) }
 
 func BenchmarkHostFKWEncode(b *testing.B) {
 	b.ReportAllocs()
@@ -199,13 +191,10 @@ func BenchmarkHostFKWEncode(b *testing.B) {
 //
 // benchEngineThroughput drives the concurrent inference engine with waves of
 // `clients` simultaneous VGG-16/CIFAR requests; ns/op is per request, so
-// inverse throughput. The worker sweep shows batched throughput scaling with
-// pool size; the batch sweep shows the effect of fusing more requests into
-// one layer sweep at a fixed pool.
-func benchEngineThroughput(b *testing.B, workers, maxBatch, clients int) {
-	eng := serve.New(serve.Config{
-		Workers: workers, MaxBatch: maxBatch,
-	})
+// inverse throughput. The worker sweep shows throughput scaling with pool
+// size.
+func benchEngineThroughput(b *testing.B, workers, clients int) {
+	eng := serve.New(serve.Config{Workers: workers})
 	defer eng.Close()
 	if err := eng.Preload("VGG", "cifar10"); err != nil {
 		b.Fatal(err)
@@ -236,21 +225,12 @@ func benchEngineThroughput(b *testing.B, workers, maxBatch, clients int) {
 		wg.Wait()
 		done += n
 	}
-	b.StopTimer()
-	s := eng.Stats()
-	if s.Batches > 0 {
-		b.ReportMetric(s.AvgBatch, "reqs/batch")
-	}
 }
 
-func BenchmarkServeWorkers1(b *testing.B) { benchEngineThroughput(b, 1, 8, 8) }
-func BenchmarkServeWorkers2(b *testing.B) { benchEngineThroughput(b, 2, 8, 8) }
-func BenchmarkServeWorkers4(b *testing.B) { benchEngineThroughput(b, 4, 8, 8) }
-func BenchmarkServeWorkers8(b *testing.B) { benchEngineThroughput(b, 8, 8, 8) }
-
-func BenchmarkServeBatch1(b *testing.B)  { benchEngineThroughput(b, 0, 1, 16) }
-func BenchmarkServeBatch4(b *testing.B)  { benchEngineThroughput(b, 0, 4, 16) }
-func BenchmarkServeBatch16(b *testing.B) { benchEngineThroughput(b, 0, 16, 16) }
+func BenchmarkServeWorkers1(b *testing.B) { benchEngineThroughput(b, 1, 8) }
+func BenchmarkServeWorkers2(b *testing.B) { benchEngineThroughput(b, 2, 8) }
+func BenchmarkServeWorkers4(b *testing.B) { benchEngineThroughput(b, 4, 8) }
+func BenchmarkServeWorkers8(b *testing.B) { benchEngineThroughput(b, 8, 8) }
 
 // BenchmarkHostVGGCifarConvStack times one real inference through all 13
 // pruned VGG-16/CIFAR conv layers (8 patterns, 3.6x connectivity) executed by

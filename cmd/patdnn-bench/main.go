@@ -6,7 +6,7 @@
 // and this command is the only place they are printed. It also hosts the
 // Tuned-vs-Packed kernel sweep: a measured head-to-head of the tuned
 // dense-layout kernels against the FKW-direct packed backend on a VGG-style
-// layer across batch sizes.
+// layer across output planes.
 //
 // Usage:
 //
@@ -99,20 +99,24 @@ func main() {
 
 // runSweep measures the tuned dense-layout kernels against the packed
 // FKW-direct backend on a VGG-L4-style layer (128×128 channels, 8 patterns,
-// 3.6× connectivity) across output planes and batch sizes. The plane axis is
-// the planes the served nets have — 28×28 (the paper's ImageNet L4) down to
-// the 8×8, 4×4 and 2×2 of the CIFAR nets' last blocks — because which
-// microkernel contract a layer takes, and what a level buys on it, is decided
-// by the plane: at most simd.MaxRunPlane pixels run plane-resident, wider ones
-// row-tiled. Each level compiles the layer as a one-conv model and times
-// execgraph's Executor.Run — the batched sweep the serving engine executes.
+// 3.6× connectivity), one row per output plane. The planes are the ones the
+// served nets have — 28×28 (the paper's ImageNet L4) down to the 8×8, 4×4 and
+// 2×2 of the CIFAR nets' last blocks — because which microkernel contract a
+// layer takes, and what a level buys on it, is decided by the plane: at most
+// simd.MaxRunPlane pixels run plane-resident, wider ones row-tiled. Each level
+// compiles the layer as a one-conv model and times one input through
+// execgraph's Executor.Run — the sweep the serving engine executes per request.
 func runSweep() {
 	pool := runtime.NewPool(0)
+	fmt.Printf("Tuned vs Packed vs Packed-INT8 sweep — 128x128 conv, %d workers\n", pool.Workers())
+	fmt.Printf("%-6s  %-18s  %-18s  %-18s  %-9s  %s\n",
+		"plane", codegen.Tuned, codegen.Packed, codegen.PackedQ8, "pk/tuned", "q8/packed")
 	for _, hw := range []int{28, 8, 4, 2} {
 		sweepPlane(pool, hw)
 	}
 }
 
+// sweepPlane prints the sweep's row for an hw×hw output plane.
 func sweepPlane(pool *runtime.Pool, hw int) {
 	rng := rand.New(rand.NewSource(7))
 	const outC, inC = 128, 128
@@ -135,37 +139,21 @@ func sweepPlane(pool *runtime.Pool, hw int) {
 	params := &execgraph.Params{Convs: map[string]*execgraph.ConvParams{
 		conv.Name: {Conv: conv, Bias: make([]float32, outC)},
 	}}
-	levels := []codegen.Level{codegen.Tuned, codegen.Packed, codegen.PackedQ8}
-	execs := map[codegen.Level]*execgraph.Executor{}
-	for _, lv := range levels {
+	inputs := []*tensor.Tensor{input}
+	outs := []*tensor.Tensor{tensor.New(outC, h, w)}
+	ms := map[codegen.Level]float64{}
+	for _, lv := range []codegen.Level{codegen.Tuned, codegen.Packed, codegen.PackedQ8} {
 		plan, err := execgraph.Compile(m, params, execgraph.Config{Level: codegen.LevelTag(lv)})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "compile %v: %v\n", lv, err)
 			os.Exit(1)
 		}
-		execs[lv] = plan.NewExecutor()
+		ex := plan.NewExecutor()
+		// Enough repetitions that a 2×2 plane's tens of microseconds are not
+		// one timer read.
+		ms[lv] = runtime.Measure(5+2000/(hw*hw), func() { ex.Run(pool, inputs, outs) })
 	}
-
-	fmt.Printf("Tuned vs Packed vs Packed-INT8 sweep — %dx%d conv, %dx%d map, %d workers\n",
-		outC, inC, h, w, pool.Workers())
-	fmt.Printf("%-6s  %-18s  %-18s  %-18s  %-9s  %s\n",
-		"batch", codegen.Tuned, codegen.Packed, codegen.PackedQ8, "pk/tuned", "q8/packed")
-	for _, batch := range []int{1, 2, 4, 8, 16} {
-		inputs := make([]*tensor.Tensor, batch)
-		outs := make([]*tensor.Tensor, batch)
-		for i := range inputs {
-			inputs[i], outs[i] = input, tensor.New(outC, h, w)
-		}
-		ms := map[codegen.Level]float64{}
-		for _, lv := range levels {
-			ex := execs[lv]
-			// Enough repetitions that a 2×2 plane's tens of microseconds are
-			// not one timer read.
-			ms[lv] = runtime.Measure(5+2000/(hw*hw), func() { ex.Run(pool, inputs, outs) })
-		}
-		fmt.Printf("%-6d  %15.3fms  %15.3fms  %15.3fms  %8.2fx  %8.2fx\n",
-			batch, ms[codegen.Tuned], ms[codegen.Packed], ms[codegen.PackedQ8],
-			ms[codegen.Tuned]/ms[codegen.Packed], ms[codegen.Packed]/ms[codegen.PackedQ8])
-	}
-	fmt.Println()
+	fmt.Printf("%-6s  %15.3fms  %15.3fms  %15.3fms  %8.2fx  %8.2fx\n",
+		fmt.Sprintf("%dx%d", h, w), ms[codegen.Tuned], ms[codegen.Packed], ms[codegen.PackedQ8],
+		ms[codegen.Tuned]/ms[codegen.Packed], ms[codegen.Packed]/ms[codegen.PackedQ8])
 }

@@ -86,8 +86,9 @@ func main() {
 	in := tensor.New(plan.InC, plan.InH, plan.InW)
 	in.Randn(rand.New(rand.NewSource(1)), 1)
 	out := tensor.New(plan.OutC, plan.OutH, plan.OutW)
+	ex := plan.NewExecutor()
 	ms := runtime.Measure(*runs, func() {
-		plan.Execute(pool, []*tensor.Tensor{in}, []*tensor.Tensor{out})
+		ex.Run(pool, []*tensor.Tensor{in}, []*tensor.Tensor{out})
 	})
 	fmt.Printf("end-to-end: %.3f ms/inference over %d runs, output [%d,%d,%d] argmax %d\n",
 		ms, *runs, plan.OutC, plan.OutH, plan.OutW, out.ArgMax())

@@ -1,8 +1,8 @@
 // Command patdnn-serve fronts the concurrent inference engine with an
-// HTTP/JSON API: models compile once into the plan cache, and concurrent
-// /infer requests that queue together run as one batched layer sweep over the
-// worker pool (the compile-once / execute-many deployment the paper's offline
-// compiler implies, exposed as a server).
+// HTTP/JSON API: models compile once into the plan cache, and each /infer
+// request runs as one layer sweep over the worker pool, concurrent requests
+// queueing per model and class (the compile-once / execute-many deployment
+// the paper's offline compiler implies, exposed as a server).
 //
 // With -models-dir the server additionally serves the disk-backed model
 // registry: versioned .patdnn artifacts (written by `patdnn-compile
@@ -23,19 +23,19 @@
 //	               registry model ("vgg" or "vgg@v2"); the response's
 //	               "version" reports the version that served and "level" the
 //	               kernels that ran. Responds with the output feature map,
-//	               argmax, and batch/latency detail.
+//	               argmax, and queue/run latency.
 //	               Scheduling: "class" ("interactive" default, or "batch")
 //	               picks the bounded per-model lane the request queues on —
 //	               batch-class sweeps run on a width-limited worker slice so
 //	               background traffic can't starve interactive requests. A
 //	               full lane sheds immediately with 429. "timeout_ms" sets a
 //	               server-side deadline: if it expires while the request is
-//	               queued the batcher drops it before compute (504).
+//	               queued the lane drops it before compute (504).
 //	               A body holds one request and at most 64 MiB (413 beyond);
 //	               an output that JSON cannot carry (NaN, ±Inf) is a 500.
 //	GET  /models   compiled models: plan-cache entries plus every registry
 //	               version with residency, byte footprint, and last-used time
-//	GET  /stats    engine counters (requests, batches, plan-cache hits,
+//	GET  /stats    engine counters (requests, errors, plan-cache hits,
 //	               sheds by class, deadline sheds, the executed-expired
 //	               tripwire, and per-lane bounded queue depth/capacity/peak)
 //	               plus registry counters (scans, reloads, evictions,
@@ -89,13 +89,12 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", 8, "max requests fused into one batched sweep")
 	patterns := flag.Int("patterns", 8, "pattern-set size")
 	connRate := flag.Float64("connrate", 3.6, "connectivity pruning rate")
 	level := flag.String("level", serve.LevelAuto,
 		"kernel family: packed, packedq8, or auto (packed; quantized artifacts at packedq8)")
 	queueDepth := flag.Int("queue-depth", 0,
-		"per-model, per-class request queue bound; a full queue sheds with 429 (0 = default max(64, 8*batch))")
+		"per-model, per-class request queue bound; a full queue sheds with 429 (0 = 64)")
 	queueBytes := flag.String("queue-bytes", "",
 		"per-model, per-class bound on queued response-tensor bytes, e.g. 64MB; feature-map "+
 			"models (SR) commit ~48KB per request where classifiers commit ~40B, so the byte "+
@@ -117,8 +116,7 @@ func main() {
 		log.Fatalf("bad -queue-bytes: %v", err)
 	}
 	eng := serve.New(serve.Config{
-		Workers: *workers, MaxBatch: *batch,
-		Patterns: *patterns, ConnRate: *connRate, Level: *level,
+		Workers: *workers, Patterns: *patterns, ConnRate: *connRate, Level: *level,
 		QueueDepth: *queueDepth, QueueBytes: qBytes, BatchWorkers: *batchWorkers,
 	})
 	var reg *registry.Registry
@@ -173,12 +171,12 @@ func main() {
 		}
 	}()
 
-	log.Printf("serving on %s (workers=%d batch=%d)", *addr, *workers, *batch)
+	log.Printf("serving on %s (workers=%d)", *addr, *workers)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	<-shutdownDone
-	eng.Close() // drain batchers (and close the registry) after the HTTP server has quiesced
+	eng.Close() // drain the lanes (and close the registry) after the HTTP server has quiesced
 }
 
 // newMux builds the server's routing table (the serve package's canonical

@@ -110,7 +110,7 @@ func TestServerRegistryLifecycleEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	emitVersion(t, dir, "vgg", "v1", 3.6)
 
-	eng := serve.New(serve.Config{Workers: 4, MaxBatch: 4})
+	eng := serve.New(serve.Config{Workers: 4})
 	t.Cleanup(func() { eng.Close() })
 	reg, err := eng.WithRegistry(registry.Config{Dir: dir, Poll: 25 * time.Millisecond})
 	if err != nil {
@@ -361,7 +361,7 @@ func TestServerGraphArtifactResNetEndToEnd(t *testing.T) {
 		t.Skip("compiles a full ResNet-50/CIFAR-10 graph artifact")
 	}
 	dir := t.TempDir()
-	eng := serve.New(serve.Config{Workers: 4, MaxBatch: 4})
+	eng := serve.New(serve.Config{Workers: 4})
 	t.Cleanup(func() { eng.Close() })
 	reg, err := eng.WithRegistry(registry.Config{Dir: dir, Poll: 25 * time.Millisecond})
 	if err != nil {

@@ -62,7 +62,6 @@ func TestSchedulerSLOEndToEnd(t *testing.T) {
 		t.Skip("multi-second load-generation scenario")
 	}
 	eng := serve.New(serve.Config{
-		MaxBatch:   4,
 		QueueDepth: sloQueueDepth,
 		// On a single-core runner this still leaves batch sweeps one worker;
 		// on real machines it pins them to a quarter of the pool.
@@ -149,7 +148,7 @@ func TestSchedulerSLOEndToEnd(t *testing.T) {
 	if s.DeadlineSheds == 0 {
 		t.Fatal("no queued request expired: the deadline-shed path went unexercised")
 	}
-	t.Logf("interactive: %d/%d ok; batch: %d ok, %d shed (429), %d expired; server: shed=%v deadline_sheds=%d expired_executed=%d avg_batch=%.2f",
+	t.Logf("interactive: %d/%d ok; batch: %d ok, %d shed (429), %d expired; server: shed=%v deadline_sheds=%d expired_executed=%d",
 		loaded.OK, loaded.Sent, batch.OK, batch.Shed, batch.Expired,
-		s.ShedByClass, s.DeadlineSheds, s.ExpiredExecuted, s.AvgBatch)
+		s.ShedByClass, s.DeadlineSheds, s.ExpiredExecuted)
 }

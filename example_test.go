@@ -97,10 +97,10 @@ func ExampleCompile() {
 }
 
 // ExampleEngine_Infer embeds the concurrent inference engine: the model
-// compiles once into the plan cache, then requests execute as batched layer
-// sweeps over the worker pool.
+// compiles once into the plan cache, then each request executes as one layer
+// sweep over the worker pool.
 func ExampleEngine_Infer() {
-	eng := patdnn.NewEngine(patdnn.EngineConfig{MaxBatch: 4})
+	eng := patdnn.NewEngine(patdnn.EngineConfig{})
 	defer eng.Close()
 
 	// nil Input selects a deterministic synthetic image.
@@ -111,10 +111,8 @@ func ExampleEngine_Infer() {
 	}
 
 	fmt.Println("output:", resp.Shape)
-	fmt.Println("served in batch:", resp.BatchSize >= 1)
 	fmt.Println("compiled once:", eng.Stats().PlanCompiles == 1)
 	// Output:
 	// output: [10 1 1]
-	// served in batch: true
 	// compiled once: true
 }

@@ -61,9 +61,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		ex := plan.NewExecutor()
 		out := tensor.New(plan.OutC, plan.OutH, plan.OutW)
 		predictors[level] = func(img *tensor.Tensor) int {
-			plan.Execute(pool, []*tensor.Tensor{img}, []*tensor.Tensor{out})
+			ex.Run(pool, []*tensor.Tensor{img}, []*tensor.Tensor{out})
 			return out.ArgMax()
 		}
 	}

@@ -203,9 +203,10 @@ func TestTrainPruneSaveRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := runtime.NewPool(0)
+	ex := plan.NewExecutor()
 	out := tensor.New(plan.OutC, plan.OutH, plan.OutW)
 	requireAgreement(t, net, test, func(img *tensor.Tensor) int {
-		plan.Execute(pool, []*tensor.Tensor{img}, []*tensor.Tensor{out})
+		ex.Run(pool, []*tensor.Tensor{img}, []*tensor.Tensor{out})
 		return out.ArgMax()
 	})
 }

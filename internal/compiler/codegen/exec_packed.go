@@ -72,8 +72,8 @@ import (
 // microkernels. The calls go through func values, so escape analysis cannot
 // prove the arrays don't leak and stack copies would be heap-allocated on
 // every call; a caller running ranges concurrently owns one Scratch per
-// concurrent range (the graph executor keeps one per batch item and compute
-// part). The zero value is ready to use.
+// concurrent range (the graph executor keeps one per compute part). The zero
+// value is ready to use.
 type Scratch struct {
 	s8 [8]*float32
 	s4 [4]*float32

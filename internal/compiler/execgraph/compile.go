@@ -140,9 +140,6 @@ type FusedOps struct {
 	Residual int `json:"residual"`  // residual adds fused into conv epilogues
 }
 
-// Plan is an executable DAG lowered through the graph optimizer, plus its
-// static memory plan. Safe for concurrent use: execution state lives in
-// per-call Executors (see Execute / GetExecutor).
 // TuneStats counts one compile's tuning-DB interactions: how many pattern
 // convs took their configuration from the DB, how many missed, and how many
 // GA candidate evaluations ran at compile time. A warm compile — every layer
@@ -153,6 +150,9 @@ type TuneStats struct {
 	Evals  int `json:"evals"`
 }
 
+// Plan is an executable DAG lowered through the graph optimizer, plus its
+// static memory plan. Safe for concurrent use: execution state lives in
+// Executors (see NewExecutor / Execute).
 type Plan struct {
 	Model *model.Model
 	Level string
@@ -175,8 +175,6 @@ type Plan struct {
 	arenaLen   int   // floats per inference
 	bufOffsets []int // arena offset per buffer ID
 	naiveLen   int   // sum of all node outputs (what no reuse would cost)
-
-	execs execPool
 }
 
 // ArenaBytes returns the per-inference activation arena size in bytes, and

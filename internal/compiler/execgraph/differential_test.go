@@ -62,9 +62,9 @@ func TestDifferentialPaperNetworks(t *testing.T) {
 					t.Fatalf("level %s: %d BNs folded, want %d", level, plan.Fused.ConvBN, bns)
 				}
 
-				// Batched execution: every batch lane must match the dense
-				// reference independently (lane 0 and lane 2 share an input),
-				// at every pool width.
+				// Three inputs in one Run: each output must match the dense
+				// reference independently (inputs 0 and 2 are the same), at
+				// every pool width.
 				xs := []*tensor.Tensor{x, genInput(m, 12), x}
 				want2, err := Reference(m, params, xs[1])
 				if err != nil {
@@ -80,10 +80,10 @@ func TestDifferentialPaperNetworks(t *testing.T) {
 						outs[i] = tensor.New(plan.OutC, plan.OutH, plan.OutW)
 					}
 					plan.Execute(pool, xs, outs)
-					for lane, w := range []*tensor.Tensor{want, want2, want} {
-						if d := outs[lane].MaxAbsDiff(w); d > 1e-4 {
-							t.Fatalf("level %s, %d workers: lane %d diverged from dense reference by %g",
-								level, pool.Workers(), lane, d)
+					for k, w := range []*tensor.Tensor{want, want2, want} {
+						if d := outs[k].MaxAbsDiff(w); d > 1e-4 {
+							t.Fatalf("level %s, %d workers: input %d diverged from dense reference by %g",
+								level, pool.Workers(), k, d)
 						}
 					}
 				}

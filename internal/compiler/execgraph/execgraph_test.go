@@ -288,7 +288,7 @@ func TestArenaSlotsNeverAliasLiveTensors(t *testing.T) {
 
 // TestGlueNodesMatchReference runs the aliasing tail — an in-place ReLU, a
 // copying one, a flatten on its input's buffer — against the dense
-// reference, batched, at one and two workers.
+// reference, three inputs per Run, at one and two workers.
 func TestGlueNodesMatchReference(t *testing.T) {
 	m := glueModel()
 	plan, params := compileAt(t, m, "packed")
@@ -323,12 +323,42 @@ func TestGlueNodesMatchReference(t *testing.T) {
 	}
 }
 
+// TestExecutorRunsInputsInTurn: one Run over three inputs on a reused
+// executor gives bit-identical outputs to three single-input runs, each on a
+// fresh executor, at one and two workers — an input left nothing behind in
+// the arena or the scratch the next one reads.
+func TestExecutorRunsInputsInTurn(t *testing.T) {
+	m := bottleneckModel()
+	plan, _ := compileAt(t, m, "packed")
+	xs := []*tensor.Tensor{genInput(m, 1), genInput(m, 2), genInput(m, 3)}
+	for _, workers := range []int{1, 2} {
+		pool := runtime.NewPool(workers)
+		want := make([]*tensor.Tensor, len(xs))
+		outs := make([]*tensor.Tensor, len(xs))
+		for i, x := range xs {
+			want[i] = tensor.New(plan.OutC, plan.OutH, plan.OutW)
+			outs[i] = tensor.New(plan.OutC, plan.OutH, plan.OutW)
+			plan.Execute(pool, []*tensor.Tensor{x}, []*tensor.Tensor{want[i]})
+		}
+		ex := plan.NewExecutor()
+		for rep := 0; rep < 2; rep++ { // the second run starts from a dirty arena
+			ex.Run(pool, xs, outs)
+			for i := range xs {
+				if d := outs[i].MaxAbsDiff(want[i]); d != 0 {
+					t.Fatalf("workers %d run %d input %d: differs from its single-input run by %g", workers, rep, i, d)
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
 // TestExecutorBatchedZeroAllocs is the arena-reuse acceptance check: a warm
-// executor sweeping a batch over a ResNet bottleneck block performs zero
-// steady-state allocations — on one worker, and on two, where every fork is
-// published to the pool's standing worker rather than spawned. The
-// executor's states own every scratch the kernels use, so the verdict holds
-// under -race, which empties sync.Pools at will.
+// executor running a slice of inputs through a ResNet bottleneck block
+// performs zero steady-state allocations — on one worker, and on two, where
+// every fork is published to the pool's standing worker rather than spawned.
+// The executor's state owns every scratch the kernels use, so the verdict
+// holds under -race, which empties sync.Pools at will.
 func TestExecutorBatchedZeroAllocs(t *testing.T) {
 	m := bottleneckModel()
 	plan, _ := compileAt(t, m, "packed")
@@ -342,19 +372,19 @@ func TestExecutorBatchedZeroAllocs(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		pool := runtime.NewPool(workers)
 		ex := plan.NewExecutor()
-		ex.Run(pool, xs, outs) // warm the per-item states and start the workers
+		ex.Run(pool, xs, outs) // cut the filter ranges and start the workers
 		if allocs := testing.AllocsPerRun(10, func() {
 			ex.Run(pool, xs, outs)
 		}); allocs != 0 {
-			t.Errorf("%d workers: batched sweep allocates %.1f objects/run in steady state, want 0", workers, allocs)
+			t.Errorf("%d workers: Run allocates %.1f objects/run in steady state, want 0", workers, allocs)
 		}
 		pool.Close()
 	}
 }
 
-// TestConcurrentGraphCompileHammer compiles plans and executes batches from
-// many goroutines simultaneously — the -race check over concurrent graph-plan
-// compiles sharing the worker pool and the per-plan executor pools.
+// TestConcurrentGraphCompileHammer compiles and executes plans from many
+// goroutines simultaneously — the -race check over concurrent graph-plan
+// compiles sharing the worker pool, and concurrent runs of one shared plan.
 func TestConcurrentGraphCompileHammer(t *testing.T) {
 	m := bottleneckModel()
 	params, err := Generate(m, 8, 3.6, 42)

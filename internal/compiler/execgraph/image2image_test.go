@@ -78,8 +78,8 @@ func TestSRNetMatchesReferenceAllLevels(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := runtime.NewPool(4)
-		// Batched execution with distinct inputs: item 0 carries the seed the
-		// reference ran, the second item guards against cross-item aliasing.
+		// Two distinct inputs in one Run: the first carries the seed the
+		// reference ran, the second guards against state leaking between them.
 		xs := []*tensor.Tensor{genInput(m, 3), genInput(m, 4)}
 		outs := []*tensor.Tensor{
 			tensor.New(plan.OutC, plan.OutH, plan.OutW),
@@ -210,9 +210,9 @@ func roundTripMatches(t *testing.T, m *model.Model) {
 	}
 }
 
-// TestConvTransposeBatchParallelRace exists for the -race CI job: a batched
-// sweep where dilate-pad scratch and conv ranges run concurrently across
-// batch × channel.
+// TestConvTransposeBatchParallelRace exists for the -race CI job: eight
+// inputs in one Run, each with its dilate-pad scratch and conv ranges
+// running concurrently across channels and filters.
 func TestConvTransposeBatchParallelRace(t *testing.T) {
 	m := convTChain(8, 8, 6, 6, 2, 1, 1)
 	plan, params := compileAt(t, m, "packed")

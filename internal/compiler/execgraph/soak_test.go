@@ -9,7 +9,7 @@ package execgraph
 // narrower differential test covers tuned+packed; this sweep is the
 // exhaustive cross-product, wired into CI as its own -race job so a kernel
 // regression in any generation (not just the fast ones the benchmarks favor)
-// is caught batch-wide before it ships. Short mode skips it: the sweep
+// is caught before it ships. Short mode skips it: the sweep
 // compiles 21 full plan stacks.
 
 import (
@@ -39,8 +39,8 @@ func TestDifferentialSoakAllNetsAllLevels(t *testing.T) {
 		m := m
 		t.Run(m.Short, func(t *testing.T) {
 			_, params := paperPlan(t, m, "packed")
-			// Two references: the batch sweep below runs two distinct lanes,
-			// and each must match its own input's dense forward pass.
+			// Two references: the Run below takes two distinct inputs, and
+			// each output must match its own input's dense forward pass.
 			xs := []*tensor.Tensor{genInput(m, 21), genInput(m, 22)}
 			wants := make([]*tensor.Tensor, len(xs))
 			for i, x := range xs {
@@ -65,7 +65,7 @@ func TestDifferentialSoakAllNetsAllLevels(t *testing.T) {
 					plan.Execute(pool, xs, outs)
 					for i := range outs {
 						if d := outs[i].MaxAbsDiff(wants[i]); d > tol {
-							t.Fatalf("%s @ %s: lane %d diverged from dense reference by %g",
+							t.Fatalf("%s @ %s: input %d diverged from dense reference by %g",
 								m.Short, level, i, d)
 						}
 					}

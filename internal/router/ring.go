@@ -8,8 +8,8 @@
 // a full compressed-model engine with its own plan cache and class lanes;
 // the router's job is purely placement and failure handling, never compute.
 // Consistent hashing keeps each (model, dataset) key pinned to one replica
-// so its plan cache and batcher stay warm — spreading one model across the
-// fleet would multiply compile work and shrink every batch.
+// so its plan cache and lanes stay warm — spreading one model across the
+// fleet would multiply compile work and resident plans.
 package router
 
 import "sort"

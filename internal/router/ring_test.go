@@ -4,7 +4,7 @@ package router
 //
 //  1. Determinism: placement is a pure function of (member set, vnodes) —
 //     construction order, process restarts, and separate router instances
-//     all agree. (Two routers disagreeing would split one model's batch
+//     all agree. (Two routers disagreeing would split one model's request
 //     stream across replicas.)
 //  2. Minimal disruption: adding a member moves keys only TO the new
 //     member; removing one moves only ITS keys; and the moved fraction is

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -196,5 +197,60 @@ func TestFleetRolloutSkipsEjectedReplica(t *testing.T) {
 	}
 	if routes := dead.Registry.Routes(); len(routes["roll"]) != 0 {
 		t.Fatal("ejected replica unexpectedly received the route shift")
+	}
+}
+
+// TestControlBodiesOverLimitAre413: a /fleet/drain, /fleet/undrain or
+// /fleet/rollout body past the control limit is refused with 413 and leaves
+// drain state and routes as they were, though its JSON is a valid request.
+func TestControlBodiesOverLimitAre413(t *testing.T) {
+	fleet := routertest.NewFleet(t, routertest.Options{Replicas: 2, WithRegistry: true})
+	fleet.RegisterTiny("v1", "roll")
+	fleet.RegisterTiny("v2", "roll")
+	fleet.WaitReady(10 * time.Second)
+	rt, err := router.New(router.Config{Replicas: fleet.URLs(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	h := rt.Handler()
+	post := func(path string, body map[string]any) int {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+		return rec.Code
+	}
+	target := fleet.Replicas[0].URL()
+	drained := func() bool {
+		for _, rv := range rt.Fleet().Replicas {
+			if rv.URL == target {
+				return rv.Drained
+			}
+		}
+		t.Fatalf("replica %s missing from the fleet view", target)
+		return false
+	}
+	pad := strings.Repeat("x", 2<<20)
+
+	if st := post("/fleet/drain", map[string]any{"replica": target, "pad": pad}); st != http.StatusRequestEntityTooLarge || drained() {
+		t.Fatalf("oversized drain: HTTP %d, drained=%v; want 413 and no drain", st, drained())
+	}
+	if st := post("/fleet/drain", map[string]any{"replica": target}); st != http.StatusOK || !drained() {
+		t.Fatalf("honest drain: HTTP %d, drained=%v", st, drained())
+	}
+	if st := post("/fleet/undrain", map[string]any{"replica": target, "pad": pad}); st != http.StatusRequestEntityTooLarge || !drained() {
+		t.Fatalf("oversized undrain: HTTP %d, drained=%v; want 413 and still drained", st, drained())
+	}
+	rollout := map[string]any{"model": "roll", "weights": map[string]int{"v1": 1}, "pad": pad}
+	if st := post("/fleet/rollout", rollout); st != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized rollout: HTTP %d, want 413", st)
+	}
+	for _, rp := range fleet.Replicas {
+		if routes := rp.Registry.Routes(); len(routes["roll"]) != 0 {
+			t.Fatalf("oversized rollout shifted %s's routes: %v", rp.Name, routes)
+		}
 	}
 }

@@ -507,7 +507,6 @@ type FleetStats struct {
 	Shed            uint64            `json:"shed"`
 	DeadlineSheds   uint64            `json:"deadline_sheds"`
 	ExpiredExecuted uint64            `json:"expired_executed"`
-	Batches         uint64            `json:"batches"`
 	Admitted        map[string]uint64 `json:"admitted,omitempty"`
 	ShedByClass     map[string]uint64 `json:"shed_by_class,omitempty"`
 	Unreachable     int               `json:"unreachable"`
@@ -544,7 +543,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 				fs.Shed += s.Shed
 				fs.DeadlineSheds += s.DeadlineSheds
 				fs.ExpiredExecuted += s.ExpiredExecuted
-				fs.Batches += s.Batches
 				for k, n := range s.Admitted {
 					fs.Admitted[k] += n
 				}
@@ -654,6 +652,24 @@ func (rt *Router) fanout(r *http.Request, path string) []fanoutRow {
 
 // --- drain / rollout ------------------------------------------------------
 
+// maxControlBytes bounds an operator request body (/fleet/drain, /undrain,
+// /rollout); a larger one is refused with 413, like an oversized /infer body.
+const maxControlBytes = 1 << 20
+
+// decodeControl decodes an operator request body into v, answering 413 or
+// 400 itself when it cannot.
+func decodeControl(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBytes))
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
+		httpError(w, serve.InferStatus(err), fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	return true
+}
+
 type drainRequest struct {
 	Replica string `json:"replica"`
 }
@@ -661,8 +677,7 @@ type drainRequest struct {
 func (rt *Router) handleDrain(drain bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req drainRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !decodeControl(w, r, &req) {
 			return
 		}
 		rp := rt.replicas[req.Replica]
@@ -697,8 +712,7 @@ type rolloutStep struct {
 
 func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) {
 	var req rolloutRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeControl(w, r, &req) {
 		return
 	}
 	if req.Model == "" {

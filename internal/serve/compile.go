@@ -2,8 +2,7 @@ package serve
 
 // Offline half of the engine: lower a network into an executable graph plan
 // (graph IR → BN folding + residual/ReLU fusion → pattern/connectivity kernel
-// compilation → liveness-planned arena), and the batched sweep that executes
-// a gathered request batch over the worker pool. The two compile entry points
+// compilation → liveness-planned arena). The two compile entry points
 // differ only in where the parameters come from: generator models synthesize
 // deterministic ones at the engine's operating point; registry models take
 // theirs, and their topology, from the .patdnn artifact.
@@ -16,7 +15,6 @@ import (
 	"patdnn/internal/compiler/execgraph"
 	"patdnn/internal/model"
 	"patdnn/internal/modelfile"
-	"patdnn/internal/runtime"
 	"patdnn/internal/tensor"
 )
 
@@ -30,9 +28,10 @@ type compiledModel struct {
 	version string // registry version ("" for generator models)
 	// retired flips once the registry drops this artifact (eviction,
 	// hot-reload replacement, removal). Requests that raced the drop —
-	// resolved this cm but have not enqueued yet — run unbatched instead of
-	// resurrecting a batcher nobody would ever retire (which would pin the
-	// whole plan stack until Close and silently defeat the memory budget).
+	// resolved this cm but have not enqueued yet — run on a fresh executor
+	// instead of resurrecting a batcher nobody would ever retire (which would
+	// pin the whole plan stack until Close and silently defeat the memory
+	// budget).
 	retired atomic.Bool
 }
 
@@ -126,22 +125,8 @@ func (cm *compiledModel) inputTensor(data []float32) (*tensor.Tensor, error) {
 	return t, nil
 }
 
-// runBatch executes one batch over the graph plan: every node runs once for
-// the whole batch, conv-like nodes parallelize over batch × output-channels in
-// one ParallelFor, and all intermediates live in the executor's
-// liveness-planned arenas — no steady-state allocation, no scratch-pool churn
-// per layer. ex is the caller's own executor for this plan; nil borrows one
-// from the plan's pool for the call. The returned output tensors are handed
-// to callers and never recycled.
-func (cm *compiledModel) runBatch(ex *execgraph.Executor, pool *runtime.Pool, xs []*tensor.Tensor) []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(xs))
-	for i := range outs {
-		outs[i] = tensor.New(cm.plan.OutC, cm.plan.OutH, cm.plan.OutW)
-	}
-	if ex != nil {
-		ex.Run(pool, xs, outs)
-	} else {
-		cm.plan.Execute(pool, xs, outs)
-	}
-	return outs
+// newOutput allocates the tensor one inference writes its output to; it is
+// handed to the caller and never recycled.
+func (cm *compiledModel) newOutput() *tensor.Tensor {
+	return tensor.New(cm.plan.OutC, cm.plan.OutH, cm.plan.OutW)
 }

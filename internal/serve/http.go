@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -32,6 +33,10 @@ import (
 // through, so a client behind the front door still sees which replica ran
 // its inference.
 const ReplicaHeader = "X-Patdnn-Replica"
+
+// maxControlBytes bounds a POST /registry/route body; a larger one is
+// refused with 413, like an oversized /infer body.
+const maxControlBytes = 1 << 20
 
 // NewHandler builds the serve HTTP API over an engine (and its optional
 // registry; reg may be nil). replica, when non-empty, is stamped on every
@@ -93,8 +98,12 @@ func NewHandler(eng *Engine, reg *registry.Registry, replica string) http.Handle
 		})
 		mux.HandleFunc("POST /registry/route", func(w http.ResponseWriter, r *http.Request) {
 			var req routeRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxControlBytes))
+			if err == nil {
+				err = json.Unmarshal(body, &req)
+			}
+			if err != nil {
+				httpError(w, InferStatus(err), fmt.Errorf("bad request body: %w", err))
 				return
 			}
 			if req.Model == "" {

@@ -81,3 +81,27 @@ func TestInferRejectsTrailingGarbage(t *testing.T) {
 		wantErrorBody(t, postInfer(t, h, strings.NewReader(body)), http.StatusBadRequest)
 	}
 }
+
+// TestRouteBodyOverLimitIs413: a POST /registry/route body past the control
+// limit is refused with 413 and changes no route, though its JSON is a valid
+// route request; the same request without the padding sets the route.
+func TestRouteBodyOverLimitIs413(t *testing.T) {
+	dir := t.TempDir()
+	writeTinyArtifact(t, dir, "tiny", "v1", 100)
+	writeTinyArtifact(t, dir, "tiny", "v2", 200)
+	eng, reg := registryEngine(t, dir, 0, Config{Workers: 1})
+	h := NewHandler(eng, reg, "")
+	post := func(pad int) *httptest.ResponseRecorder {
+		body := `{"model":"tiny","weights":{"v1":1},"pad":"` + strings.Repeat("x", pad) + `"}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/registry/route", strings.NewReader(body)))
+		return rec
+	}
+	wantErrorBody(t, post(2<<20), http.StatusRequestEntityTooLarge)
+	if routes := reg.Routes(); len(routes) != 0 {
+		t.Fatalf("an oversized body changed the routes: %v", routes)
+	}
+	if rec := post(1); rec.Code != http.StatusOK || len(reg.Routes()["tiny"]) == 0 {
+		t.Fatalf("honest route request: status %d, routes %v", rec.Code, reg.Routes())
+	}
+}

@@ -120,7 +120,7 @@ func TestQueueBytesAdmissionSheds(t *testing.T) {
 func TestQueueBytesReleasedAfterSweep(t *testing.T) {
 	// With a budget of exactly two outputs, serving sequential requests must
 	// keep succeeding: each sweep releases its reservation.
-	eng := New(Config{Workers: 2, MaxBatch: 1, QueueBytes: 2 * 4 * 12288})
+	eng := New(Config{Workers: 2, QueueBytes: 2 * 4 * 12288})
 	defer eng.Close()
 	for i := 0; i < 5; i++ {
 		if _, err := eng.Infer(context.Background(), Request{Network: "SR", Dataset: "cifar10"}); err != nil {

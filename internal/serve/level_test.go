@@ -63,7 +63,7 @@ func TestEngineRejectsUnservedLevel(t *testing.T) {
 // ErrClosed — no hangs, no panics, no sends on closed channels. Run under
 // -race this also exercises the batcher drain against the pooled buffers.
 func TestInferHammerWhileCloseDrains(t *testing.T) {
-	eng := New(Config{Workers: 2, MaxBatch: 4})
+	eng := New(Config{Workers: 2})
 	if err := eng.RegisterModel(tinyModel("tiny", "synthetic")); err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,11 @@ package serve
 // for an exact version, bare "name" for the routed/latest one — next to the
 // existing generator path. The engine is the registry's Loader: it lowers a
 // validated .patdnn artifact into the same compiledModel representation the
-// plan cache holds, so registry models ride the identical batched layer
+// plan cache holds, so registry models ride the identical lanes and layer
 // sweep. Hot reload and eviction are safe because artifacts are immutable:
 // when the registry drops one, the engine retires its batcher — queued
 // requests drain on the old compiled plans while new requests already
-// resolve to (and batch on) the replacement.
+// resolve to (and queue on) the replacement.
 
 import (
 	"fmt"
@@ -139,9 +139,9 @@ func (e *Engine) resolveModel(req Request) (*compiledModel, error) {
 // every in-flight enqueue (they hold the read side across the retirement
 // check, lookup, and send), so once the flag is set and the batcher leaves
 // the map no goroutine can still send on its channel — stragglers that
-// resolved cm earlier observe the flag and run unbatched instead. Closing
-// the channel afterwards lets the batcher drain queued calls on the old
-// plans and exit. After Close this is a no-op (Close already closed every
+// resolved cm earlier observe the flag and run outside any lane instead.
+// Closing the channel afterwards lets the batcher drain queued calls on the
+// old plans and exit. After Close this is a no-op (Close already closed every
 // channel).
 func (e *Engine) retireBatcher(cm *compiledModel) {
 	e.lifecycle.Lock()

@@ -128,7 +128,7 @@ func TestRegistryServeExactAndLatest(t *testing.T) {
 func TestRegistryServesFileBitExact(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTinyArtifact(t, dir, "tiny", "v1", 300)
-	eng, _ := registryEngine(t, dir, 0, Config{Workers: 2, MaxBatch: 1})
+	eng, _ := registryEngine(t, dir, 0, Config{Workers: 2})
 
 	fh, err := os.Open(path)
 	if err != nil {
@@ -543,8 +543,9 @@ func TestLazyCompileDoesNotGateReadiness(t *testing.T) {
 
 // TestRetiredArtifactServesStragglersUnbatched pins the eviction race: a
 // request that resolved an artifact just before the registry dropped it must
-// still be served — unbatched, without resurrecting a batcher that nobody
-// would ever retire (which would pin the evicted plan stack until Close).
+// still be served — outside any lane, on a fresh executor, without
+// resurrecting a batcher that nobody would ever retire (which would pin the
+// evicted plan stack until Close).
 func TestRetiredArtifactServesStragglersUnbatched(t *testing.T) {
 	dir := t.TempDir()
 	writeTinyArtifact(t, dir, "tiny", "v1", 100)
@@ -605,7 +606,7 @@ func TestRegistryConcurrencyHammer(t *testing.T) {
 	dir := t.TempDir()
 	writeTinyArtifact(t, dir, "tiny", "v1", 100)
 	writeTinyArtifact(t, dir, "tiny", "v2", 200)
-	eng, reg := registryEngine(t, dir, 0, Config{Workers: 4, MaxBatch: 4})
+	eng, reg := registryEngine(t, dir, 0, Config{Workers: 4})
 	if err := reg.SetRoute("tiny", map[string]int{"v1": 1, "v2": 1}); err != nil {
 		t.Fatal(err)
 	}

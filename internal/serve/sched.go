@@ -8,20 +8,19 @@ package serve
 // (the 429 fast-fail) instead of growing an unbounded backlog whose tail
 // latency nobody can meet anyway.
 //
-// Dispatch is work-conserving: a lane takes the first queued call, then
-// whatever else is already queued up to Config.MaxBatch, and sweeps at once —
-// it never waits on a clock for company. An idle lane serves a lone request
-// immediately; a busy lane's arrivals queue behind the running sweep and ride
-// the next one together, so batch size follows load.
+// A lane runs one request per sweep: it takes the oldest queued call and runs
+// it, then the next. It never waits on a clock and never gathers: an idle
+// lane serves a lone request at once, and a busy lane's arrivals queue in
+// arrival order. (Sweeping several queued requests together saved 12 % per
+// image on VGG-16 — not enough to keep; DESIGN.md "One request per sweep".)
 //
-// Batching is deadline-aware. Requests carry their deadline through ctx
-// (Request.TimeoutMs attaches one server-side); at the moment a batch is
-// swept, calls whose context is already done — cancelled client,
-// expired deadline — are dropped from the sweep and answered with the
-// context error, counted as deadline sheds rather than completions. A
-// tripwire counter (Stats.ExpiredExecuted) audits the invariant from the
-// other side: any call that executes even though its deadline had passed
-// before the sweep started is counted, and the E2E harness asserts the
+// Dispatch is deadline-aware. Requests carry their deadline through ctx
+// (Request.TimeoutMs attaches one server-side); when a call is dequeued, a
+// context that is already done — cancelled client, expired deadline — is
+// answered with the context error and counted as a deadline shed rather than
+// run. A tripwire counter (Stats.ExpiredExecuted) audits the invariant from
+// the other side: any call that executes even though its deadline had passed
+// before its sweep started is counted, and the E2E harness asserts the
 // counter stays zero.
 //
 // Priority is by resource partitioning rather than preemption: the two lanes
@@ -41,7 +40,6 @@ import (
 	"time"
 
 	"patdnn/internal/compiler/execgraph"
-	"patdnn/internal/runtime"
 	"patdnn/internal/tensor"
 )
 
@@ -111,22 +109,22 @@ type QueueStat struct {
 type call struct {
 	ctx      ctxDone // request context: deadline + cancellation
 	input    *tensor.Tensor
-	resp     chan batchResult // buffered(1): abandoned callers never block the lane
+	resp     chan result // buffered(1): abandoned callers never block the lane
 	enqueued time.Time
 }
 
 // ctxDone is the slice of context.Context the scheduler needs; a named
-// interface keeps the call struct honest about what it consults (Err for the
-// sweep filter, Deadline for the executed-expired tripwire).
+// interface keeps the call struct honest about what it consults (Err and
+// Deadline for the dequeue filter, Deadline for the executed-expired tripwire).
 type ctxDone interface {
 	Err() error
 	Deadline() (time.Time, bool)
 }
 
-type batchResult struct {
+// result is what a lane answers a call with.
+type result struct {
 	out     *tensor.Tensor
-	err     error // non-nil when the call was shed from the sweep (ctx done)
-	size    int
+	err     error // non-nil when the call was shed at dequeue (ctx done)
 	queueMs float64
 	runMs   float64
 }
@@ -134,8 +132,6 @@ type batchResult struct {
 // batcher owns one compiled model's request stream: two class lanes, each a
 // bounded queue drained by its own sweep loop.
 type batcher struct {
-	eng   *Engine
-	cm    *compiledModel
 	lanes [numClasses]*lane
 }
 
@@ -148,16 +144,13 @@ type lane struct {
 	peak     atomic.Int64  // admission-time high-water mark of len(ch)
 	admitted atomic.Uint64 // requests ever admitted to this lane
 	// callBytes is the output commitment of one request against this
-	// artifact (4 bytes per output element — what runBatch will allocate per
-	// call); bytes tracks the lane's outstanding total from admission until
-	// the sweep delivers or sheds the call, bounded by Config.QueueBytes.
+	// artifact (4 bytes per output element — the output run allocates);
+	// bytes tracks the lane's outstanding total from admission until the lane
+	// delivers or sheds the call, bounded by Config.QueueBytes.
 	callBytes int64
 	bytes     atomic.Int64
-	// exec is the lane's own executor, built on its first sweep. A lane runs
-	// one sweep at a time, so one is all it needs, and the plan's shared
-	// sync.Pool cannot promise even that: its fast slot is per P, and the lane
-	// goroutine wakes on whichever P the enqueuing caller ran on, so a borrowed
-	// executor (arenas and all) is rebuilt whenever the loop has moved.
+	// exec is the lane's own executor, built on its first sweep: a lane runs
+	// one sweep at a time, so one is all it needs.
 	exec *execgraph.Executor
 }
 
@@ -172,7 +165,7 @@ func newLane(e *Engine, cm *compiledModel, class Class) *lane {
 // newBatcher creates the batcher and starts both lane goroutines. Callers
 // hold e.mu and have already accounted e.wg.Add(numClasses).
 func newBatcher(e *Engine, cm *compiledModel) *batcher {
-	bt := &batcher{eng: e, cm: cm}
+	bt := &batcher{}
 	for cl := Class(0); cl < numClasses; cl++ {
 		ln := newLane(e, cm, cl)
 		bt.lanes[cl] = ln
@@ -227,98 +220,54 @@ func (ln *lane) shed() {
 	ln.eng.shedByClass[ln.class].Add(1)
 }
 
-// pool returns the worker pool this lane sweeps on: full width for
-// interactive, the width-limited slice for batch.
-func (ln *lane) pool() *runtime.Pool {
-	if ln.class == ClassBatch {
-		return ln.eng.batchPool
-	}
-	return ln.eng.pool
-}
-
-// step is one turn of the lane loop: block for the first call, take what is
-// already queued up to MaxBatch without waiting, sweep. It reports false once
-// the lane is closed and drained.
+// step is one turn of the lane loop: block for the oldest queued call and
+// run it. It reports false once the lane is closed and drained.
 func (ln *lane) step() bool {
-	first, ok := <-ln.ch
+	c, ok := <-ln.ch
 	if !ok {
 		return false
 	}
-	calls := append(make([]*call, 0, ln.eng.cfg.MaxBatch), first)
-drain:
-	for len(calls) < cap(calls) {
-		select {
-		case c, ok := <-ln.ch:
-			if !ok {
-				break drain // closed: sweep what we have; the next step exits
-			}
-			calls = append(calls, c)
-		default:
-			break drain
-		}
-	}
-	ln.run(calls)
+	ln.run(c)
 	return true
 }
 
-// run sweeps one batch. The deadline filter runs first: calls whose
-// context is already done are answered with the context error and counted as
-// deadline sheds — their inputs never reach the compute sweep. The deadline
-// is additionally checked against the clock directly: a context's Err() only
+// run answers one call. The deadline filter runs first: a call whose context
+// is already done is answered with the context error and counted as a
+// deadline shed — its input never reaches compute. The deadline is
+// additionally checked against the clock directly: a context's Err() only
 // flips when its timer fires, and on a loaded machine the timer can lag the
 // wall-clock deadline — the contract is "expired at sweep start", not
 // "expired and the runtime noticed". start is taken before the filter, so
 // the executed-expired tripwire below can never fire unless the filter
 // itself is broken.
-func (ln *lane) run(calls []*call) {
+func (ln *lane) run(c *call) {
 	// Every dequeued call releases its byte reservation here — completed,
 	// deadline-shed, and drain-on-close alike all pass through run.
-	defer ln.bytes.Add(-int64(len(calls)) * ln.callBytes)
+	defer ln.bytes.Add(-ln.callBytes)
 	start := time.Now()
-	alive := calls[:0]
-	for _, c := range calls {
-		err := c.ctx.Err()
-		if err == nil {
-			if dl, ok := c.ctx.Deadline(); ok && !dl.After(start) {
-				err = context.DeadlineExceeded
-			}
-		}
-		if err != nil {
-			ln.eng.deadlineSheds.Add(1)
-			c.resp <- batchResult{err: err}
-			continue
-		}
-		alive = append(alive, c)
+	err := c.ctx.Err()
+	if dl, ok := c.ctx.Deadline(); err == nil && ok && !dl.After(start) {
+		err = context.DeadlineExceeded
 	}
-	if len(alive) == 0 {
-		return // the whole batch died in the queue: skip the sweep entirely
-	}
-	inputs := make([]*tensor.Tensor, len(alive))
-	for i, c := range alive {
-		inputs[i] = c.input
+	if err != nil {
+		ln.eng.deadlineSheds.Add(1)
+		c.resp <- result{err: err}
+		return
 	}
 	if ln.exec == nil {
 		ln.exec = ln.cm.plan.NewExecutor()
 	}
-	outs := ln.cm.runBatch(ln.exec, ln.pool(), inputs)
-	runMs := float64(time.Since(start).Nanoseconds()) / 1e6
-	ln.eng.batches.Add(1)
-	ln.eng.ranRequests.Add(uint64(len(alive)))
-	if len(alive) > 1 {
-		ln.eng.batchedRequests.Add(uint64(len(alive)))
+	out := ln.cm.newOutput()
+	ln.exec.Run(ln.eng.poolFor(ln.class), []*tensor.Tensor{c.input}, []*tensor.Tensor{out})
+	// Tripwire for the deadline contract: a delivered result whose deadline
+	// predates the sweep start means an expired request burned compute — the
+	// filter above exists to keep this at zero.
+	if dl, ok := c.ctx.Deadline(); ok && dl.Before(start) {
+		ln.eng.expiredExecuted.Add(1)
 	}
-	for i, c := range alive {
-		// Tripwire for the deadline contract: a delivered result whose
-		// deadline predates the sweep start means an expired request burned
-		// compute — the filter above exists to keep this at zero.
-		if dl, ok := c.ctx.Deadline(); ok && dl.Before(start) {
-			ln.eng.expiredExecuted.Add(1)
-		}
-		c.resp <- batchResult{
-			out:     outs[i],
-			size:    len(alive),
-			queueMs: float64(start.Sub(c.enqueued).Nanoseconds()) / 1e6,
-			runMs:   runMs,
-		}
+	c.resp <- result{
+		out:     out,
+		queueMs: float64(start.Sub(c.enqueued).Nanoseconds()) / 1e6,
+		runMs:   float64(time.Since(start).Nanoseconds()) / 1e6,
 	}
 }

@@ -30,7 +30,7 @@ func queueCall(t *testing.T, ln *lane, ctx ctxDone, seed int) *call {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &call{ctx: ctx, input: in, resp: make(chan batchResult, 1), enqueued: time.Now()}
+	c := &call{ctx: ctx, input: in, resp: make(chan result, 1), enqueued: time.Now()}
 	if err := ln.enqueue(c); err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +38,30 @@ func queueCall(t *testing.T, ln *lane, ctx ctxDone, seed int) *call {
 }
 
 // answered returns c's result, failing if the last step did not deliver one.
-func answered(t *testing.T, c *call) batchResult {
+func answered(t *testing.T, c *call) result {
 	t.Helper()
 	select {
 	case r := <-c.resp:
 		return r
 	default:
-		t.Fatal("call was not answered by the sweep")
-		return batchResult{}
+		t.Fatal("call was not answered by the step")
+		return result{}
+	}
+}
+
+// wantOwnOutput fails unless r carries the output ref computes for
+// tinyInput(seed).
+func wantOwnOutput(t *testing.T, ref *Engine, r result, seed int) {
+	t.Helper()
+	want, err := ref.Infer(context.Background(),
+		Request{Network: "tiny", Dataset: "synthetic", Input: tinyInput(seed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range r.out.Data {
+		if v != want.Output[j] {
+			t.Fatalf("call %d: output[%d] = %g, want %g (its own input's)", seed, j, v, want.Output[j])
+		}
 	}
 }
 
@@ -58,8 +74,9 @@ func (c laggingCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
 // TestCancelledCallShedNotCompleted is the regression test for the
 // cancelled-call leak: a call whose context is done while it sits in the queue
-// must be dropped from the sweep (a deadline shed), not executed, and the call
-// queued behind it rides a batch of one.
+// must be answered with its context error (a deadline shed), not executed —
+// the lane builds its executor on its first sweep, and has none after the
+// step — and the call queued behind it runs on the next step.
 func TestCancelledCallShedNotCompleted(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -75,7 +92,7 @@ func TestCancelledCallShedNotCompleted(t *testing.T) {
 		{"expired, timer lagging", laggingCtx{time.Now().Add(-time.Second)}, context.DeadlineExceeded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, ln := idleLane(t, Config{Workers: 1, MaxBatch: 2})
+			eng, ln := idleLane(t, Config{Workers: 1})
 			dead := queueCall(t, ln, tc.ctx, 0)
 			live := queueCall(t, ln, context.Background(), 1)
 			if !ln.step() {
@@ -84,94 +101,79 @@ func TestCancelledCallShedNotCompleted(t *testing.T) {
 			if r := answered(t, dead); r.err != tc.want || r.out != nil {
 				t.Fatalf("dead call answered %+v, want error %v and no output", r, tc.want)
 			}
-			if r := answered(t, live); r.err != nil || r.size != 1 {
-				t.Fatalf("surviving call: err %v, batch of %d; want a batch of 1", r.err, r.size)
+			if ln.exec != nil || len(live.resp) != 0 {
+				t.Fatal("the step that shed the dead call computed something")
+			}
+			ln.step()
+			if r := answered(t, live); r.err != nil || r.out == nil {
+				t.Fatalf("surviving call: err %v, output %v", r.err, r.out)
 			}
 			s := eng.Stats()
-			if s.DeadlineSheds != 1 || s.Batches != 1 || s.AvgBatch != 1 || s.ExpiredExecuted != 0 {
-				t.Fatalf("DeadlineSheds=%d Batches=%d AvgBatch=%g ExpiredExecuted=%d, want 1/1/1/0",
-					s.DeadlineSheds, s.Batches, s.AvgBatch, s.ExpiredExecuted)
+			if s.DeadlineSheds != 1 || s.ExpiredExecuted != 0 {
+				t.Fatalf("DeadlineSheds=%d ExpiredExecuted=%d, want 1/0", s.DeadlineSheds, s.ExpiredExecuted)
 			}
 			if got := ln.bytes.Load(); got != 0 {
-				t.Fatalf("lane still holds %d reserved bytes after the sweep", got)
+				t.Fatalf("lane still holds %d reserved bytes after both steps", got)
 			}
 		})
 	}
 }
 
-// TestLaneSweepsWhatIsQueued pins work-conserving dispatch: a step takes the
-// calls already queued, at most MaxBatch of them and in arrival order, and
-// never waits for more.
-func TestLaneSweepsWhatIsQueued(t *testing.T) {
-	const maxBatch, queued = 4, 6
-	ref := tinyEngine(t, Config{Workers: 1, MaxBatch: 1})
-	eng, ln := idleLane(t, Config{Workers: 2, MaxBatch: maxBatch})
+// TestLaneStepAnswersOldestCall pins one request per sweep: a step answers
+// exactly the oldest queued call, with the output for that call's own input,
+// and leaves the rest queued. The last step runs a lone call: a step that
+// waited for company would hang there, since nothing else ever arrives.
+func TestLaneStepAnswersOldestCall(t *testing.T) {
+	const queued = 3
+	ref := tinyEngine(t, Config{Workers: 1})
+	_, ln := idleLane(t, Config{Workers: 2})
 	calls := make([]*call, queued)
 	for i := range calls {
 		calls[i] = queueCall(t, ln, context.Background(), i)
 	}
-	for lo := 0; lo < queued; lo += maxBatch {
-		hi := min(lo+maxBatch, queued)
+	for i, c := range calls {
 		ln.step()
-		for i, c := range calls {
-			if i < lo {
-				continue
-			}
-			if i >= hi {
-				if len(c.resp) != 0 {
-					t.Fatalf("call %d answered by the sweep of calls %d..%d", i, lo, hi-1)
-				}
-				continue
-			}
-			r := answered(t, c)
-			if r.err != nil || r.size != hi-lo {
-				t.Fatalf("call %d: err %v, batch of %d, want %d", i, r.err, r.size, hi-lo)
-			}
-			want, err := ref.Infer(context.Background(),
-				Request{Network: "tiny", Dataset: "synthetic", Input: tinyInput(i)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, v := range r.out.Data {
-				if v != want.Output[j] {
-					t.Fatalf("call %d: output[%d] = %g, want %g (its own input's)", i, j, v, want.Output[j])
-				}
+		r := answered(t, c)
+		if r.err != nil {
+			t.Fatalf("call %d: %v", i, r.err)
+		}
+		wantOwnOutput(t, ref, r, i)
+		for j, later := range calls[i+1:] {
+			if len(later.resp) != 0 {
+				t.Fatalf("call %d answered by the step for call %d", i+1+j, i)
 			}
 		}
-	}
-	if s := eng.Stats(); s.Batches != 2 || s.BatchedRequests != queued || s.AvgBatch != queued/2 {
-		t.Fatalf("Batches=%d BatchedRequests=%d AvgBatch=%g, want 2/%d/%d",
-			s.Batches, s.BatchedRequests, s.AvgBatch, queued, queued/2)
-	}
-
-	// One queued call sweeps alone: a step that waited for company would hang
-	// here, since nothing else ever arrives.
-	lone := queueCall(t, ln, context.Background(), 0)
-	ln.step()
-	if r := answered(t, lone); r.err != nil || r.size != 1 {
-		t.Fatalf("lone call: err %v, batch of %d, want 1", r.err, r.size)
+		if got := len(ln.ch); got != queued-1-i {
+			t.Fatalf("after step %d: %d calls queued, want %d", i, got, queued-1-i)
+		}
 	}
 }
 
 // TestClosedLaneDrainsAndExits: closing a lane's queue fails no admitted
-// call — the loop sweeps what is left, then reports the lane finished.
+// call — the loop answers what is left one call per step, then reports the
+// lane finished.
 func TestClosedLaneDrainsAndExits(t *testing.T) {
-	_, ln := idleLane(t, Config{Workers: 1, MaxBatch: 2})
+	ref := tinyEngine(t, Config{Workers: 1})
+	_, ln := idleLane(t, Config{Workers: 1})
 	calls := make([]*call, 3)
 	for i := range calls {
 		calls[i] = queueCall(t, ln, context.Background(), i)
 	}
 	close(ln.ch)
-	for _, want := range []int{2, 1} {
+	for i, c := range calls {
 		if !ln.step() {
 			t.Fatalf("lane exited with calls queued")
 		}
-		for _, c := range calls[:want] {
-			if r := answered(t, c); r.err != nil || r.size != want {
-				t.Fatalf("draining sweep: err %v, batch of %d, want %d", r.err, r.size, want)
+		r := answered(t, c)
+		if r.err != nil {
+			t.Fatalf("draining step %d: %v", i, r.err)
+		}
+		wantOwnOutput(t, ref, r, i)
+		for _, later := range calls[i+1:] {
+			if len(later.resp) != 0 {
+				t.Fatalf("draining step %d answered more than one call", i)
 			}
 		}
-		calls = calls[want:]
 	}
 	if ln.step() {
 		t.Fatal("a closed, drained lane must end its loop")
@@ -182,7 +184,7 @@ func TestClosedLaneDrainsAndExits(t *testing.T) {
 // (Request.TimeoutMs → ctx → sweep filter): the request expires while it is
 // queued behind a running sweep and never reaches compute.
 func TestQueuedDeadlineExpiryShedsBeforeSweep(t *testing.T) {
-	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 2})
+	eng := tinyEngine(t, Config{Workers: 1})
 	release := stallLane(t, eng, ClassInteractive)
 	if _, err := eng.Infer(context.Background(),
 		Request{Network: "tiny", Dataset: "synthetic", TimeoutMs: 25}); !errors.Is(err, context.DeadlineExceeded) {
@@ -201,9 +203,8 @@ func TestQueuedDeadlineExpiryShedsBeforeSweep(t *testing.T) {
 		t.Fatalf("batch size %d, want 1", r.BatchSize)
 	}
 	s := eng.Stats()
-	if s.DeadlineSheds != 1 || s.ExpiredExecuted != 0 || s.Batches != 2 {
-		t.Fatalf("DeadlineSheds=%d ExpiredExecuted=%d Batches=%d, want 1/0/2 (the stall and the survivor)",
-			s.DeadlineSheds, s.ExpiredExecuted, s.Batches)
+	if s.DeadlineSheds != 1 || s.ExpiredExecuted != 0 {
+		t.Fatalf("DeadlineSheds=%d ExpiredExecuted=%d, want 1/0", s.DeadlineSheds, s.ExpiredExecuted)
 	}
 }
 
@@ -217,8 +218,8 @@ func TestDeadRequestNeverEnqueued(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	s := eng.Stats()
-	if s.DeadlineSheds != 1 || s.Batches != 0 {
-		t.Fatalf("DeadlineSheds=%d Batches=%d, want 1/0", s.DeadlineSheds, s.Batches)
+	if s.DeadlineSheds != 1 || len(s.Admitted) != 0 || len(s.Queues) != 0 {
+		t.Fatalf("DeadlineSheds=%d Admitted=%v Queues=%v, want 1 and no lane", s.DeadlineSheds, s.Admitted, s.Queues)
 	}
 }
 
@@ -237,7 +238,7 @@ func stallLane(t *testing.T, eng *Engine, class Class) (release func()) {
 		t.Fatal(err)
 	}
 	stall := &call{ctx: context.Background(), input: in,
-		resp: make(chan batchResult), enqueued: time.Now()}
+		resp: make(chan result), enqueued: time.Now()}
 	bt.lanes[class].ch <- stall
 	// Wait until the lane has dequeued the stall call and is blocked
 	// delivering its result (queue observably empty, nothing else queued).
@@ -259,7 +260,7 @@ func stallLane(t *testing.T, eng *Engine, class Class) (release func()) {
 // proves the depth never exceeded the configured bound.
 func TestOverloadShedsFastWithBoundedQueue(t *testing.T) {
 	const depth = 2
-	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 1, QueueDepth: depth})
+	eng := tinyEngine(t, Config{Workers: 1, QueueDepth: depth})
 	release := stallLane(t, eng, ClassBatch)
 
 	// Fill the bounded queue to capacity behind the stalled sweep.
@@ -356,9 +357,9 @@ func TestParseClass(t *testing.T) {
 }
 
 // TestClassLanesShareThePlanCache: both classes serve the same compiled
-// artifact (one compile), and per-class batching works concurrently.
+// artifact (one compile), and the two lanes run concurrently.
 func TestClassLanesShareThePlanCache(t *testing.T) {
-	eng := tinyEngine(t, Config{Workers: 2, MaxBatch: 4})
+	eng := tinyEngine(t, Config{Workers: 2})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -392,7 +393,7 @@ func TestClassLanesShareThePlanCache(t *testing.T) {
 // which pages operators on hard failures only.
 func TestShedsAndDeadlinesAreNotErrors(t *testing.T) {
 	const depth = 2
-	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 1, QueueDepth: depth})
+	eng := tinyEngine(t, Config{Workers: 1, QueueDepth: depth})
 	release := stallLane(t, eng, ClassBatch)
 
 	results := make(chan error, depth)

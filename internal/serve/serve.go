@@ -5,14 +5,12 @@
 //
 // The Engine compiles a network exactly once per (network, dataset) key —
 // running the whole pattern-pruning + FKR + FKW + codegen path at the engine's
-// operating point — and caches the resulting plan stack. Inference requests
-// against a cached model that are queued together (up to Config.MaxBatch —
-// whatever arrived while the previous sweep ran) are executed as one batched
-// layer sweep over the shared worker pool: each conv layer runs a
-// single ParallelFor across batch×output-channels, so kernel plans, packed
-// FKW weights, and the pool's threads stay hot across the whole request
-// stream, amortizing compilation and scheduling the way GRIM and PCONV argue
-// a reusable sparse-inference framework should.
+// operating point — and caches the resulting plan stack. Each inference
+// request runs alone, one layer sweep over the shared worker pool with every
+// conv layer split across output channels, so kernel plans, packed FKW
+// weights, and the pool's threads stay hot across the whole request stream,
+// amortizing compilation and scheduling the way GRIM and PCONV argue a
+// reusable sparse-inference framework should.
 package serve
 
 import (
@@ -48,7 +46,6 @@ const maxTimeoutMs = 86_400_000
 // Config parameterizes an Engine. The zero value selects sensible defaults.
 type Config struct {
 	Workers  int     // worker-pool size (<=0 selects GOMAXPROCS)
-	MaxBatch int     // max requests fused into one layer sweep (default 8)
 	Patterns int     // pattern-set size (default 8)
 	ConnRate float64 // connectivity pruning rate (default 3.6)
 	// Level is the kernel family every model compiles at: "packed",
@@ -58,7 +55,7 @@ type Config struct {
 	Seed  int64 // deterministic weight-generation seed (default 42)
 	// QueueDepth bounds each per-model, per-class request queue. A request
 	// arriving at a full queue is shed immediately with ErrOverloaded rather
-	// than queued behind work it can't wait out. Default max(64, 8*MaxBatch).
+	// than queued behind work it can't wait out. Default 64.
 	QueueDepth int
 	// QueueBytes bounds the output bytes each lane may have committed to
 	// queued requests (4 bytes × the plan's output elements per call). A
@@ -76,9 +73,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 8
-	}
 	if c.Patterns <= 0 {
 		c.Patterns = 8
 	}
@@ -89,10 +83,7 @@ func (c Config) withDefaults() Config {
 		c.Seed = 42
 	}
 	if c.QueueDepth < 1 {
-		c.QueueDepth = 8 * c.MaxBatch
-		if c.QueueDepth < 64 {
-			c.QueueDepth = 64
-		}
+		c.QueueDepth = 64
 	}
 	if c.QueueBytes < 1 {
 		c.QueueBytes = 64 << 20
@@ -132,7 +123,7 @@ type Request struct {
 	Class string `json:"class,omitempty"`
 	// TimeoutMs attaches a server-side deadline to this request (in
 	// milliseconds): if the deadline passes while the request is queued, the
-	// batcher sheds it before the sweep instead of burning compute on an
+	// lane sheds it before the sweep instead of burning compute on an
 	// answer nobody is waiting for. 0 means no server-side deadline beyond
 	// whatever the caller's ctx carries.
 	TimeoutMs float64 `json:"timeout_ms,omitempty"`
@@ -149,13 +140,15 @@ type Response struct {
 	// Level is the optimization-level tag of the plan stack that served the
 	// request ("packed", or "packedq8" for quantized artifacts) — what
 	// kernels actually ran.
-	Level     string    `json:"level,omitempty"`
-	Shape     [3]int    `json:"shape"`      // output [C,H,W]
-	Output    []float32 `json:"output"`     // flattened feature map
-	ArgMax    int       `json:"argmax"`     // index of the max output element
-	BatchSize int       `json:"batch_size"` // size of the batch this request rode in
-	QueueMs   float64   `json:"queue_ms"`   // enqueue → batch start
-	RunMs     float64   `json:"run_ms"`     // batched sweep wall-clock
+	Level  string    `json:"level,omitempty"`
+	Shape  [3]int    `json:"shape"`  // output [C,H,W]
+	Output []float32 `json:"output"` // flattened feature map
+	ArgMax int       `json:"argmax"` // index of the max output element
+	// BatchSize is always 1: every request runs in a sweep of its own. The
+	// field stays for clients that still read it.
+	BatchSize int     `json:"batch_size"`
+	QueueMs   float64 `json:"queue_ms"` // enqueue → sweep start
+	RunMs     float64 `json:"run_ms"`   // sweep wall-clock
 }
 
 // Stats is a snapshot of the engine counters.
@@ -166,21 +159,18 @@ type Stats struct {
 	// outcomes (load sheds, deadline expiry, caller cancellation) are by
 	// design, normal under overload, and counted in their own fields below;
 	// folding them in here would page operators on healthy admission control.
-	Errors          uint64  `json:"errors"`
-	Batches         uint64  `json:"batches"`
-	BatchedRequests uint64  `json:"batched_requests"` // requests that shared a batch with >=1 other
-	PlanCompiles    uint64  `json:"plan_compiles"`    // plan-cache misses (models compiled)
-	PlanHits        uint64  `json:"plan_hits"`        // plan-cache hits
-	Workers         int     `json:"workers"`
-	BatchWorkers    int     `json:"batch_workers"` // pool width granted to batch-class sweeps
-	AvgBatch        float64 `json:"avg_batch"`     // Requests-that-ran / Batches
+	Errors       uint64 `json:"errors"`
+	PlanCompiles uint64 `json:"plan_compiles"` // plan-cache misses (models compiled)
+	PlanHits     uint64 `json:"plan_hits"`     // plan-cache hits
+	Workers      int    `json:"workers"`
+	BatchWorkers int    `json:"batch_workers"` // pool width granted to batch-class sweeps
 	// Shed counts requests rejected at admission because their class lane was
 	// full (ErrOverloaded — the 429 fast-fail), split by class below.
 	Shed        uint64            `json:"shed"`
 	ShedByClass map[string]uint64 `json:"shed_by_class,omitempty"`
-	// DeadlineSheds counts queued calls dropped at sweep time because their
-	// context was already done (deadline expired or caller cancelled): they
-	// are answered with the context error and never reach compute.
+	// DeadlineSheds counts calls dropped at dequeue (or admission) because
+	// their context was already done (deadline expired or caller cancelled):
+	// they are answered with the context error and never reach compute.
 	DeadlineSheds uint64 `json:"deadline_sheds"`
 	// ExpiredExecuted is the deadline contract's tripwire: requests that
 	// executed even though their deadline had passed before the sweep
@@ -326,9 +316,6 @@ type Engine struct {
 
 	requests        atomic.Uint64
 	errs            atomic.Uint64
-	batches         atomic.Uint64
-	ranRequests     atomic.Uint64
-	batchedRequests atomic.Uint64
 	planCompiles    atomic.Uint64
 	planHits        atomic.Uint64
 	sheds           atomic.Uint64
@@ -477,11 +464,11 @@ func (e *Engine) batcherFor(cm *compiledModel) *batcher {
 	return bt
 }
 
-// Infer runs one inference. Requests for the same model and class that are
-// queued when a sweep starts execute together as a single batched layer sweep;
-// ctx cancellation abandons the wait, and a deadline that expires while the
-// request is queued sheds it before it reaches compute. A full class queue
-// sheds immediately with ErrOverloaded.
+// Infer runs one inference. Requests for the same model and class queue on
+// one lane, which runs them one at a time in arrival order; ctx cancellation
+// abandons the wait, and a deadline that expires while the request is queued
+// sheds it before it reaches compute. A full class queue sheds immediately
+// with ErrOverloaded.
 func (e *Engine) Infer(ctx context.Context, req Request) (*Response, error) {
 	e.requests.Add(1)
 	resp, err := e.infer(ctx, req)
@@ -529,9 +516,9 @@ func (e *Engine) infer(ctx context.Context, req Request) (*Response, error) {
 }
 
 // dispatch executes one prepared input against a compiled artifact: through
-// the artifact's class lane normally, or as a direct unbatched sweep when the
-// artifact was retired between resolution and enqueue (a straggler racing a
-// hot swap or eviction — creating a batcher for it would leak, since its
+// the artifact's class lane normally, or directly on a fresh executor when
+// the artifact was retired between resolution and enqueue (a straggler racing
+// a hot swap or eviction — creating a batcher for it would leak, since its
 // Release has already fired).
 func (e *Engine) dispatch(ctx context.Context, cm *compiledModel, in *tensor.Tensor, class Class) (*Response, error) {
 	// A request that is already dead never enters a queue.
@@ -539,7 +526,7 @@ func (e *Engine) dispatch(ctx context.Context, cm *compiledModel, in *tensor.Ten
 		e.deadlineSheds.Add(1)
 		return nil, err
 	}
-	c := &call{ctx: ctx, input: in, resp: make(chan batchResult, 1), enqueued: time.Now()}
+	c := &call{ctx: ctx, input: in, resp: make(chan result, 1), enqueued: time.Now()}
 
 	// The closed check, retirement check, batcher creation, and lane send all
 	// happen under the lifecycle read lock: neither Close nor retireBatcher
@@ -562,15 +549,10 @@ func (e *Engine) dispatch(ctx context.Context, cm *compiledModel, in *tensor.Ten
 		e.laneCarry[k] = lc
 		e.mu.Unlock()
 		start := time.Now()
-		pool := e.pool
-		if class == ClassBatch {
-			pool = e.batchPool
-		}
-		outs := cm.runBatch(nil, pool, []*tensor.Tensor{in})
-		e.batches.Add(1)
-		e.ranRequests.Add(1)
-		return cm.response(outs[0], batchResult{
-			size:    1,
+		out := cm.newOutput()
+		cm.plan.Execute(e.poolFor(class), []*tensor.Tensor{in}, []*tensor.Tensor{out})
+		return cm.response(result{
+			out:     out,
 			queueMs: float64(start.Sub(c.enqueued).Nanoseconds()) / 1e6,
 			runMs:   float64(time.Since(start).Nanoseconds()) / 1e6,
 		}), nil
@@ -587,14 +569,24 @@ func (e *Engine) dispatch(ctx context.Context, cm *compiledModel, in *tensor.Ten
 		if r.err != nil {
 			return nil, r.err
 		}
-		return cm.response(r.out, r), nil
+		return cm.response(r), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
+// poolFor returns the worker pool a class sweeps on: full width for
+// interactive, the width-limited slice for batch.
+func (e *Engine) poolFor(class Class) *runtime.Pool {
+	if class == ClassBatch {
+		return e.batchPool
+	}
+	return e.pool
+}
+
 // response assembles the Response for one completed inference.
-func (cm *compiledModel) response(out *tensor.Tensor, r batchResult) *Response {
+func (cm *compiledModel) response(r result) *Response {
+	out := r.out
 	return &Response{
 		Network:   cm.model.Short,
 		Dataset:   cm.model.Dataset,
@@ -603,7 +595,7 @@ func (cm *compiledModel) response(out *tensor.Tensor, r batchResult) *Response {
 		Shape:     [3]int{out.Dim(0), out.Dim(1), out.Dim(2)},
 		Output:    out.Data,
 		ArgMax:    out.ArgMax(),
-		BatchSize: r.size,
+		BatchSize: 1,
 		QueueMs:   r.queueMs,
 		RunMs:     r.runMs,
 	}
@@ -642,8 +634,6 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		Requests:        e.requests.Load(),
 		Errors:          e.errs.Load(),
-		Batches:         e.batches.Load(),
-		BatchedRequests: e.batchedRequests.Load(),
 		PlanCompiles:    e.planCompiles.Load(),
 		PlanHits:        e.planHits.Load(),
 		Workers:         e.pool.Workers(),
@@ -659,9 +649,6 @@ func (e *Engine) Stats() Stats {
 				s.ShedByClass[cl.String()] = n
 			}
 		}
-	}
-	if s.Batches > 0 {
-		s.AvgBatch = float64(e.ranRequests.Load()) / float64(s.Batches)
 	}
 	e.mu.Lock()
 	admitted := make(map[string]uint64, len(e.laneCarry)+len(e.batchers)*int(numClasses))

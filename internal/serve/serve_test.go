@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"patdnn/internal/model"
+	"patdnn/internal/registry"
 )
 
 // tinyModel builds a small network so engine tests stay fast even under the
@@ -74,8 +75,8 @@ func TestEngineCompilesExactlyOnce(t *testing.T) {
 }
 
 func TestEngineConcurrentRequestsDeterministic(t *testing.T) {
-	// Reference outputs from an unbatched engine.
-	ref := tinyEngine(t, Config{Workers: 1, MaxBatch: 1})
+	// Reference outputs from a one-worker engine, one request at a time.
+	ref := tinyEngine(t, Config{Workers: 1})
 	const distinct = 4
 	want := make([][]float32, distinct)
 	for i := 0; i < distinct; i++ {
@@ -87,9 +88,9 @@ func TestEngineConcurrentRequestsDeterministic(t *testing.T) {
 		want[i] = r.Output
 	}
 
-	// 64 concurrent requests over a batching engine must each get the output
-	// of exactly their own input (no scatter/gather mix-ups, race-free).
-	eng := tinyEngine(t, Config{Workers: 4, MaxBatch: 8})
+	// 64 concurrent requests must each get the output of exactly their own
+	// input (no mix-ups between queued calls, race-free).
+	eng := tinyEngine(t, Config{Workers: 4})
 	const n = 64
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -166,7 +167,7 @@ func TestEngineUnsupportedModelErrorIsCached(t *testing.T) {
 
 func TestEngineContextCancel(t *testing.T) {
 	// A call queued behind a running sweep gives up as soon as its caller does.
-	eng := tinyEngine(t, Config{Workers: 1, MaxBatch: 4})
+	eng := tinyEngine(t, Config{Workers: 1})
 	release := stallLane(t, eng, ClassInteractive)
 	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -188,7 +189,7 @@ func TestEngineContextCancel(t *testing.T) {
 }
 
 func TestEngineCloseDrainsAndRejects(t *testing.T) {
-	eng := New(Config{Workers: 2, MaxBatch: 4})
+	eng := New(Config{Workers: 2})
 	if err := eng.RegisterModel(tinyModel("tiny", "synthetic")); err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +251,60 @@ func TestEngineCloseStopsPoolWorkers(t *testing.T) {
 	after := poolWorkers()
 	if running-after < 2 || after > before {
 		t.Fatalf("pool worker goroutines: %d before New, %d serving, %d after Close; want the engine's 2 gone", before, running, after)
+	}
+}
+
+// TestEngineCloseLeaksNoGoroutines: an engine whose registry serves both
+// classes, then hot-swaps the artifact — retiring the first version's two
+// lanes while the replacement gets two more — leaves no goroutine behind
+// once Close returns: lane loops, the pool's standing workers and the
+// registry's poller all exit, and the count falls back to what it was before
+// the engine was built.
+func TestEngineCloseLeaksNoGoroutines(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	dir := t.TempDir()
+	writeTinyArtifact(t, dir, "tiny", "v1", 100)
+	eng := New(Config{Workers: 3})
+	reg, err := eng.WithRegistry(registry.Config{Dir: dir, Poll: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveBoth := func() {
+		for _, class := range []string{"interactive", "batch"} {
+			if _, err := eng.Infer(context.Background(),
+				Request{Network: "tiny", Class: class, Input: tinyInput(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serveBoth()
+	writeTinyArtifact(t, dir, "tiny", "v1", 999)
+	if err := reg.Scan(); err != nil {
+		t.Fatal(err)
+	}
+	serveBoth()
+	closed := make(chan error, 1)
+	go func() { closed <- eng.Close() }()
+	deadline := time.Now().Add(5 * time.Second)
+	dump := func(what string) {
+		t.Helper()
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s; %d goroutines now, %d before New:\n%s",
+			what, goruntime.NumGoroutine(), before, buf[:goruntime.Stack(buf, true)])
+	}
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Until(deadline)):
+		dump("Close did not return")
+	}
+	for goruntime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			dump("goroutines left after Close")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -376,7 +431,7 @@ func TestEngineServesVGG(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles full VGG-16")
 	}
-	eng := New(Config{MaxBatch: 4})
+	eng := New(Config{})
 	defer eng.Close()
 	if err := eng.Preload("VGG", "cifar10"); err != nil {
 		t.Fatal(err)

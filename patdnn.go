@@ -16,7 +16,7 @@
 //	           (pattern-pruned, FKR-reordered, FKW-encoded) and prints that
 //	           artifact's layerwise representation.
 //	Engine   — serve inference: compile a model once, cache the plan stack,
-//	           and execute concurrent requests as batched layer sweeps over
+//	           and execute concurrent requests, one layer sweep each, over
 //	           the worker-pool runtime (the compile-once / execute-many
 //	           deployment story of paper Figure 7, as a server). An Engine
 //	           can additionally attach a Registry (Engine.WithRegistry): a
@@ -322,15 +322,15 @@ func (c *Compiled) WriteModelGraphQuant(w io.Writer, bits int) error {
 
 // Engine is the concurrent inference engine: it compiles each requested
 // model exactly once through the full pattern path, caches the compiled plan
-// stack plus packed FKW weights, and executes concurrent Infer calls as
-// batched layer sweeps over the shared worker pool. Create one with
+// stack plus packed FKW weights, and executes concurrent Infer calls one
+// layer sweep each over the shared worker pool. Create one with
 // NewEngine; cmd/patdnn-serve wraps it in an HTTP server, and examples can
 // embed it directly. It is safe for concurrent use.
 type Engine = serve.Engine
 
 // EngineConfig configures an Engine; the zero value selects sensible
-// defaults (GOMAXPROCS workers, sweeps of up to 8 queued requests, the
-// paper's 8-pattern / 3.6x operating point). Every model compiles once, at
+// defaults (GOMAXPROCS workers, 64-deep request queues, the paper's
+// 8-pattern / 3.6x operating point). Every model compiles once, at
 // the packed FKW-direct backend (which streams the compressed weight arrays
 // with zero per-weight index arithmetic and fuses the bias+ReLU epilogue):
 // Level is EngineLevelAuto (the default), "packed" or "packedq8", and
@@ -345,11 +345,11 @@ const EngineLevelAuto = serve.LevelAuto
 type InferRequest = serve.Request
 
 // InferResponse reports one completed inference: the output feature map plus
-// how the request was served (batch size, queue and run time).
+// how the request was served (version, level, queue and run time).
 type InferResponse = serve.Response
 
-// EngineStats is a snapshot of an Engine's counters (requests, batches,
-// plan-cache hits/misses).
+// EngineStats is a snapshot of an Engine's counters (requests, errors,
+// sheds, plan-cache hits/misses).
 type EngineStats = serve.Stats
 
 // ErrEngineClosed is returned by Engine.Infer after Engine.Close.
