@@ -14,7 +14,6 @@ package serve
 // response to the process that produced it.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -25,6 +24,7 @@ import (
 	"strconv"
 
 	"patdnn/internal/registry"
+	"patdnn/internal/runtime"
 )
 
 // ReplicaHeader is the response header naming the serving replica. The serve
@@ -65,7 +65,7 @@ func NewHandler(eng *Engine, reg *registry.Registry, replica string) http.Handle
 			httpError(w, InferStatus(err), err)
 			return
 		}
-		writeInferResponse(w, resp)
+		writeInferResponse(w, eng.pool, resp)
 	})
 	mux.HandleFunc("GET /models", func(w http.ResponseWriter, r *http.Request) {
 		models := eng.Models()
@@ -188,25 +188,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// writeInferResponse encodes the reply into a pooled buffer before it writes
-// the status, so an output encoding/json refuses (NaN or ±Inf from an
-// overflowing input) is a 500 with an error body rather than a 200 with none,
-// and the reply carries its Content-Length instead of going out in chunks.
-// The encoding is compact: an image-to-image reply carries the whole output
-// feature map (12288 floats for the ×2 SR head on CIFAR-sized input), and the
-// indent writer would more than double it.
-func writeInferResponse(w http.ResponseWriter, resp *Response) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer PutBuffer(buf)
-	if err := json.NewEncoder(buf).Encode(resp); err != nil {
+// writeInferResponse encodes the reply into a pooled buffer, sized once by
+// maxReplyBytes, before it writes the status, so an output JSON cannot carry
+// (NaN or ±Inf from an overflowing input) is a 500 with an error body rather
+// than a 200 with none, and the reply carries its Content-Length instead of
+// going out in chunks. The encoding is compact: an image-to-image reply
+// carries the whole output feature map (12288 floats for the ×2 SR head on
+// CIFAR-sized input), and the indent writer would more than double it; pool
+// formats it in parts.
+func writeInferResponse(w http.ResponseWriter, pool *runtime.Pool, resp *Response) {
+	enc := replyPool.Get().(*replyEncoder)
+	body, err := enc.encode(pool, resp)
+	if err != nil {
 		httpError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
-		return
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		if _, err := w.Write(body); err != nil {
+			log.Printf("serve: write response: %v", err)
+		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		log.Printf("serve: write response: %v", err)
+	if cap(body) <= maxPooledBytes {
+		replyPool.Put(enc)
 	}
 }
 

@@ -1,13 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"patdnn/internal/runtime"
 )
 
 func postInfer(t *testing.T, h http.Handler, body io.Reader) *httptest.ResponseRecorder {
@@ -42,6 +48,72 @@ func TestInferReplyCarriesItsLength(t *testing.T) {
 	var resp Response
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Shape != [3]int{4, 1, 1} {
 		t.Fatalf("reply %q: %v", rec.Body.Bytes(), err)
+	}
+}
+
+// TestInferReplyNonFiniteIs500: JSON cannot carry NaN or ±Inf. Wherever one
+// sits in a multi-part output — first, either side of a part boundary, last —
+// the reply is a 500 whose whole body is a JSON error: no 200 goes out first
+// and no part of the output follows.
+func TestInferReplyNonFiniteIs500(t *testing.T) {
+	pool := runtime.NewPool(2)
+	defer pool.Close()
+	n := 3*outputPart + 5
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		for _, at := range []int{0, outputPart - 1, outputPart, n - 1} {
+			out := srOutput(n, at)
+			out[at] = bad
+			rec := httptest.NewRecorder()
+			writeInferResponse(rec, pool, &Response{Network: "srgen", Shape: [3]int{n, 1, 1}, Output: out})
+			wantErrorBody(t, rec, http.StatusInternalServerError)
+		}
+	}
+}
+
+// TestInferReplyConcurrentAndAfterClose: two goroutines write SR-sized
+// replies over one engine's pool at once, and a reply written after
+// Engine.Close runs its parts on the caller; every body is encoding/json's,
+// byte for byte.
+func TestInferReplyConcurrentAndAfterClose(t *testing.T) {
+	eng := New(Config{Workers: 2})
+	check := func(seed int) error {
+		r := &Response{Network: "srgen", Shape: [3]int{3, 64, 64}, Output: srOutput(12288, seed), BatchSize: 1}
+		want, err := replyOracle(r)
+		if err != nil {
+			return err
+		}
+		rec := httptest.NewRecorder()
+		writeInferResponse(rec, eng.pool, r)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			return fmt.Errorf("seed %d: status %d, %d-byte body differs from encoding/json's %d bytes",
+				seed, rec.Code, rec.Body.Len(), len(want))
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 10 {
+				if err := check(2*i + g); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := check(99); err != nil {
+		t.Fatalf("after Close: %v", err)
 	}
 }
 

@@ -14,15 +14,23 @@ package serve
 // The router needs three of the fields and none of the tensor, so the same
 // scanner runs there with the input span validated but not converted.
 //
+// The reply is encoding/json's too: appendResponse writes exactly the bytes
+// json.NewEncoder(w).Encode(resp) writes, without reflection, and formats a
+// long output array in parts over the engine's worker pool.
+//
 // Bodies on both hops are read once into pooled buffers (ReadBody/PutBuffer),
 // bounded by MaxRequestBytes.
 
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
+
+	"patdnn/internal/runtime"
 )
 
 // MaxRequestBytes bounds an /infer request body on the replica and on the
@@ -257,9 +265,183 @@ func skipDigits(b []byte, i int) int {
 	return i
 }
 
-// bufPool holds the request and reply bodies of /infer. A buffer that grew
-// past maxPooledBytes is left to the collector so that one huge request does
-// not pin its memory in the pool.
+// outputPart is the fewest output elements a part of the reply formats:
+// about 80 µs of strconv at ~80 ns a float, against the few microseconds a
+// fork costs. A classifier's reply is one part and forks nothing.
+const outputPart = 1024
+
+// maxElemBytes bounds one output element and the comma before it. The
+// longest float32 encoding/json writes is 22 bytes: -9.9999995e+20 prints as
+// -999999950000000000000.
+const maxElemBytes = 22 + 1
+
+// maxReplyBytes bounds appendResponse's output, so the reply buffer is sized
+// once: a string byte escapes to at most six, an element takes at most
+// maxElemBytes, and keys, brackets and the other numbers stay under 512.
+func maxReplyBytes(r *Response) int {
+	return 6*(len(r.Network)+len(r.Dataset)+len(r.Version)+len(r.Level)) +
+		len(r.Output)*maxElemBytes + 512
+}
+
+// A replyEncoder writes /infer replies: a buffer, and the state that formats
+// a long output in parts. Replies draw encoders from replyPool, apart from
+// the request bodies in bufPool: an SR reply reserves eight times its
+// request, and a request buffer drawn for a reply would be regrown.
+type replyEncoder struct {
+	buf  []byte
+	out  []float32 // the output being formatted in parts
+	dst  []byte    // len(out)·maxElemBytes; element i's slot starts at i·maxElemBytes
+	ends []int     // bytes part p wrote from its first slot, or -1 at a NaN or ±Inf
+	// format is formatParts, bound once so that a fork allocates nothing.
+	format func(lo, hi int)
+}
+
+func newReplyEncoder() *replyEncoder {
+	e := new(replyEncoder)
+	e.format = e.formatParts
+	return e
+}
+
+var replyPool = sync.Pool{New: func() any { return newReplyEncoder() }}
+
+// encode returns r as json.NewEncoder(w).Encode(r) writes it, in e's buffer
+// sized once by maxReplyBytes; the bytes are valid until e encodes again.
+func (e *replyEncoder) encode(pool *runtime.Pool, r *Response) ([]byte, error) {
+	b, err := e.appendResponse(slices.Grow(e.buf[:0], maxReplyBytes(r)), pool, r)
+	e.buf = b
+	return b, err
+}
+
+// appendResponse appends r as json.NewEncoder(w).Encode(r) writes it: the
+// same field order and omitempty rules, HTML-escaped strings, floats in
+// encoding/json's form, a trailing newline. A NaN or ±Inf anywhere is the
+// error encoding/json returns, and the bytes appended so far are garbage.
+func (e *replyEncoder) appendResponse(b []byte, pool *runtime.Pool, r *Response) ([]byte, error) {
+	b = appendString(append(b, `{"network":`...), r.Network)
+	if r.Dataset != "" {
+		b = appendString(append(b, `,"dataset":`...), r.Dataset)
+	}
+	if r.Version != "" {
+		b = appendString(append(b, `,"version":`...), r.Version)
+	}
+	if r.Level != "" {
+		b = appendString(append(b, `,"level":`...), r.Level)
+	}
+	b = strconv.AppendInt(append(b, `,"shape":[`...), int64(r.Shape[0]), 10)
+	b = strconv.AppendInt(append(b, ','), int64(r.Shape[1]), 10)
+	b = strconv.AppendInt(append(b, ','), int64(r.Shape[2]), 10)
+	b, err := e.appendOutput(append(b, `],"output":`...), pool, r.Output)
+	if err != nil {
+		return b, err
+	}
+	b = strconv.AppendInt(append(b, `,"argmax":`...), int64(r.ArgMax), 10)
+	b = strconv.AppendInt(append(b, `,"batch_size":`...), int64(r.BatchSize), 10)
+	if b, err = appendFloat(append(b, `,"queue_ms":`...), r.QueueMs, 64); err != nil {
+		return b, err
+	}
+	if b, err = appendFloat(append(b, `,"run_ms":`...), r.RunMs, 64); err != nil {
+		return b, err
+	}
+	return append(b, "}\n"...), nil
+}
+
+// appendString appends s quoted as encoding/json writes it: printable ASCII
+// other than "\<>& verbatim, anything else through json.Marshal.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendFloat appends f as encoding/json writes a float of bitSize bits:
+// 'f', or 'e' outside 1e-6 ≤ |f| < 1e21 with e-07 written e-7. NaN and ±Inf
+// are json.UnsupportedValueError.
+func appendFloat(b []byte, f float64, bitSize int) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, bitSize)}
+	}
+	format := byte('f')
+	// A float32 takes float32 cutoffs, as in encoding/json.
+	if abs := math.Abs(f); abs != 0 && (bitSize == 64 && (abs < 1e-6 || abs >= 1e21) ||
+		bitSize == 32 && (float32(abs) < 1e-6 || float32(abs) >= 1e21)) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, bitSize)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// appendFloats appends vs as elements of a float32 array, each after a comma
+// but the first, which gets one too when more is set.
+func appendFloats(b []byte, vs []float32, more bool) ([]byte, error) {
+	for i, v := range vs {
+		if i > 0 || more {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = appendFloat(b, float64(v), 32); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// appendOutput appends out as encoding/json writes a []float32. An array of
+// more than one part is formatted over pool: part p writes into its own
+// region of b's spare capacity, starting at its first element's
+// maxElemBytes slot, and the regions are then moved together in order. A
+// closed pool, or one with no fork slot free, runs every part on the caller.
+func (e *replyEncoder) appendOutput(b []byte, pool *runtime.Pool, out []float32) ([]byte, error) {
+	if out == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	parts := (len(out) + outputPart - 1) / outputPart
+	if parts <= 1 {
+		b, err := appendFloats(b, out, false)
+		return append(b, ']'), err
+	}
+	b = slices.Grow(b, len(out)*maxElemBytes+1) // a no-op after maxReplyBytes
+	base := len(b)
+	e.out, e.dst = out, b[base:base+len(out)*maxElemBytes]
+	defer func() { e.out, e.dst = nil, nil }()
+	e.ends = slices.Grow(e.ends[:0], parts)[:parts]
+	pool.ParallelFor(parts, e.format)
+	n := 0
+	for p, end := range e.ends {
+		if end < 0 {
+			_, err := appendFloats(nil, out[p*outputPart:min((p+1)*outputPart, len(out))], false)
+			return b, err
+		}
+		start := p * outputPart * maxElemBytes
+		n += copy(e.dst[n:], e.dst[start:start+end])
+	}
+	return append(b[:base+n], ']'), nil
+}
+
+// formatParts formats parts [lo, hi), each into its own region of dst.
+func (e *replyEncoder) formatParts(lo, hi int) {
+	for p := lo; p < hi; p++ {
+		first, last := p*outputPart, min((p+1)*outputPart, len(e.out))
+		start := first * maxElemBytes
+		r, err := appendFloats(e.dst[start:start:last*maxElemBytes], e.out[first:last], p > 0)
+		e.ends[p] = len(r)
+		if err != nil {
+			e.ends[p] = -1
+		}
+	}
+}
+
+// bufPool holds the request bodies of /infer. A buffer that grew past
+// maxPooledBytes — here or in a replyEncoder — is left to the collector so
+// that one huge request does not pin its memory in the pool.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 const maxPooledBytes = 4 << 20

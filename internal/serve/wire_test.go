@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"patdnn/internal/runtime"
 )
 
 // wireMirror is Request as encoding/json sees it, declared apart from Request
@@ -194,6 +199,245 @@ func TestParseRequestAllocatesOnlyItsResult(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { PeekRequest(body) }); allocs > 1 {
 		t.Fatalf("PeekRequest made %v allocations, want at most 1 (the network string)", allocs)
+	}
+}
+
+// replyOracle is what the reply encoder must write: encoding/json's bytes.
+func replyOracle(r *Response) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(r)
+	return buf.Bytes(), err
+}
+
+// replyPools are the widths every reply is checked at: the caller alone,
+// and parts split over two workers.
+func replyPools(tb testing.TB) []*runtime.Pool {
+	pools := []*runtime.Pool{runtime.NewPool(1), runtime.NewPool(2)}
+	tb.Cleanup(func() { pools[1].Close() })
+	return pools
+}
+
+// checkReply holds the reply encoder to encoding/json on one reply at each
+// pool width: the same bytes, or the same error. The reply must fit the
+// buffer maxReplyBytes sizes.
+func checkReply(t *testing.T, pools []*runtime.Pool, r *Response) {
+	t.Helper()
+	want, wantErr := replyOracle(r)
+	for _, pool := range pools {
+		buf := make([]byte, 0, maxReplyBytes(r))
+		got, err := newReplyEncoder().appendResponse(buf, pool, r)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("width %d: reply encoder error %v, encoding/json error %v", pool.Workers(), err, wantErr)
+		}
+		if err != nil {
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("width %d: reply encoder error %q, encoding/json error %q", pool.Workers(), err, wantErr)
+			}
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("width %d: reply differs from encoding/json at byte %d of %d:\n got …%.80q\nwant …%.80q",
+				pool.Workers(), i, len(want), got[i:], want[i:])
+		}
+		if cap(got) != cap(buf) {
+			t.Fatalf("width %d: a %d-byte reply outgrew the %d bytes maxReplyBytes sized", pool.Workers(), len(got), cap(buf))
+		}
+	}
+}
+
+// srOutput is an SR-like output: n floats of about ten decimal digits.
+func srOutput(n, seed int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = float32(math.Sin(float64(i+seed))) * 3
+	}
+	return out
+}
+
+// replySeeds covers the classifier and SR replies, each output length at the
+// part boundaries, float32 and float64 values at encoding/json's form
+// cutoffs, and strings off the verbatim path.
+func replySeeds() []*Response {
+	f32 := func(bits uint32) float32 { return math.Float32frombits(bits) }
+	extremes := []float32{
+		0, f32(0x80000000), 1, -1, 0.1, -9.9999995e+20, math.MaxFloat32, -math.MaxFloat32,
+		math.SmallestNonzeroFloat32, f32(0x007fffff), 1e-6, math.Nextafter32(1e-6, 0),
+		math.Nextafter32(1e-6, 1), 1e21, math.Nextafter32(1e21, 0), 3e-7, 1.5e-7, 123456.79, 1e9, 16777217,
+	}
+	rs := []*Response{
+		{},
+		{Network: "VGG", Dataset: "cifar10", Level: "packed", Shape: [3]int{10, 1, 1},
+			Output: []float32{0.1, 0.05, 0.3, 0.2, 0.05, 0.05, 0.1, 0.05, 0.05, 0.05}, ArgMax: 2, BatchSize: 1,
+			QueueMs: 0.012, RunMs: 1.83},
+		{Network: "srgen", Version: "v2", Shape: [3]int{3, 64, 64}, Output: srOutput(12288, 0), ArgMax: 7,
+			BatchSize: 1, QueueMs: 3e-7, RunMs: 1e21},
+		{Network: "x", Output: []float32{}, QueueMs: -0.0000015, RunMs: math.MaxFloat64},
+		{Network: "x", Output: extremes, QueueMs: math.SmallestNonzeroFloat64, RunMs: 1e-6},
+		{Network: "<b>&amp;</b>", Dataset: "\u2028\u2029", Version: "bad\xffutf8", Level: "ctl\x00\x01\n\t\x7f",
+			Shape: [3]int{-1, math.MaxInt64, math.MinInt64}, ArgMax: -5},
+		{Network: `quote"back\slash`, Dataset: "café", Version: " ", Level: "\xe2\x80"},
+		{Network: "a<b", Dataset: "a>b", Version: "a&b", Level: `a\b`},
+		{Network: `a"b`, Dataset: "a\x7fb", Version: "a\x1fb", Level: "~"},
+	}
+	for _, n := range []int{1, outputPart - 1, outputPart, outputPart + 1, 2*outputPart - 1, 2*outputPart + 1} {
+		rs = append(rs, &Response{Network: "srgen", Shape: [3]int{n, 1, 1}, Output: srOutput(n, n)})
+	}
+	// The extremes at a part boundary and in the last part.
+	long := srOutput(2*outputPart+len(extremes), 1)
+	copy(long[outputPart-len(extremes)/2:], extremes)
+	copy(long[len(long)-len(extremes):], extremes)
+	return append(rs, &Response{Network: "srgen", Output: long})
+}
+
+func TestInferResponseEncodeSeeds(t *testing.T) {
+	pools := replyPools(t)
+	for _, r := range replySeeds() {
+		checkReply(t, pools, r)
+	}
+}
+
+// TestReplyEncodesEveryResponseField: every field of Response set, so a
+// field added to the struct without a line in appendResponse shows up here
+// as a difference from encoding/json.
+func TestReplyEncodesEveryResponseField(t *testing.T) {
+	var r Response
+	v := reflect.ValueOf(&r).Elem()
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch {
+		case f.Kind() == reflect.String:
+			f.SetString(v.Type().Field(i).Name)
+		case f.Kind() == reflect.Int:
+			f.SetInt(int64(i + 1))
+		case f.Kind() == reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case f.Type() == reflect.TypeOf([]float32(nil)):
+			f.Set(reflect.ValueOf(srOutput(outputPart+3, i)))
+		case f.Type() == reflect.TypeOf([3]int{}):
+			f.Set(reflect.ValueOf([3]int{i, i + 1, i + 2}))
+		default:
+			t.Fatalf("Response.%s is a %s, which appendResponse has no case for", v.Type().Field(i).Name, f.Type())
+		}
+	}
+	checkReply(t, replyPools(t), &r)
+}
+
+// TestFloat32ReplyFormBound: no float32 takes more than the 22 bytes
+// maxElemBytes allows it, checked at every exponent with both signs and the
+// mantissas at its ends, and -9.9999995e+20 takes exactly 22.
+func TestFloat32ReplyFormBound(t *testing.T) {
+	longest := 0
+	for exp := uint32(0); exp < 0xff; exp++ {
+		for _, mant := range []uint32{0, 1, 0x7fffff, 0x400000, 0x3fffff} {
+			for _, sign := range []uint32{0, 1 << 31} {
+				v := math.Float32frombits(sign | exp<<23 | mant)
+				b, err := appendFloat(nil, float64(v), 32)
+				if err != nil {
+					t.Fatal(err)
+				}
+				longest = max(longest, len(b))
+				if len(b) > maxElemBytes-1 {
+					t.Fatalf("%g is %d bytes (%s), over the %d maxElemBytes allows", v, len(b), b, maxElemBytes-1)
+				}
+			}
+		}
+	}
+	if b, _ := appendFloat(nil, float64(float32(-9.9999995e+20)), 32); len(b) != maxElemBytes-1 {
+		t.Fatalf("-9.9999995e+20 is %q, want 22 bytes", b)
+	}
+	t.Logf("longest sampled element: %d bytes", longest)
+}
+
+// FuzzInferResponseEncode: for any reply — strings of any bytes, outputs of
+// raw float32 bit patterns (nil, empty, or tiled to a length across part
+// boundaries), float64 timings of any bits — appendResponse writes
+// encoding/json's bytes at pool widths 1 and 2, or fails where it fails.
+func FuzzInferResponseEncode(f *testing.F) {
+	pools := replyPools(f)
+	nan, inf := math.Float32bits(float32(math.NaN())), math.Float32bits(float32(math.Inf(1)))
+	le := func(ws ...uint32) []byte {
+		b := make([]byte, 0, 4*len(ws))
+		for _, w := range ws {
+			b = append(b, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
+		}
+		return b
+	}
+	finite := le(math.Float32bits(0.5), math.Float32bits(-9.9999995e+20), math.Float32bits(3e-7), 0x80000000)
+	for _, n := range []int{-1, 0, 1, 10, outputPart - 1, outputPart, outputPart + 1, 2*outputPart - 1, 2*outputPart + 1} {
+		f.Add("srgen", "", "v1", "packed", finite, n, 3, 1, math.Float64bits(0.012), math.Float64bits(1.5))
+	}
+	f.Add("<&>", "\u2028", "\xff", "\x01\n", le(nan), 5, 0, 0, uint64(0), uint64(0))
+	f.Add("a", "b", "", "", le(1, inf|1<<31), 2*outputPart+1, 0, 0, math.Float64bits(math.NaN()), uint64(0))
+	f.Add("a", "", "", "", finite, 3, 0, 0, uint64(0), math.Float64bits(math.Inf(-1)))
+	f.Fuzz(func(t *testing.T, network, dataset, version, level string, raw []byte, n, shape, argmax int,
+		queueBits, runBits uint64) {
+		r := &Response{Network: network, Dataset: dataset, Version: version, Level: level,
+			Shape: [3]int{shape, -shape, n}, ArgMax: argmax, BatchSize: argmax >> 8,
+			QueueMs: math.Float64frombits(queueBits), RunMs: math.Float64frombits(runBits)}
+		if n >= 0 {
+			r.Output = make([]float32, n%(3*outputPart+2))
+			for i := range r.Output {
+				if w := len(raw) / 4; w > 0 {
+					j := 4 * (i % w)
+					r.Output[i] = math.Float32frombits(uint32(raw[j]) | uint32(raw[j+1])<<8 |
+						uint32(raw[j+2])<<16 | uint32(raw[j+3])<<24)
+				} else {
+					r.Output[i] = float32(i) / 7
+				}
+			}
+		}
+		checkReply(t, pools, r)
+	})
+}
+
+// TestReplyEncodeAllocatesNothing: a warm encoder owns its buffer and part
+// state, so an SR reply split over the pool allocates nothing, under -race
+// too.
+func TestReplyEncodeAllocatesNothing(t *testing.T) {
+	r := &Response{Network: "srgen", Shape: [3]int{3, 64, 64}, Output: srOutput(12288, 0), BatchSize: 1}
+	for _, pool := range replyPools(t) {
+		enc := newReplyEncoder()
+		encode := func() {
+			if _, err := enc.encode(pool, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode()
+		if allocs := testing.AllocsPerRun(20, encode); allocs != 0 {
+			t.Errorf("width %d: the reply encoder makes %v allocations per SR reply", pool.Workers(), allocs)
+		}
+	}
+}
+
+// BenchmarkInferResponseEncode times the SR reply — 12288 floats, 134 KB —
+// through encoding/json and through the reply encoder on one and two workers.
+func BenchmarkInferResponseEncode(b *testing.B) {
+	r := &Response{Network: "srgen", Shape: [3]int{3, 64, 64}, Output: srOutput(12288, 0), BatchSize: 1,
+		QueueMs: 0.012, RunMs: 0.8}
+	b.Run("encoding/json", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, pool := range replyPools(b) {
+		b.Run("replyEncoder/w"+strconv.Itoa(pool.Workers()), func(b *testing.B) {
+			b.ReportAllocs()
+			enc := newReplyEncoder()
+			for i := 0; i < b.N; i++ {
+				if _, err := enc.encode(pool, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
