@@ -145,8 +145,8 @@ func Compile1x1FromLayer(l *model.Layer, connRate float64, seed int64) (*Plan1x1
 // NNZ returns the retained weight count.
 func (p *Plan1x1) NNZ() int { return len(p.w) }
 
-// KernelArch reports which microkernel set the plan dispatches to ("avx2",
-// "neon", or "generic").
+// KernelArch reports which microkernel set the plan dispatches to ("avx2"
+// or "generic").
 func (p *Plan1x1) KernelArch() string { return p.kern.Name }
 
 // Execute runs the pruned 1×1 conv on [InC, InH, InW] input.
@@ -246,23 +246,20 @@ func (p *Plan1x1) ExecuteRangeSource(in []float32, sc *Scratch, out *tensor.Tens
 		idx := p.idx[p.rowPtr[f]:p.rowPtr[f+1]]
 		w := p.w[p.rowPtr[f]:p.rowPtr[f+1]]
 		for c0 := 0; c0 < n; c0 += pixBlock1x1 {
-			blk := out.Data[f*n+c0 : f*n+min(c0+pixBlock1x1, n)]
+			end := f*n + min(c0+pixBlock1x1, n)
+			blk := out.Data[f*n+c0 : end]
+			var src []float32
 			if shortcut != nil {
-				for i, v := range shortcut.Data[f*n+c0 : f*n+c0+len(blk)] {
-					blk[i] = v + b
-				}
-			} else {
-				for i := range blk {
-					blk[i] = b
-				}
+				src = shortcut.Data[f*n+c0 : end]
 			}
+			p.kern.Init(blk, src, b)
 			if n <= simd.MaxRunPlane {
 				p.kern.Run1(&blk[0], len(blk), &in[c0], n, idx, w)
 			} else {
 				p.tileRow(sc, blk, in[c0:], idx, w)
 			}
 			if relu {
-				reluInPlace(blk)
+				p.kern.ReLU(blk)
 			}
 		}
 	}

@@ -55,7 +55,9 @@ package codegen
 //
 // The bias (or residual) + ReLU epilogue fuses into the same walk: the
 // driver initializes each output plane itself, so the serving runtime can
-// hand it dirty arena buffers without a zeroing pass.
+// hand it dirty arena buffers without a zeroing pass, and clamps it after the
+// plane's last accumulation — both through the captured set's epilogue
+// kernels (simd.Kernels.Init / ReLU), as vector code like the MACs.
 
 import (
 	"fmt"
@@ -106,16 +108,6 @@ func (sc *pooledScratch) floats(n int) []float32 {
 		sc.buf = make([]float32, n)
 	}
 	return sc.buf[:n]
-}
-
-// reluInPlace is the one ReLU epilogue of every conv driver. The builtin max
-// compiles without a branch; the compare-and-store loop it replaces
-// mispredicted on every other element of a typical pre-activation plane. NaN
-// passes through.
-func reluInPlace(v []float32) {
-	for i, x := range v {
-		v[i] = max(x, 0)
-	}
 }
 
 // packedLayout is how a packed plan reads its input, fixed at build time from
@@ -463,22 +455,19 @@ func (p *Plan) rangeSource(src []float32, sc *Scratch, out *tensor.Tensor, from,
 	}
 }
 
-// initPlane writes the fused epilogue's initial value of one output plane:
-// the matching shortcut plane (when given) plus the bias (when given).
-func initPlane(plane []float32, bias []float32, shortcut *tensor.Tensor, orig int) {
-	v := float32(0)
+// initPlane writes the fused epilogue's initial value of one output plane
+// through init: the matching shortcut plane (when given) plus the bias (when
+// given).
+func initPlane(init simd.InitFunc, plane []float32, bias []float32, shortcut *tensor.Tensor, orig int) {
+	var b float32
 	if bias != nil {
-		v = bias[orig]
+		b = bias[orig]
 	}
+	var src []float32
 	if shortcut != nil {
-		for i, x := range shortcut.Data[orig*len(plane) : (orig+1)*len(plane)] {
-			plane[i] = x + v
-		}
-		return
+		src = shortcut.Data[orig*len(plane) : (orig+1)*len(plane)]
 	}
-	for i := range plane {
-		plane[i] = v
-	}
+	init(plane, src, b)
 }
 
 // rangeResident is the run-kernel walk: one kernel call per (filter, run)
@@ -491,7 +480,7 @@ func (p *Plan) rangeResident(src []float32, out *tensor.Tensor, from, to int, bi
 		pf := &p.packed[pos]
 		plane := out.Data[pf.orig*n : (pf.orig+1)*n]
 		if init {
-			initPlane(plane, bias, shortcut, pf.orig)
+			initPlane(kern.Init, plane, bias, shortcut, pf.orig)
 		}
 		base := &src[0]
 		if c.Depthwise {
@@ -506,7 +495,7 @@ func (p *Plan) rangeResident(src []float32, out *tensor.Tensor, from, to int, bi
 			}
 		}
 		if relu {
-			reluInPlace(plane)
+			kern.ReLU(plane)
 		}
 	}
 }
@@ -535,7 +524,7 @@ func (p *Plan) rangeTiled(src []float32, sc *Scratch, out *tensor.Tensor, from, 
 		if init {
 			for pos := gBase; pos < gEnd; pos++ {
 				orig := p.packed[pos].orig
-				initPlane(out.Data[orig*oHW:(orig+1)*oHW], bias, shortcut, orig)
+				initPlane(kern.Init, out.Data[orig*oHW:(orig+1)*oHW], bias, shortcut, orig)
 			}
 		}
 		// Row tile outside the group's filter loop: every filter of the group
@@ -596,7 +585,7 @@ func (p *Plan) rangeTiled(src []float32, sc *Scratch, out *tensor.Tensor, from, 
 		if relu {
 			for pos := gBase; pos < gEnd; pos++ {
 				orig := p.packed[pos].orig
-				reluInPlace(out.Data[orig*oHW : (orig+1)*oHW])
+				kern.ReLU(out.Data[orig*oHW : (orig+1)*oHW])
 			}
 		}
 	}

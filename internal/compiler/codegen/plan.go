@@ -133,7 +133,7 @@ type Plan struct {
 }
 
 // KernelArch reports which microkernel set a packed plan dispatches to
-// ("avx2", "neon", or "generic"); empty for non-packed levels.
+// ("avx2" or "generic"); empty for non-packed levels.
 func (p *Plan) KernelArch() string { return p.kern.Name }
 
 // KeptPrefix is the FKW Offset array: reordered filter position pos keeps
@@ -272,16 +272,17 @@ func (p *Plan) ExecuteRangeResidual(padded, out *tensor.Tensor, from, to int, bi
 		p.rangePacked(padded, out, from, to, bias, shortcut, true, relu)
 		return
 	}
-	oHW := p.Conv.OutH * p.Conv.OutW
+	// Levels below Packed capture no kernel set: the generic epilogue.
+	oHW, g := p.Conv.OutH*p.Conv.OutW, simd.Generic()
 	for pos := from; pos < to; pos++ {
 		f := p.FKR.FilterPerm[pos]
-		initPlane(out.Data[f*oHW:(f+1)*oHW], bias, shortcut, f)
+		initPlane(g.Init, out.Data[f*oHW:(f+1)*oHW], bias, shortcut, f)
 	}
 	p.ExecuteRange(padded, out, from, to) // every level accumulates
 	if relu {
 		for pos := from; pos < to; pos++ {
 			f := p.FKR.FilterPerm[pos]
-			reluInPlace(out.Data[f*oHW : (f+1)*oHW])
+			g.ReLU(out.Data[f*oHW : (f+1)*oHW])
 		}
 	}
 }

@@ -5,7 +5,7 @@ package codegen
 // simd.ForceGeneric — must agree to float32 accumulation-order tolerance
 // (1e-6 for the FP32 packed level, 1e-2 for PackedQ8's scaled levels). On a
 // machine without vector kernels (or under -tags noasm) both plans capture
-// the generic set and the comparison is exact; on AVX2/NEON hardware this is
+// the generic set and the comparison is exact; on AVX2 hardware this is
 // the test that pins the assembly to the pure-Go reference across pattern
 // classes, strides, depthwise, odd output widths, every tail-remainder
 // geometry the register blocking produces, and both sides of the geometry
@@ -343,36 +343,116 @@ func FuzzPackedKernelDifferential(f *testing.F) {
 	})
 }
 
-// TestReluInPlaceMatchesBranchLoop holds the one branchless epilogue to the
-// compare-and-store loop it replaced: equal on every finite float32 (the bit
-// space swept at a prime stride, plus the edge values) up to the sign of
-// zero, and NaN — of either sign — passes through.
-func TestReluInPlaceMatchesBranchLoop(t *testing.T) {
-	negZero := math.Float32frombits(1 << 31)
-	inf := float32(math.Inf(1))
-	vals := []float32{0, negZero, 1, -1, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
-		math.MaxFloat32, -math.MaxFloat32, inf, -inf}
-	for b := uint64(0); b < 1<<32; b += 4099 {
-		if v := math.Float32frombits(uint32(b)); v == v {
-			vals = append(vals, v)
+// TestFusedReLUSemanticsThroughDrivers pins the epilogue's edge semantics
+// where the serving path meets them, on both kernel sets and on every driver
+// path — tiled, plane-resident (stride 1 and 2) and the 1×1 Run1 and Tile8
+// forms: a NaN pre-activation (a NaN bias) leaves the fused ReLU as NaN, so
+// /infer's non-finite check still answers 500 instead of serving zeros, and
+// a −0 pre-activation (an all-pruned filter over a −0 bias) comes out +0.
+func TestFusedReLUSemanticsThroughDrivers(t *testing.T) {
+	negZero, nan := math.Float32frombits(1<<31), float32(math.NaN())
+	check := func(t *testing.T, who string, out *tensor.Tensor) {
+		t.Helper()
+		n := out.Dim(1) * out.Dim(2)
+		for i, v := range out.Data[:n] {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("%s: −0 pre-activation came out %#08x at %d, want +0", who, math.Float32bits(v), i)
+			}
+		}
+		for i, v := range out.Data[n : 2*n] {
+			if v == v {
+				t.Fatalf("%s: NaN pre-activation came out %g at %d", who, v, i)
+			}
 		}
 	}
-	got := append([]float32(nil), vals...)
-	reluInPlace(got)
-	for i, v := range vals {
-		want := v
-		if v < 0 {
-			want = 0
+	// Filter 0 has no weights and bias −0; filter 1's bias is NaN.
+	bias := []float32{negZero, nan, 0.25, -0.5}
+	for _, g := range []struct{ hw, stride int }{{12, 1}, {6, 1}, {11, 2}} {
+		rng := rand.New(rand.NewSource(int64(g.hw)))
+		w := tensor.New(4, 3, 3, 3)
+		w.Randn(rng, 0.25)
+		clear(w.Data[:27])
+		geo := pruned.ConvGeom{
+			Stride: g.stride, Pad: 1, InH: g.hw, InW: g.hw,
+			OutH: tensor.ConvOutDim(g.hw, 3, g.stride, 1), OutW: tensor.ConvOutDim(g.hw, 3, g.stride, 1),
 		}
-		if got[i] != want { // -0 == +0: the sign of zero is free
-			t.Fatalf("reluInPlace(%g [%#x]) = %g, the branch loop gives %g", v, math.Float32bits(v), got[i], want)
+		c := pruned.FromWeights("relu-edge", w, pattern.Canonical(8), 9, geo)
+		input := tensor.New(3, g.hw, g.hw)
+		input.Randn(rng, 0.5)
+		for _, level := range []Level{Packed, PackedQ8} {
+			pAsm, err := Compile(c, level, lr.DefaultTuning())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []*Plan{pAsm, compileForcedGeneric(t, c, level, lr.DefaultTuning())} {
+				out := dirty(c.OutC, c.OutH, c.OutW)
+				p.ExecuteRangeFused(padFor(p, input), out, 0, c.OutC, bias, true)
+				check(t, fmt.Sprintf("3x3 %dx%d s%d %v resident=%v %s", g.hw, g.hw, g.stride, level, p.lay.resident, p.KernelArch()), out)
+			}
 		}
 	}
-	nans := []float32{math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000), math.Float32frombits(0xff800001)}
-	reluInPlace(nans)
-	for i, v := range nans {
-		if v == v {
-			t.Errorf("NaN #%d came out as %g", i, v)
+	for _, hw := range []int{4, 12} {
+		rng := rand.New(rand.NewSource(int64(hw)))
+		w := sparse1x1Weights(rng, 10, []int{0, 10, 3, 9})
+		asm, gen := compile1x1Both(t, w, geomFor(1, hw, hw))
+		in := tensor.New(10, hw, hw)
+		in.Randn(rng, 0.5)
+		for _, p := range []*Plan1x1{asm, gen} {
+			out := dirty(4, hw, hw)
+			p.ExecuteRangeFused(in, out, 0, 4, bias, nil, true)
+			check(t, fmt.Sprintf("1x1 %dx%d %s", hw, hw, p.KernelArch()), out)
+		}
+	}
+}
+
+// TestPackedConvIsLinear is a metamorphic check that needs no reference
+// implementation: without bias and ReLU a conv is linear in its input, so on
+// either kernel set Execute(αx+βy) must equal α·Execute(x)+β·Execute(y) up to
+// float32 rounding (1e-4 of the terms' magnitude) — for the 3×3 tiled and
+// plane-resident paths and the 1×1 Run1 and Tile8 forms.
+func TestPackedConvIsLinear(t *testing.T) {
+	const alpha, beta = 0.75, -1.5
+	check := func(t *testing.T, who string, exec func(*tensor.Tensor) *tensor.Tensor, x, y *tensor.Tensor) {
+		t.Helper()
+		mix := tensor.New(x.Shape()...)
+		for i := range mix.Data {
+			mix.Data[i] = alpha*x.Data[i] + beta*y.Data[i]
+		}
+		lhs, ex, ey := exec(mix), exec(x), exec(y)
+		var scale, diff float64
+		for i := range lhs.Data {
+			terms := math.Abs(alpha*float64(ex.Data[i])) + math.Abs(beta*float64(ey.Data[i]))
+			scale = max(scale, terms)
+			diff = max(diff, math.Abs(float64(lhs.Data[i])-(alpha*float64(ex.Data[i])+beta*float64(ey.Data[i]))))
+		}
+		if scale == 0 || diff > 1e-4*scale {
+			t.Errorf("%s: Execute(αx+βy) is off α·Execute(x)+β·Execute(y) by %g (terms up to %g)", who, diff, scale)
+		}
+	}
+	for _, g := range []struct{ hw, stride int }{{12, 1}, {6, 1}, {11, 2}} {
+		rng := rand.New(rand.NewSource(int64(10 * g.hw)))
+		c, x := stridedConv(rng, 6, 5, g.hw, g.hw, g.stride, false)
+		y := tensor.New(x.Shape()...)
+		y.Randn(rng, 0.5)
+		pAsm, err := Compile(c, Packed, c3Tune())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []*Plan{pAsm, compileForcedGeneric(t, c, Packed, c3Tune())} {
+			exec := func(in *tensor.Tensor) *tensor.Tensor { return p.Execute(in, nil) }
+			check(t, fmt.Sprintf("3x3 %dx%d s%d resident=%v %s", g.hw, g.hw, g.stride, p.lay.resident, p.KernelArch()), exec, x, y)
+		}
+	}
+	for _, g := range []geom1x1{geomFor(1, 4, 4), geomFor(1, 12, 12), geomFor(2, 9, 9)} {
+		rng := rand.New(rand.NewSource(int64(g.InH)))
+		w := sparse1x1Weights(rng, 13, []int{13, 5, 8, 1, 11})
+		x, y := tensor.New(13, g.InH, g.InW), tensor.New(13, g.InH, g.InW)
+		x.Randn(rng, 0.5)
+		y.Randn(rng, 0.5)
+		asm, gen := compile1x1Both(t, w, g)
+		for _, p := range []*Plan1x1{asm, gen} {
+			exec := func(in *tensor.Tensor) *tensor.Tensor { return p.Execute(in, nil) }
+			check(t, fmt.Sprintf("1x1 %dx%d s%d %s", g.InH, g.InW, g.Stride, p.KernelArch()), exec, x, y)
 		}
 	}
 }

@@ -89,8 +89,8 @@ func (k Key) valid() bool {
 
 // ConvKey derives the DB key for one pattern-pruned conv at a codegen level
 // tag, on the running architecture. Arch carries both the instruction set and
-// the detected SIMD microkernel tier ("amd64/avx2", "arm64/neon",
-// "amd64/generic" under -tags noasm), so a tuning measured against the vector
+// the detected SIMD microkernel tier ("amd64/avx2", or "amd64/generic"
+// under -tags noasm), so a tuning measured against the vector
 // kernels never transfers to a scalar build of the same GOARCH, or vice versa.
 func ConvKey(c *pruned.Conv, levelTag string) Key {
 	h := fnv.New64a()

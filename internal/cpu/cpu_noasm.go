@@ -1,6 +1,6 @@
-//go:build noasm || !(amd64 || arm64)
+//go:build noasm || !amd64
 
 package cpu
 
-// No hand-written kernels for this build: the flags keep their false zero
-// values and Arch() reports "generic".
+// No hand-written kernels for this build: the flag keeps its false zero
+// value and Arch() reports "generic".

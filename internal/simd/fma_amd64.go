@@ -26,23 +26,13 @@ func runTaps4Q8AVX2(dst *float32, n int, base *float32, chStride int, ch []uint1
 //go:noescape
 func runRow1AVX2(dst *float32, n int, base *float32, chStride int, ch []int32, w []float32)
 
-// composeTile8/composeTile4 are this build's tiles as plain functions, for
-// tiles.go: the AVX2 kernels where the probe accepted the core.
-func composeTile8(dst *float32, dstStride int, src *[8]*float32, srcStride int, w *[8]float32, cols, rows int) {
-	if cpu.HasAVX2FMA {
-		fmaTile8AVX2(dst, dstStride, src, srcStride, w, cols, rows)
-		return
-	}
-	fmaTile8Generic(dst, dstStride, src, srcStride, w, cols, rows)
-}
+// AVX2 epilogue kernels (fma_amd64.s); src's length is not read.
 
-func composeTile4(dst *float32, dstStride int, src *[4]*float32, srcStride int, w *[4]float32, cols, rows int) {
-	if cpu.HasAVX2FMA {
-		fmaTile4AVX2(dst, dstStride, src, srcStride, w, cols, rows)
-		return
-	}
-	fmaTile4Generic(dst, dstStride, src, srcStride, w, cols, rows)
-}
+//go:noescape
+func initAVX2(dst, src []float32, b float32)
+
+//go:noescape
+func reluAVX2(dst []float32)
 
 func init() {
 	if cpu.HasAVX2FMA {
@@ -50,6 +40,7 @@ func init() {
 			Name: "avx2", Lanes: 8,
 			Tile4: fmaTile4AVX2, Tile8: fmaTile8AVX2,
 			Run4: runTaps4AVX2, Run4Q8: runTaps4Q8AVX2, Run1: runRow1AVX2,
+			Init: initAVX2, ReLU: reluAVX2,
 		}
 	}
 }

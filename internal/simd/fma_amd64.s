@@ -671,3 +671,133 @@ r1et:
 r1done:
 	VZEROUPPER
 	RET
+
+// ---------------------------------------------------------------------------
+// Epilogue kernels: one pass over an output span — 32 elements per step,
+// then 8, then 4, then VEX scalar tails. Go's semantics bit for bit: the add
+// keeps src as its first operand, so a NaN shortcut's payload wins over a
+// NaN bias as in src[i] + b; ReLU takes max(+0, x) with x second, which
+// returns x for a NaN and for either zero, then clears the sign bit — −0
+// becomes +0 and a NaN keeps its payload unsigned, exactly what the builtin
+// max(x, 0) compiles to.
+
+#define EPI_FILL(off) VMOVUPS Y0, off(DI)(AX*4)
+#define EPI_ADD(off) VMOVUPS off(SI)(AX*4), Y1; VADDPS Y0, Y1, Y1; VMOVUPS Y1, off(DI)(AX*4)
+#define EPI_RELU(off) VMAXPS off(DI)(AX*4), Y15, Y1; VANDPS Y14, Y1, Y1; VMOVUPS Y1, off(DI)(AX*4)
+
+// func initAVX2(dst, src []float32, b float32)
+TEXT ·initAVX2(SB), NOSPLIT, $0-52
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	VBROADCASTSS b+48(FP), Y0
+	XORQ AX, AX
+	TESTQ SI, SI
+	JZ   fill32
+
+add32:
+	LEAQ 32(AX), DX
+	CMPQ DX, CX
+	JGT  add8
+	EPI_ADD(0); EPI_ADD(32); EPI_ADD(64); EPI_ADD(96)
+	MOVQ DX, AX
+	JMP  add32
+add8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JGT  add4
+	EPI_ADD(0)
+	MOVQ DX, AX
+	JMP  add8
+add4:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JGT  add1
+	VMOVUPS (SI)(AX*4), X1
+	VADDPS X0, X1, X1
+	VMOVUPS X1, (DI)(AX*4)
+	MOVQ DX, AX
+add1:
+	CMPQ AX, CX
+	JGE  initdone
+	VMOVSS (SI)(AX*4), X1
+	VADDSS X0, X1, X1
+	VMOVSS X1, (DI)(AX*4)
+	INCQ AX
+	JMP  add1
+
+fill32:
+	LEAQ 32(AX), DX
+	CMPQ DX, CX
+	JGT  fill8
+	EPI_FILL(0); EPI_FILL(32); EPI_FILL(64); EPI_FILL(96)
+	MOVQ DX, AX
+	JMP  fill32
+fill8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JGT  fill4
+	EPI_FILL(0)
+	MOVQ DX, AX
+	JMP  fill8
+fill4:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JGT  fill1
+	VMOVUPS X0, (DI)(AX*4)
+	MOVQ DX, AX
+fill1:
+	CMPQ AX, CX
+	JGE  initdone
+	VMOVSS X0, (DI)(AX*4)
+	INCQ AX
+	JMP  fill1
+
+initdone:
+	VZEROUPPER
+	RET
+
+// func reluAVX2(dst []float32)
+TEXT ·reluAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	VXORPS Y15, Y15, Y15
+	MOVL $0x7fffffff, AX
+	VMOVD AX, X14
+	VPBROADCASTD X14, Y14
+	XORQ AX, AX
+
+relu32:
+	LEAQ 32(AX), DX
+	CMPQ DX, CX
+	JGT  relu8
+	EPI_RELU(0); EPI_RELU(32); EPI_RELU(64); EPI_RELU(96)
+	MOVQ DX, AX
+	JMP  relu32
+relu8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JGT  relu4
+	EPI_RELU(0)
+	MOVQ DX, AX
+	JMP  relu8
+relu4:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JGT  relu1
+	VMAXPS (DI)(AX*4), X15, X1
+	VANDPS X14, X1, X1
+	VMOVUPS X1, (DI)(AX*4)
+	MOVQ DX, AX
+relu1:
+	CMPQ AX, CX
+	JGE  reludone
+	VMAXSS (DI)(AX*4), X15, X1
+	VANDPS X14, X1, X1
+	VMOVSS X1, (DI)(AX*4)
+	INCQ AX
+	JMP  relu1
+
+reludone:
+	VZEROUPPER
+	RET

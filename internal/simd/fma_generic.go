@@ -70,6 +70,28 @@ func fmaTile8Generic(dst *float32, dstStride int, src *[8]*float32, srcStride in
 	}
 }
 
+// initGeneric and reluGeneric are the epilogue twins: the drivers' loops as
+// they were before the epilogue had a vector form, so they define its
+// semantics — among them which NaN an add returns and what max does to −0
+// and to a NaN's sign.
+func initGeneric(dst, src []float32, b float32) {
+	if src == nil {
+		for i := range dst {
+			dst[i] = b
+		}
+		return
+	}
+	for i, x := range src[:len(dst)] {
+		dst[i] = x + b
+	}
+}
+
+func reluGeneric(dst []float32) {
+	for i, x := range dst {
+		dst[i] = max(x, 0)
+	}
+}
+
 // WidenQ8 converts int8 quantization levels to scaled float32 weights — how
 // the PackedQ8 stream reaches the tile kernels: the drivers widen a kernel
 // pair's eight levels (or an odd kernel's four) into scratch ahead of the

@@ -114,23 +114,6 @@ func TestRunKernelsAsmMatchGeneric(t *testing.T) {
 	}
 }
 
-// TestRunTilesMatchGeneric holds the portable composition — the NEON set's
-// run kernels — to the same twins. On this build it composes over whatever
-// composeTile8/composeTile4 are (the generic tiles off arm64), so the Go
-// that arm64 ships is executed everywhere.
-func TestRunTilesMatchGeneric(t *testing.T) {
-	tiles := Kernels{Run4: runTaps4Tiles, Run4Q8: runTaps4Q8Tiles, Run1: runRow1Tiles}
-	rng := rand.New(rand.NewSource(59))
-	for n := 1; n <= 72; n += 1 + n/16 {
-		for nk := 0; nk <= 21; nk++ {
-			f := newRunFixture(rng, n, nk)
-			for _, form := range runForms {
-				checkRun(t, f, form, "tiles", f.run(genericSet, form), f.run(tiles, form))
-			}
-		}
-	}
-}
-
 // TestRunKernelsAgainstDefinition holds the generic twins themselves to the
 // contract's plain double sum, in float64.
 func TestRunKernelsAgainstDefinition(t *testing.T) {
@@ -180,8 +163,7 @@ func TestRunKernelsDoNotAllocate(t *testing.T) {
 }
 
 // FuzzRunKernels derives a run-kernel problem from the fuzzed bytes and
-// requires the build's best set, the tile composition and the generic twins
-// to agree. Run with:
+// requires the build's best set and the generic twins to agree. Run with:
 //
 //	go test -fuzz=FuzzRunKernels -fuzztime=20s ./internal/simd
 func FuzzRunKernels(f *testing.F) {
@@ -192,7 +174,6 @@ func FuzzRunKernels(f *testing.F) {
 	f.Add(int64(5), uint8(1), uint8(5))
 	f.Fuzz(func(t *testing.T, seed int64, nSel, nkSel uint8) {
 		fx := newRunFixture(rand.New(rand.NewSource(seed)), 1+int(nSel)%96, int(nkSel)%48)
-		tiles := Kernels{Run4: runTaps4Tiles, Run4Q8: runTaps4Q8Tiles, Run1: runRow1Tiles}
 		for _, form := range runForms {
 			want := fx.run(genericSet, form)
 			for i, v := range want {
@@ -201,7 +182,6 @@ func FuzzRunKernels(f *testing.F) {
 				}
 			}
 			checkRun(t, fx, form, bestSet.Name, want, fx.run(bestSet, form))
-			checkRun(t, fx, form, "tiles", want, fx.run(tiles, form))
 		}
 	})
 }

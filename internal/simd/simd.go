@@ -1,6 +1,6 @@
 // Package simd provides the vectorized microkernels the packed FKW backend's
 // drivers (codegen exec_packed) and the 1×1 driver (codegen
-// conv1x1) dispatch into. There are two contracts.
+// conv1x1) dispatch into. There are three contracts.
 //
 // The tile kernels compute, over a rows×cols tile,
 //
@@ -31,10 +31,19 @@
 // MaxRunPlane pixels), where a tile row is narrower than a vector and the
 // tile kernels run nothing but their scalar tail.
 //
-// Three implementation sets exist: AVX2+FMA (amd64), NEON (arm64), and a
-// pure-Go generic that every other build — and the noasm build tag — gets.
-// The NEON set has assembly for the tiles only; its run kernels are the
-// portable composition over its own Tile8/Tile4 (tiles.go). internal/cpu
+// The epilogue kernels bracket every conv output span the drivers write:
+//
+//	Init:  dst[i] = b              (src == nil)
+//	       dst[i] = src[i] + b     (src holds the residual shortcut)
+//	ReLU:  dst[i] = max(dst[i], 0)
+//
+// over i < len(dst), with Go's semantics bit for bit: the add rounds once,
+// a NaN operand's payload survives (src's when both are NaN), and ReLU maps
+// −0 to +0 and a NaN to the same NaN with its sign bit cleared — what the
+// builtin max compiles to.
+//
+// Two implementation sets exist: AVX2+FMA (amd64) and a pure-Go generic
+// that every other build — and the noasm build tag — gets. internal/cpu
 // probes the running core once; Active returns the selected set. The
 // contract across implementations is exact: identical iteration domain, the
 // accumulation order stated above, and in-place updates of dst only. Strides
@@ -75,6 +84,14 @@ type Run4Q8Func func(dst *float32, n int, base *float32, chStride int, ch []uint
 // weights.
 type Run1Func func(dst *float32, n int, base *float32, chStride int, ch []int32, w []float32)
 
+// InitFunc writes an output span's initial value: dst[i] = b, or
+// dst[i] = src[i] + b when src is non-nil (it then holds at least len(dst)
+// elements).
+type InitFunc func(dst, src []float32, b float32)
+
+// ReLUFunc clamps an output span in place: dst[i] = max(dst[i], 0).
+type ReLUFunc func(dst []float32)
+
 // RunBlock is how many output pixels a run kernel keeps resident at a time:
 // two 8-lane vectors × four partial sums fill eight of AVX2's sixteen vector
 // registers, the other eight hold the splatted weights and lane selectors.
@@ -90,13 +107,15 @@ const MaxRunPlane = 4 * RunBlock
 // Kernels is one complete implementation set. Plans capture a set at compile
 // time, so a running plan's kernels never change under it.
 type Kernels struct {
-	Name   string // "avx2", "neon", or "generic"
+	Name   string // "avx2" or "generic"
 	Lanes  int    // vector width in float32 lanes (1 for generic)
 	Tile4  Tile4Func
 	Tile8  Tile8Func
 	Run4   Run4Func
 	Run4Q8 Run4Q8Func
 	Run1   Run1Func
+	Init   InitFunc
+	ReLU   ReLUFunc
 }
 
 var (
@@ -104,6 +123,7 @@ var (
 		Name: "generic", Lanes: 1,
 		Tile4: fmaTile4Generic, Tile8: fmaTile8Generic,
 		Run4: runTaps4Generic, Run4Q8: runTaps4Q8Generic, Run1: runRow1Generic,
+		Init: initGeneric, ReLU: reluGeneric,
 	}
 	// bestSet is filled by the per-arch init when the probe accepts the core;
 	// otherwise it stays generic.
