@@ -26,7 +26,7 @@
 //	               argmax, and queue/run latency.
 //	               Scheduling: "class" ("interactive" default, or "batch")
 //	               picks the bounded per-model lane the request queues on —
-//	               batch-class sweeps run on a width-limited worker slice so
+//	               a batch-class sweep runs on its lane's goroutine alone so
 //	               background traffic can't starve interactive requests. A
 //	               full lane sheds immediately with 429. "timeout_ms" sets a
 //	               server-side deadline: if it expires while the request is
@@ -99,8 +99,6 @@ func main() {
 		"per-model, per-class bound on queued response-tensor bytes, e.g. 64MB; feature-map "+
 			"models (SR) commit ~48KB per request where classifiers commit ~40B, so the byte "+
 			"budget sheds what a slot count alone would admit (empty = 64MB)")
-	batchWorkers := flag.Int("batch-workers", 0,
-		"worker-pool width granted to batch-class sweeps so background traffic can't crowd out interactive (0 = workers/4)")
 	preload := flag.String("preload", "VGG/cifar10",
 		"comma-separated network/dataset pairs to compile at startup (empty = compile lazily)")
 	modelsDir := flag.String("models-dir", "",
@@ -117,7 +115,7 @@ func main() {
 	}
 	eng := serve.New(serve.Config{
 		Workers: *workers, Patterns: *patterns, ConnRate: *connRate, Level: *level,
-		QueueDepth: *queueDepth, QueueBytes: qBytes, BatchWorkers: *batchWorkers,
+		QueueDepth: *queueDepth, QueueBytes: qBytes,
 	})
 	var reg *registry.Registry
 	if *modelsDir != "" {

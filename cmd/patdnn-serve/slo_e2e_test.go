@@ -61,12 +61,7 @@ func TestSchedulerSLOEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second load-generation scenario")
 	}
-	eng := serve.New(serve.Config{
-		QueueDepth: sloQueueDepth,
-		// On a single-core runner this still leaves batch sweeps one worker;
-		// on real machines it pins them to a quarter of the pool.
-		BatchWorkers: 1,
-	})
+	eng := serve.New(serve.Config{QueueDepth: sloQueueDepth})
 	defer eng.Close()
 	if err := eng.RegisterModel(sloModel()); err != nil {
 		t.Fatal(err)

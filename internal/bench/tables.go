@@ -42,7 +42,8 @@ func Table1() *Table {
 	t.Notes = append(t.Notes,
 		"* fusion, constant folding, static memory plan, layout transform; ** adds operation replacement",
 		"+ scheduling/tiling/etc.; ++ adds dense kernel reordering and SIMD op optimization",
-		"implemented here: internal/compiler/graphopt (graph), reorder/lre/codegen/tuner (sparse)")
+		"implemented here: fusion and BN folding in internal/compiler/graphopt and execgraph, the static memory plan in execgraph's planArena; sparse: reorder/lre/codegen/tuner",
+		"not implemented here: layout transform and operation replacement (every tensor runs NCHW, FCs run as FCs)")
 	return t
 }
 

@@ -322,7 +322,6 @@ func Compile(m *model.Model, params *Params, cfg Config) (*Plan, error) {
 		return nil, err
 	}
 	g.FuseConvBNReLU()
-	g.FoldConstants()
 	g.FuseResidual()
 	g.FuseFCReLU()
 	if err := g.Validate(); err != nil {
@@ -335,7 +334,7 @@ func Compile(m *model.Model, params *Params, cfg Config) (*Plan, error) {
 	}
 	dims := make([][3]int, len(g.Nodes))
 	for _, gn := range g.Nodes {
-		n, err := p.lower(m, g, gn, params, cfg, dims)
+		n, err := p.lower(m, gn, params, cfg, dims)
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +348,7 @@ func Compile(m *model.Model, params *Params, cfg Config) (*Plan, error) {
 }
 
 // lower translates one fused graph node into an executable node.
-func (p *Plan) lower(m *model.Model, g *graphopt.Graph, gn *graphopt.Node, params *Params, cfg Config, dims [][3]int) (*Node, error) {
+func (p *Plan) lower(m *model.Model, gn *graphopt.Node, params *Params, cfg Config, dims [][3]int) (*Node, error) {
 	l := gn.Layer
 	n := &Node{
 		Kind: KindInput, Name: l.Name, Op: gn.Op,

@@ -1,9 +1,10 @@
 // Package graphopt implements the computational-graph level of PatDNN's
 // compiler (paper Section 5, Table 1): the model is converted into a graph IR
-// and optimized with operator fusion, constant folding (BN folding), operation
-// replacement, data-layout selection, and a liveness-based static memory plan
-// with buffer reuse. These are the optimizations PatDNN shares with TVM/MNN;
-// the pattern-specific passes live in the sibling packages.
+// and optimized with operator fusion — conv→BN→ReLU chains (the BN's constants
+// fold into the conv weights when execgraph lowers the node), residual adds
+// into conv epilogues, and FC→ReLU. These are the passes execgraph.Compile
+// runs; its static memory plan lives there too. The pattern-specific passes
+// live in the sibling packages.
 package graphopt
 
 import (
@@ -18,10 +19,6 @@ type Node struct {
 	Op     string // "conv", "conv+relu", "conv+bn+relu", "fc", "add", ...
 	Layer  *model.Layer
 	Inputs []int
-	// Layout is the chosen activation layout ("NCHW" or "NHWC").
-	Layout string
-	// Folded marks operators whose parameters were constant-folded away.
-	Folded bool
 	// BN is the BatchNorm layer absorbed into this conv by operator fusion;
 	// the executable lowering folds its scale/shift into the conv weights and
 	// bias at compile time (nil when no BN was fused).
@@ -48,7 +45,7 @@ func FromModel(m *model.Model) *Graph {
 	g := &Graph{byName: make(map[string]int)}
 	prev := -1
 	for _, l := range m.Layers {
-		n := &Node{ID: len(g.Nodes), Op: l.Kind.String(), Layer: l, Layout: "NCHW"}
+		n := &Node{ID: len(g.Nodes), Op: l.Kind.String(), Layer: l}
 		if prev >= 0 {
 			n.Inputs = append(n.Inputs, prev)
 		}
@@ -148,7 +145,6 @@ func (g *Graph) FuseConvBNReLU() PassStats {
 			}
 			if next.Op == "batchnorm" && !remove[next.ID] {
 				n.Op += "+bn"
-				n.Folded = true // BN scale/shift folded into conv weights
 				n.BN = next.Layer
 				remove[next.ID] = true
 				cur = next
@@ -360,139 +356,4 @@ func (g *Graph) contract(remove map[int]bool) {
 		}
 	}
 	g.Nodes = kept
-}
-
-// FoldConstants counts BN parameters folded into the preceding conv weights
-// during fusion (constant folding): every fused "+bn" stage has its scale and
-// shift folded, removing 4·C runtime parameters.
-func (g *Graph) FoldConstants() PassStats {
-	st := PassStats{Name: "constant-folding"}
-	for _, n := range g.Nodes {
-		if n.Layer != nil && n.Folded {
-			st.Applied++
-		}
-	}
-	return st
-}
-
-// ReplaceOps applies operation replacement: an FC whose input is 1×1 spatial
-// becomes a 1×1 convolution, unifying the executor's kernel set (the paper's
-// "operation replacement" beyond TVM's pass list).
-func (g *Graph) ReplaceOps() PassStats {
-	st := PassStats{Name: "operation-replacement"}
-	for _, n := range g.Nodes {
-		if n.Op == "fc" && n.Layer != nil && n.Layer.InH == 1 && n.Layer.InW == 1 {
-			n.Op = "conv1x1"
-			st.Applied++
-		}
-	}
-	return st
-}
-
-// SelectLayouts performs the data-layout transform pass: depthwise convs
-// prefer NHWC (channel-innermost vectorizes across C), standard convs NCHW.
-// A layout-cast is counted whenever a node's producer uses a different
-// layout.
-func (g *Graph) SelectLayouts() (PassStats, int) {
-	st := PassStats{Name: "layout-transform"}
-	for _, n := range g.Nodes {
-		if n.Layer != nil && n.Layer.Kind == model.DWConv {
-			n.Layout = "NHWC"
-			st.Applied++
-		} else {
-			n.Layout = "NCHW"
-		}
-	}
-	casts := 0
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			if g.Nodes[in].Layout != n.Layout {
-				casts++
-			}
-		}
-	}
-	return st, casts
-}
-
-// MemoryPlan computes a static activation-memory plan with liveness-based
-// buffer reuse and returns (planned bytes, naive sum bytes). Buffers are
-// assigned greedily: a freed buffer is reused for the next tensor that fits.
-func (g *Graph) MemoryPlan() (planned, naive int64) {
-	type buffer struct {
-		size int64
-		free bool
-	}
-	lastUse := make([]int, len(g.Nodes))
-	for i := range lastUse {
-		lastUse[i] = i
-	}
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			if n.ID > lastUse[in] {
-				lastUse[in] = n.ID
-			}
-		}
-	}
-	outBytes := func(n *Node) int64 {
-		if n.Layer == nil {
-			return 0
-		}
-		l := n.Layer
-		return 4 * int64(l.OutC) * int64(max(l.OutH, 1)) * int64(max(l.OutW, 1))
-	}
-	var pool []buffer
-	assigned := make([]int, len(g.Nodes))
-	for i := range assigned {
-		assigned[i] = -1
-	}
-	for _, n := range g.Nodes {
-		sz := outBytes(n)
-		naive += sz
-		if sz == 0 {
-			continue
-		}
-		// Free buffers whose tensors died before this node.
-		for id, b := range assigned {
-			if b >= 0 && lastUse[id] < n.ID {
-				pool[b].free = true
-				assigned[id] = -2 // released
-			}
-		}
-		// First-fit reuse.
-		slot := -1
-		for bi := range pool {
-			if pool[bi].free && pool[bi].size >= sz {
-				slot = bi
-				break
-			}
-		}
-		if slot < 0 {
-			pool = append(pool, buffer{size: sz})
-			slot = len(pool) - 1
-		}
-		pool[slot].free = false
-		assigned[n.ID] = slot
-	}
-	for _, b := range pool {
-		planned += b.size
-	}
-	return planned, naive
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Optimize runs the full pass pipeline and returns per-pass stats.
-func Optimize(g *Graph) []PassStats {
-	var out []PassStats
-	out = append(out, g.FuseConvBNReLU())
-	out = append(out, g.FoldConstants())
-	out = append(out, g.ReplaceOps())
-	layout, _ := g.SelectLayouts()
-	out = append(out, layout)
-	return out
 }

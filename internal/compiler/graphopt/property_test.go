@@ -9,24 +9,23 @@ import (
 	"patdnn/internal/model"
 )
 
-// Property: for every model, the full optimization pipeline preserves graph
-// validity, never grows the node count, and keeps the memory plan within the
-// naive bound.
+// fuse runs execgraph.Compile's pass schedule.
+func fuse(g *Graph) {
+	g.FuseConvBNReLU()
+	g.FuseResidual()
+	g.FuseFCReLU()
+}
+
+// Property: for every model, the fusion schedule preserves graph validity and
+// never grows the node count.
 func TestOptimizePropertyAllModels(t *testing.T) {
 	models := model.All()
 	f := func(pick uint8) bool {
 		m := models[int(pick)%len(models)]
 		g := FromModel(m)
 		before := len(g.Nodes)
-		Optimize(g)
-		if err := g.Validate(); err != nil {
-			return false
-		}
-		if len(g.Nodes) > before {
-			return false
-		}
-		planned, naive := g.MemoryPlan()
-		return planned > 0 && planned <= naive
+		fuse(g)
+		return g.Validate() == nil && len(g.Nodes) <= before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -56,28 +55,17 @@ func TestFusionKeepsResidualInputs(t *testing.T) {
 	}
 }
 
-func TestMemoryPlanDeterministic(t *testing.T) {
-	g1 := FromModel(model.VGG16("imagenet"))
-	g2 := FromModel(model.VGG16("imagenet"))
-	p1, n1 := g1.MemoryPlan()
-	p2, n2 := g2.MemoryPlan()
-	if p1 != p2 || n1 != n2 {
-		t.Fatalf("memory plan not deterministic: %d/%d vs %d/%d", p1, n1, p2, n2)
-	}
-}
-
 // randomLayeredModel emits a random but structurally legal layer chain —
 // plain conv stacks, residual blocks with optional projections, classifier
 // tails — exercising every shape the fusion passes pattern-match on. Only
-// the fields the graph passes consult (Kind, Name, ShortcutOf, Projection,
-// coarse output geometry for the memory plan) need to be meaningful.
+// the fields the graph passes consult (Kind, Name, ShortcutOf, Projection)
+// need to be meaningful.
 func randomLayeredModel(r *rand.Rand) *model.Model {
 	m := &model.Model{Name: "Rand", Short: "rand", Dataset: "synthetic", Classes: 4}
 	id := 0
 	mk := func(prefix string, kind model.OpKind) *model.Layer {
 		id++
-		l := &model.Layer{Name: fmt.Sprintf("%s%d", prefix, id), Kind: kind,
-			OutC: 4, OutH: 4, OutW: 4}
+		l := &model.Layer{Name: fmt.Sprintf("%s%d", prefix, id), Kind: kind}
 		m.Layers = append(m.Layers, l)
 		return l
 	}
@@ -186,11 +174,6 @@ func TestFusionPassesPreserveInvariantsOnRandomDAGs(t *testing.T) {
 				t.Fatalf("seed %d: unfused conv→relu chain survived (conv %d → relu %d)", seed, prod.ID, n.ID)
 			}
 		}
-		// The memory plan over the fused graph stays within the naive bound.
-		planned, naive := g.MemoryPlan()
-		if planned <= 0 || planned > naive {
-			t.Fatalf("seed %d: memory plan %d outside (0, naive=%d]", seed, planned, naive)
-		}
 	}
 }
 
@@ -224,8 +207,7 @@ func TestSortRestoresTopologyOnRandomDAGs(t *testing.T) {
 		g := &Graph{byName: make(map[string]int)}
 		for id := 0; id < n; id++ {
 			nd := &Node{ID: id, Op: "conv",
-				Layer: &model.Layer{Name: fmt.Sprintf("n%d", id), Kind: model.Conv,
-					OutC: 2, OutH: 2, OutW: 2}}
+				Layer: &model.Layer{Name: fmt.Sprintf("n%d", id), Kind: model.Conv}}
 			g.Nodes = append(g.Nodes, nd)
 			g.byName[nd.Layer.Name] = id
 		}
@@ -278,19 +260,17 @@ func TestSortRestoresTopologyOnRandomDAGs(t *testing.T) {
 	}
 }
 
-// TestFullPipelinePlusResidualFusionOnRandomModels runs the whole optimizer
-// (Optimize + FuseResidual + FuseFCReLU, the execgraph pass schedule) over
-// random models and checks the end state once more — the composition, not
-// just each pass in isolation.
+// TestFullPipelinePlusResidualFusionOnRandomModels runs execgraph's pass
+// schedule (FuseConvBNReLU → FuseResidual → FuseFCReLU) over random models
+// and checks the end state once more — the composition, not just each pass
+// in isolation.
 func TestFullPipelinePlusResidualFusionOnRandomModels(t *testing.T) {
 	for seed := int64(100); seed < 140; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		m := randomLayeredModel(r)
 		g := FromModel(m)
 		before := len(g.Nodes)
-		Optimize(g)
-		g.FuseResidual()
-		g.FuseFCReLU()
+		fuse(g)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("seed %d: pipeline broke the graph: %v", seed, err)
 		}

@@ -142,10 +142,12 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the prober. In-flight forwards finish on their own deadlines.
+// Close stops the prober and closes the idle connections to the replicas.
+// In-flight forwards finish on their own deadlines.
 func (rt *Router) Close() {
 	rt.closeOnce.Do(func() { close(rt.stop) })
 	rt.wg.Wait()
+	rt.client.CloseIdleConnections()
 }
 
 func (rt *Router) logf(format string, args ...any) {

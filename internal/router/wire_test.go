@@ -315,3 +315,46 @@ func TestMalformedReplyIsRelayed(t *testing.T) {
 		t.Fatalf("Content-Type %q not relayed", ct)
 	}
 }
+
+// TestCloseReleasesReplicaConnections: Close drops the router's keep-alive
+// connections to its replicas. Left to the transport's 30 s idle timeout,
+// each one holds two goroutines and a descriptor past shutdown.
+func TestCloseReleasesReplicaConnections(t *testing.T) {
+	var open atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /readyz", func(http.ResponseWriter, *http.Request) {})
+	mux.HandleFunc("POST /infer", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{}`)
+	})
+	replica := httptest.NewUnstartedServer(mux)
+	replica.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		switch s {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	replica.Start()
+	defer replica.Close()
+	rt, err := router.New(router.Config{Replicas: []string{replica.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	for range 4 {
+		if resp, body, err := postInfer(front.URL); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("forward: err %v, body %.200q", err, body)
+		}
+	}
+	if open.Load() == 0 {
+		t.Fatal("no connection to the replica after four forwards")
+	}
+	rt.Close()
+	for deadline := time.Now().Add(5 * time.Second); open.Load() > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d replica connections still open 5s after Close", open.Load())
+		}
+	}
+}

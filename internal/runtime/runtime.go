@@ -22,15 +22,11 @@ import (
 	"time"
 )
 
-// Pool is a worker pool for data-parallel layer execution. It and every
-// Limit view cut from it share one set of workers; they stop when Close is
-// called or when the pool and all its views have become unreachable.
+// Pool is a worker pool for data-parallel layer execution. Its workers stop
+// when Close is called or when the pool has become unreachable.
 type Pool struct {
 	width int
-	team  *team // shared with the Limit views; nil at width 1
-	// root keeps the pool a view was cut from reachable while the view is:
-	// the workers stop when the root is collected.
-	root *Pool
+	team  *team // nil at width 1
 }
 
 // NewPool creates a pool with n workers (n<=0 selects GOMAXPROCS).
@@ -60,27 +56,9 @@ func (p *Pool) Chunks() int {
 	return p.width * chunksPerWorker
 }
 
-// Limit returns a width-limited view of the pool: ParallelFor on the returned
-// pool splits work across at most n workers (floored at 1, capped at the
-// parent's width), drawn from the parent's own. The serving engine uses it to
-// run batch-class sweeps on a slice of the machine while interactive sweeps
-// keep the full width.
-func (p *Pool) Limit(n int) *Pool {
-	n = max(min(n, p.width), 1)
-	if n == p.width {
-		return p
-	}
-	root := p
-	if p.root != nil {
-		root = p.root
-	}
-	return &Pool{width: n, team: p.team, root: root}
-}
-
-// Close stops the workers the pool shares with its views and returns once
-// they have exited. Later forks run on their callers alone. Close is
-// idempotent; a pool that is never closed stops its workers when it becomes
-// unreachable.
+// Close stops the pool's workers and returns once they have exited. Later
+// forks run on their callers alone. Close is idempotent; a pool that is never
+// closed stops its workers when it becomes unreachable.
 func (p *Pool) Close() {
 	if p.team != nil {
 		p.team.close()
@@ -102,7 +80,7 @@ func (p *Pool) ParallelFor(n int, fn func(start, end int)) {
 		fn(0, n)
 		return
 	}
-	p.team.fork(min(n, p.Chunks(), maxChunks), min(p.width, n, maxChunks)-1, n, fn)
+	p.team.fork(min(n, p.Chunks(), maxChunks), n, fn)
 }
 
 const (
@@ -125,8 +103,8 @@ const (
 	spinRounds = 512
 )
 
-// team is the worker set a pool and its views share. It holds no reference
-// to the Pool, so the pool's cleanup can run while workers are parked.
+// team is a pool's worker set. It holds no reference to the Pool, so the
+// pool's cleanup can run while workers are parked.
 type team struct {
 	size  int
 	forks [maxForks]fork
@@ -153,11 +131,8 @@ type fork struct {
 	busy atomic.Bool // owned by a caller
 	// claim packs epoch<<32 | chunks<<16 | next. A helper claims chunk next
 	// by CAS, so a stale read from a finished epoch can never claim a chunk
-	// of the next one. seats packs epoch<<32 | helpers allowed<<16 | taken:
-	// a worker takes a seat before its first claim in an epoch, which holds a
-	// Limit view's fork to its width.
+	// of the next one.
 	claim atomic.Uint64
-	seats atomic.Uint64
 	done  atomic.Int32
 	fn    func(start, end int)
 	n     int
@@ -214,9 +189,8 @@ func (t *team) close() {
 	}
 }
 
-// fork runs fn over [0, n) in w chunks with the help of up to helpers
-// workers.
-func (t *team) fork(w, helpers, n int, fn func(start, end int)) {
+// fork runs fn over [0, n) in w chunks with the help of the team's workers.
+func (t *team) fork(w, n int, fn func(start, end int)) {
 	f := t.acquire()
 	if f == nil {
 		fn(0, n)
@@ -227,10 +201,8 @@ func (t *team) fork(w, helpers, n int, fn func(start, end int)) {
 	f.fn, f.n, f.size = fn, n, size
 	f.done.Store(0)
 	f.panicked.Store(false)
-	epoch := f.claim.Load()>>32 + 1
-	f.seats.Store(epoch<<32 | uint64(helpers)<<16)
-	f.claim.Store(epoch<<32 | uint64(chunks)<<16)
-	t.wakeUp(min(helpers, int(chunks)-1))
+	f.claim.Store((f.claim.Load()>>32+1)<<32 | uint64(chunks)<<16)
+	t.wakeUp(int(chunks) - 1)
 
 	for {
 		k := int32(f.claim.Add(1)-1) & 0xffff
@@ -274,19 +246,6 @@ func (t *team) wakeUp(k int) {
 	}
 }
 
-// takeSeat admits one more helper to the fork's epoch, if it has room.
-func (f *fork) takeSeat(epoch uint64) bool {
-	for {
-		s := f.seats.Load()
-		if s>>32 != epoch || s&0xffff >= s>>16&0xffff {
-			return false
-		}
-		if f.seats.CompareAndSwap(s, s+1) {
-			return true
-		}
-	}
-}
-
 // run executes chunk k, capturing a panic for the owner.
 func (f *fork) run(k int) {
 	defer func() {
@@ -298,23 +257,17 @@ func (f *fork) run(k int) {
 	f.fn(start, min(start+f.size, f.n))
 }
 
-// help claims and runs chunks from every published fork it has a seat at
-// until none is left, and reports whether it ran any.
+// help claims and runs chunks from every published fork until none is left,
+// and reports whether it ran any.
 func (t *team) help() bool {
 	ran := false
 	for i := range t.forks {
 		f := &t.forks[i]
-		for seat := uint64(0); ; {
+		for {
 			c := f.claim.Load()
 			k, chunks := int32(c&0xffff), int32(c>>16&0xffff)
 			if k >= chunks {
 				break
-			}
-			if c>>32 != seat {
-				if !f.takeSeat(c >> 32) {
-					break
-				}
-				seat = c >> 32
 			}
 			if !f.claim.CompareAndSwap(c, c+1) {
 				continue

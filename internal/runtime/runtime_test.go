@@ -181,48 +181,6 @@ func TestMeasureKeepsSubMillisecond(t *testing.T) {
 	}
 }
 
-func TestPoolLimit(t *testing.T) {
-	p := NewPool(8)
-	cases := []struct{ n, want int }{
-		{4, 4}, {8, 8}, {12, 8}, {0, 1}, {-3, 1}, {1, 1},
-	}
-	for _, c := range cases {
-		if got := p.Limit(c.n).Workers(); got != c.want {
-			t.Fatalf("NewPool(8).Limit(%d).Workers() = %d, want %d", c.n, got, c.want)
-		}
-	}
-	// Full-width limit returns the pool itself (no pointless copy).
-	if p.Limit(8) != p {
-		t.Fatal("Limit(width) should return the same pool")
-	}
-	// A limited pool still covers the whole range, cut into Chunks() pieces,
-	// with at most its width of goroutines in flight although all of the
-	// parent's workers poll the same job.
-	lp := p.Limit(2)
-	var covered [64]int32
-	var chunks, inFlight, most atomic.Int32
-	lp.ParallelFor(64, func(start, end int) {
-		chunks.Add(1)
-		now := inFlight.Add(1)
-		for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
-		}
-		for i := start; i < end; i++ {
-			atomic.AddInt32(&covered[i], 1)
-		}
-		for t0 := time.Now(); time.Since(t0) < 50*time.Microsecond; {
-		}
-		inFlight.Add(-1)
-	})
-	for i, c := range covered {
-		if c != 1 {
-			t.Fatalf("limited pool: index %d covered %d times", i, c)
-		}
-	}
-	if int(chunks.Load()) != lp.Chunks() || most.Load() > 2 {
-		t.Fatalf("Limit(2): %d chunks on up to %d goroutines, want %d on at most 2", chunks.Load(), most.Load(), lp.Chunks())
-	}
-}
-
 // covers runs one fork of n on p and reports whether every index ran exactly
 // once.
 func covers(p *Pool, n int) bool {
@@ -240,21 +198,23 @@ func covers(p *Pool, n int) bool {
 	return true
 }
 
-// TestParallelForConcurrentForks: eight goroutines fork at once on one pool
-// and on its Limit view, and every fork covers every index exactly once. Run under -race, this is
-// the check on the claim protocol: a helper reading a finished fork's fields,
-// or claiming a chunk of the next one, would double or drop an index.
+// TestParallelForConcurrentForks: eight goroutines fork at once on two
+// pools of widths 3 and 2, and every fork covers every index exactly once.
+// Run under -race, this is the check on the claim protocol: a helper reading
+// a finished fork's fields, or claiming a chunk of the next one, would double
+// or drop an index.
 func TestParallelForConcurrentForks(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	views := []*Pool{p, p.Limit(2)}
+	pools := []*Pool{NewPool(3), NewPool(2)}
+	for _, p := range pools {
+		defer p.Close()
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if n := 1 + (g*7+i)%40; !covers(views[(g+i)%2], n) {
+				if n := 1 + (g*7+i)%40; !covers(pools[(g+i)%2], n) {
 					t.Errorf("goroutine %d fork %d: [0,%d) not covered exactly once", g, i, n)
 					return
 				}
@@ -314,8 +274,7 @@ func TestParallelForPanicOnWorkerAndCaller(t *testing.T) {
 }
 
 // TestPoolWorkersExit: Close returns once every worker has exited, and a
-// pool nobody references any more — nor any Limit view cut from it — stops
-// its workers without being closed, while a live view keeps them.
+// pool nobody references any more stops its workers without being closed.
 func TestPoolWorkersExit(t *testing.T) {
 	p := NewPool(3)
 	if !covers(p, 16) {
@@ -328,31 +287,13 @@ func TestPoolWorkersExit(t *testing.T) {
 	default:
 		t.Fatal("Close returned with workers still running")
 	}
-	if !covers(p, 16) || !covers(p.Limit(2), 16) {
+	if !covers(p, 16) {
 		t.Fatal("a closed pool must still run forks, on the caller")
 	}
 
-	view, held := func() (*Pool, *team) {
-		v := NewPool(3).Limit(2)
-		covers(v, 16)
-		return v, v.team
-	}()
-	for range 3 {
-		goruntime.GC()
-	}
-	if !covers(view, 16) {
-		t.Fatal("fork on a live view")
-	}
-	select {
-	case <-held.done:
-		t.Fatal("workers stopped while a view of their pool was reachable")
-	default:
-	}
-	goruntime.KeepAlive(view)
-
 	released := func() *team {
 		p := NewPool(3)
-		covers(p.Limit(2), 16)
+		covers(p, 16)
 		return p.team
 	}()
 	for i := 0; ; i++ {

@@ -159,13 +159,7 @@ func (e *Engine) retireBatcher(cm *compiledModel) {
 		// eviction replaces the artifact (fleet aggregation sums these
 		// snapshots and expects monotonic counters).
 		for _, ln := range bt.lanes {
-			k := laneKey{cm.model.Short, cm.model.Dataset, ln.class}
-			c := e.laneCarry[k]
-			c.admitted += ln.admitted.Load()
-			if p := ln.peak.Load(); p > c.peak {
-				c.peak = p
-			}
-			e.laneCarry[k] = c
+			e.laneCarry[laneKey{cm.model.Short, cm.model.Dataset, ln.class}] += ln.admitted.Load()
 		}
 	}
 	e.mu.Unlock()

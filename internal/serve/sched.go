@@ -25,12 +25,11 @@ package serve
 //
 // Priority is by resource partitioning rather than preemption: the two lanes
 // run concurrently (so a full batch queue never blocks interactive dequeue),
-// but batch-class sweeps execute on a width-limited view of the worker pool
-// (Config.BatchWorkers, default a quarter of the pool) while interactive
-// sweeps keep the full width. Saturating batch traffic therefore costs
-// interactive requests at most the narrow slice of compute the operator
-// granted the batch class, and the batch class still makes progress — capped,
-// not starved, in either direction.
+// but a batch-class sweep runs on its lane's goroutine alone — a width-1
+// pool — while interactive sweeps fork across the engine's full pool.
+// Saturating batch traffic therefore costs interactive requests at most one
+// core, and the batch class still makes progress — capped, not starved, in
+// either direction.
 
 import (
 	"context"
@@ -56,7 +55,7 @@ const (
 	// traffic. Interactive sweeps run at the worker pool's full width.
 	ClassInteractive Class = iota
 	// ClassBatch is background traffic — canary comparisons, benchmarking,
-	// backfill — executed on a width-limited pool slice so it can never
+	// backfill — executed on its lane's goroutine alone so it can never
 	// starve interactive work.
 	ClassBatch
 	numClasses

@@ -66,10 +66,6 @@ type Config struct {
 	// lane past the budget is shed with ErrOverloaded, exactly like a full
 	// queue. Default 64 MiB per lane.
 	QueueBytes int64
-	// BatchWorkers caps the worker-pool width batch-class sweeps may use, so
-	// canary/bench traffic cannot monopolize the compute interactive traffic
-	// needs. Default max(1, Workers/4); values above Workers are clamped.
-	BatchWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -118,8 +114,8 @@ type Request struct {
 	// deterministic synthetic input.
 	Input []float32 `json:"input,omitempty"`
 	// Class is the scheduling class: "interactive" (default) for
-	// latency-sensitive traffic, "batch" for background traffic that rides
-	// the width-limited batch lane and can never starve interactive work.
+	// latency-sensitive traffic, "batch" for background traffic that sweeps
+	// on its own lane's goroutine alone and can never starve interactive work.
 	Class string `json:"class,omitempty"`
 	// TimeoutMs attaches a server-side deadline to this request (in
 	// milliseconds): if the deadline passes while the request is queued, the
@@ -163,7 +159,6 @@ type Stats struct {
 	PlanCompiles uint64 `json:"plan_compiles"` // plan-cache misses (models compiled)
 	PlanHits     uint64 `json:"plan_hits"`     // plan-cache hits
 	Workers      int    `json:"workers"`
-	BatchWorkers int    `json:"batch_workers"` // pool width granted to batch-class sweeps
 	// Shed counts requests rejected at admission because their class lane was
 	// full (ErrOverloaded — the 429 fast-fail), split by class below.
 	Shed        uint64            `json:"shed"`
@@ -230,12 +225,6 @@ type laneKey struct {
 	class            Class
 }
 
-// laneCarry is the folded residue of retired lanes under one laneKey.
-type laneCarry struct {
-	admitted uint64
-	peak     int64
-}
-
 // admittedKey is the Stats.Admitted map spelling of a laneKey.
 func (k laneKey) admittedKey() string {
 	s := k.network
@@ -279,10 +268,6 @@ func (en *modelEntry) snapshot() (cm *compiledModel, err error, ok bool) {
 type Engine struct {
 	cfg  Config
 	pool *runtime.Pool
-	// batchPool is the width-limited view of pool that batch-class sweeps
-	// run on (Config.BatchWorkers), so background traffic is capped rather
-	// than competing at full width with interactive sweeps.
-	batchPool *runtime.Pool
 
 	mu     sync.Mutex // guards models/batchers maps + reg + aliases
 	models map[modelKey]*modelEntry
@@ -296,11 +281,11 @@ type Engine struct {
 	// models swap artifacts on hot reload — the new version gets its own
 	// batcher and the retired one drains and exits (see retireBatcher).
 	batchers map[*compiledModel]*batcher
-	// laneCarry accumulates the admission counts (and queue peaks) of lanes
-	// whose batcher has been retired — hot-reload swaps, evictions, removals —
-	// keyed by (network, dataset, class) so the per-model cumulative totals in
+	// laneCarry accumulates the admission counts of lanes whose batcher has
+	// been retired — hot-reload swaps, evictions, removals — keyed by
+	// (network, dataset, class) so the per-model cumulative totals in
 	// Stats.Admitted survive any number of version swaps.
-	laneCarry map[laneKey]laneCarry
+	laneCarry map[laneKey]uint64
 	// reg is the attached model registry (nil unless WithRegistry was
 	// called): disk-backed versioned .patdnn artifacts the engine resolves
 	// Request.Network against before falling back to the generator path.
@@ -328,22 +313,13 @@ type Engine struct {
 // use (or eagerly via Preload) and stay cached until Close.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	pool := runtime.NewPool(cfg.Workers)
-	bw := cfg.BatchWorkers
-	if bw < 1 {
-		bw = pool.Workers() / 4
-		if bw < 1 {
-			bw = 1
-		}
-	}
 	return &Engine{
 		cfg:       cfg,
-		pool:      pool,
-		batchPool: pool.Limit(bw),
+		pool:      runtime.NewPool(cfg.Workers),
 		models:    make(map[modelKey]*modelEntry),
 		aliases:   make(map[modelKey]modelKey),
 		batchers:  make(map[*compiledModel]*batcher),
-		laneCarry: make(map[laneKey]laneCarry),
+		laneCarry: make(map[laneKey]uint64),
 	}
 }
 
@@ -543,10 +519,7 @@ func (e *Engine) dispatch(ctx context.Context, cm *compiledModel, in *tensor.Ten
 		// The straggler's lane is already gone; fold its admission straight
 		// into the carry so the model's cumulative count stays exact.
 		e.mu.Lock()
-		k := laneKey{cm.model.Short, cm.model.Dataset, class}
-		lc := e.laneCarry[k]
-		lc.admitted++
-		e.laneCarry[k] = lc
+		e.laneCarry[laneKey{cm.model.Short, cm.model.Dataset, class}]++
 		e.mu.Unlock()
 		start := time.Now()
 		out := cm.newOutput()
@@ -575,11 +548,15 @@ func (e *Engine) dispatch(ctx context.Context, cm *compiledModel, in *tensor.Ten
 	}
 }
 
-// poolFor returns the worker pool a class sweeps on: full width for
-// interactive, the width-limited slice for batch.
+// serialPool is the width-1 pool batch-class sweeps run on: no workers, so
+// ParallelFor runs inline on the sweeping lane's goroutine.
+var serialPool = runtime.NewPool(1)
+
+// poolFor returns the worker pool a class sweeps on: the engine's full width
+// for interactive, the calling goroutine alone for batch.
 func (e *Engine) poolFor(class Class) *runtime.Pool {
 	if class == ClassBatch {
-		return e.batchPool
+		return serialPool
 	}
 	return e.pool
 }
@@ -637,7 +614,6 @@ func (e *Engine) Stats() Stats {
 		PlanCompiles:    e.planCompiles.Load(),
 		PlanHits:        e.planHits.Load(),
 		Workers:         e.pool.Workers(),
-		BatchWorkers:    e.batchPool.Workers(),
 		Shed:            e.sheds.Load(),
 		DeadlineSheds:   e.deadlineSheds.Load(),
 		ExpiredExecuted: e.expiredExecuted.Load(),
@@ -652,9 +628,9 @@ func (e *Engine) Stats() Stats {
 	}
 	e.mu.Lock()
 	admitted := make(map[string]uint64, len(e.laneCarry)+len(e.batchers)*int(numClasses))
-	for k, c := range e.laneCarry {
-		if c.admitted > 0 {
-			admitted[k.admittedKey()] += c.admitted
+	for k, n := range e.laneCarry {
+		if n > 0 {
+			admitted[k.admittedKey()] += n
 		}
 	}
 	for cm, bt := range e.batchers {

@@ -37,7 +37,7 @@ func reluAVX2(dst []float32)
 func init() {
 	if cpu.HasAVX2FMA {
 		bestSet = Kernels{
-			Name: "avx2", Lanes: 8,
+			Name:  "avx2",
 			Tile4: fmaTile4AVX2, Tile8: fmaTile8AVX2,
 			Run4: runTaps4AVX2, Run4Q8: runTaps4Q8AVX2, Run1: runRow1AVX2,
 			Init: initAVX2, ReLU: reluAVX2,

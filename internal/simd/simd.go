@@ -59,8 +59,6 @@ package simd
 import (
 	"sync"
 	"sync/atomic"
-
-	"patdnn/internal/cpu"
 )
 
 // Tile4Func accumulates a 4-tap tile: dst[r,c] += Σ w[t]·src[t][r,c].
@@ -108,7 +106,6 @@ const MaxRunPlane = 4 * RunBlock
 // time, so a running plan's kernels never change under it.
 type Kernels struct {
 	Name   string // "avx2" or "generic"
-	Lanes  int    // vector width in float32 lanes (1 for generic)
 	Tile4  Tile4Func
 	Tile8  Tile8Func
 	Run4   Run4Func
@@ -120,7 +117,7 @@ type Kernels struct {
 
 var (
 	genericSet = Kernels{
-		Name: "generic", Lanes: 1,
+		Name:  "generic",
 		Tile4: fmaTile4Generic, Tile8: fmaTile8Generic,
 		Run4: runTaps4Generic, Run4Q8: runTaps4Q8Generic, Run1: runRow1Generic,
 		Init: initGeneric, ReLU: reluGeneric,
@@ -159,7 +156,3 @@ func ForceGeneric(on bool) {
 
 // Arch names the implementation Active currently selects.
 func Arch() string { return Active().Name }
-
-// CPUArch reports the probe's verdict for this core, independent of
-// ForceGeneric — the string tuning-DB keys and /stats carry.
-func CPUArch() string { return cpu.Arch() }
