@@ -117,3 +117,66 @@ func TestFoldConstants(t *testing.T) {
 		t.Fatalf("BNs recorded on convs = %d, want all %d", folded, bns)
 	}
 }
+
+// TestMemoryPlanReusesBuffers: after fusion, values on deep feed-forward nets
+// die soon after they are produced, so the peak of simultaneously live
+// activations — the least any static memory plan can allocate — is a small
+// fraction of giving every value its own buffer.
+func TestMemoryPlanReusesBuffers(t *testing.T) {
+	for _, m := range []*model.Model{model.VGG16("imagenet"), model.ResNet50("imagenet")} {
+		g := FromModel(m)
+		fuse(g)
+		lastUse := make([]int, len(g.Nodes))
+		size := make([]int64, len(g.Nodes))
+		var naive int64
+		for _, n := range g.Nodes {
+			lastUse[n.ID] = n.ID
+			for _, in := range n.Inputs {
+				lastUse[in] = n.ID
+			}
+			l := n.Layer
+			size[n.ID] = 4 * int64(l.OutC) * int64(l.OutH) * int64(l.OutW)
+			naive += size[n.ID]
+		}
+		var peak int64
+		for k := range g.Nodes {
+			var live int64
+			for v := 0; v <= k; v++ {
+				if lastUse[v] >= k {
+					live += size[v]
+				}
+			}
+			peak = max(peak, live)
+		}
+		if peak <= 0 || naive <= 0 {
+			t.Fatalf("%s: empty plan", m.Name)
+		}
+		if float64(peak) > 0.5*float64(naive) {
+			t.Fatalf("%s: weak reuse: peak live %d vs naive %d", m.Name, peak, naive)
+		}
+	}
+}
+
+// TestOptimizePipeline runs execgraph.Compile's pass schedule on ResNet-50:
+// each pass reports under its own name, conv→BN→ReLU and residual fusion both
+// fire, and no batchnorm or residual add is left to run on its own.
+func TestOptimizePipeline(t *testing.T) {
+	g := FromModel(model.ResNet50("cifar10"))
+	stats := []PassStats{g.FuseConvBNReLU(), g.FuseResidual(), g.FuseFCReLU()}
+	for i, want := range []string{"operator-fusion", "residual-fusion", "fc-relu-fusion"} {
+		if stats[i].Name != want {
+			t.Fatalf("pass %d = %q, want %q", i, stats[i].Name, want)
+		}
+	}
+	if stats[0].Applied == 0 || stats[1].Applied == 0 {
+		t.Fatalf("pipeline fused nothing: %+v", stats)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range g.Nodes {
+		if n.Op == "batchnorm" || n.Op == "add" {
+			t.Fatalf("node %d: %s survived the pipeline", n.ID, n.Op)
+		}
+	}
+}
