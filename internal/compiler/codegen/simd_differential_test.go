@@ -456,3 +456,93 @@ func TestPackedConvIsLinear(t *testing.T) {
 		}
 	}
 }
+
+// permutedConv returns c with filter f taken from c's filter filters[f] and,
+// in every filter, kernel k from c's kernel channels[k]: the same layer fed
+// channels[k] as its input channel k, writing c's output plane filters[f] as
+// plane f.
+func permutedConv(c *pruned.Conv, filters, channels []int) *pruned.Conv {
+	p := *c
+	p.IDs = make([]int, len(c.IDs))
+	p.Weights = tensor.New(c.OutC, c.InC, 3, 3)
+	for f, from := range filters {
+		for k, fromK := range channels {
+			p.IDs[f*c.InC+k] = c.IDs[from*c.InC+fromK]
+			copy(p.Weights.Data[(f*c.InC+k)*9:][:9], c.Weights.Data[(from*c.InC+fromK)*9:][:9])
+		}
+	}
+	return &p
+}
+
+// TestPackedConvIsChannelPermutationEquivariant is a metamorphic check on
+// Filter Kernel Reorder that needs no reference: permuting a layer's input
+// channels together with its input leaves the output as it was, and
+// permuting its filters (and their bias) permutes the output planes the
+// same way. Either permutation changes the filter groups and kernel order
+// the compiler builds. Checked to 1e-5 of the output's magnitude on both
+// kernel sets, tiled and plane-resident.
+func TestPackedConvIsChannelPermutationEquivariant(t *testing.T) {
+	const outC, inC = 9, 7
+	for _, g := range []struct{ hw, stride int }{{12, 1}, {6, 1}, {11, 2}} {
+		rng := rand.New(rand.NewSource(int64(7 * g.hw)))
+		c, x := stridedConv(rng, outC, inC, g.hw, g.hw, g.stride, false)
+		bias := make([]float32, outC)
+		for i := range bias {
+			bias[i] = float32(rng.NormFloat64())
+		}
+		identity := func(n int) []int {
+			p := make([]int, n)
+			for i := range p {
+				p[i] = i
+			}
+			return p
+		}
+		filters, channels := rng.Perm(outC), rng.Perm(inC)
+		xp := tensor.New(x.Shape()...)
+		plane := g.hw * g.hw
+		for k, from := range channels {
+			copy(xp.Data[k*plane:(k+1)*plane], x.Data[from*plane:(from+1)*plane])
+		}
+		biasp := make([]float32, outC)
+		for f, from := range filters {
+			biasp[f] = bias[from]
+		}
+		byChannel := permutedConv(c, identity(outC), channels)
+		byFilter := permutedConv(c, filters, identity(inC))
+		for _, generic := range []bool{false, true} {
+			compile := func(c *pruned.Conv) *Plan {
+				if generic {
+					return compileForcedGeneric(t, c, Packed, c3Tune())
+				}
+				p, err := Compile(c, Packed, c3Tune())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			base := compile(c)
+			want := base.Execute(x, bias)
+			who := fmt.Sprintf("3x3 %dx%d s%d resident=%v %s", g.hw, g.hw, g.stride, base.lay.resident, base.KernelArch())
+			var scale float64
+			for _, v := range want.Data {
+				scale = max(scale, math.Abs(float64(v)))
+			}
+			outPlane := c.OutH * c.OutW
+			check := func(what string, got *tensor.Tensor, wantPlane func(f int) []float32) {
+				t.Helper()
+				for f := 0; f < outC; f++ {
+					w := wantPlane(f)
+					for i, v := range got.Data[f*outPlane : (f+1)*outPlane] {
+						if d := math.Abs(float64(v) - float64(w[i])); d > 1e-5*scale {
+							t.Fatalf("%s, %s: plane %d pixel %d = %g, want %g", who, what, f, i, v, w[i])
+						}
+					}
+				}
+			}
+			check("input channels permuted", compile(byChannel).Execute(xp, bias),
+				func(f int) []float32 { return want.Data[f*outPlane : (f+1)*outPlane] })
+			check("filters permuted", compile(byFilter).Execute(x, biasp),
+				func(f int) []float32 { return want.Data[filters[f]*outPlane : (filters[f]+1)*outPlane] })
+		}
+	}
+}

@@ -265,8 +265,8 @@ func doRequest(ctx context.Context, spec *Spec, target string, body []byte) (lat
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
-	latMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	if err != nil {
+		latMs = float64(time.Since(start).Nanoseconds()) / 1e6
 		if errors.Is(err, context.DeadlineExceeded) {
 			return latMs, outcomeExpired, target, "", nil
 		}
@@ -283,6 +283,9 @@ func doRequest(ctx context.Context, spec *Spec, target string, body []byte) (lat
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	// The clock stops at the body's last byte: a large reply's transfer is
+	// part of what the client waits for.
+	latMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	servedBy = resp.Header.Get(replicaHeader)
 	if servedBy == "" {
 		servedBy = target

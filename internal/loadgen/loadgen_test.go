@@ -329,6 +329,32 @@ func TestReplicaHeaderAttribution(t *testing.T) {
 	}
 }
 
+// TestLatencyIncludesTheBody: a reply whose headers arrive at once and whose
+// body arrives 50 ms later takes at least 50 ms.
+func TestLatencyIncludesTheBody(t *testing.T) {
+	const bodyDelay = 50 * time.Millisecond
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		time.Sleep(bodyDelay)
+		w.Write([]byte(`{"argmax":0,"level":"packed"}`))
+	}))
+	t.Cleanup(ts.Close)
+	r, err := Run(context.Background(), Spec{
+		URL: ts.URL, Network: "tiny", Mode: "closed", Clients: 1, Requests: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.OK != 2 {
+		t.Fatalf("want 2 OK: %+v", r)
+	}
+	if fastest, minMs := r.Hist.Quantile(0), float64(bodyDelay.Milliseconds()); fastest < minMs {
+		t.Fatalf("latency %.2f ms is under the %.0f ms the body took to arrive", fastest, minMs)
+	}
+}
+
 func TestSingleTargetOmitsPerTarget(t *testing.T) {
 	ts := stubServe(t, func(string) (int, time.Duration) { return http.StatusOK, 0 })
 	r, err := Run(context.Background(), Spec{

@@ -16,7 +16,8 @@ package serve
 //
 // The reply is encoding/json's too: appendResponse writes exactly the bytes
 // json.NewEncoder(w).Encode(resp) writes, without reflection, and formats a
-// long output array in parts over the engine's worker pool.
+// long output array in parts over the engine's worker pool. Tensor floats
+// cross both ways through float32.go's exact codec.
 //
 // Bodies on both hops are read once into pooled buffers (ReadBody/PutBuffer),
 // bounded by MaxRequestBytes.
@@ -116,7 +117,7 @@ func scanRequest(b []byte, req *Request, withInput bool) bool {
 			}
 			*str, i = string(val), end
 		case field == 1<<3:
-			end := scanNumber(b, i)
+			end := scanNumber(b, i, nil)
 			if end < 0 {
 				return false
 			}
@@ -165,23 +166,22 @@ func scanInput(b []byte, i int, req *Request, convert bool) int {
 		return stop + 1
 	}
 	var out []float32
+	var n *number
 	if convert {
 		out = make([]float32, 0, bytes.Count(b[i:stop], []byte{','})+1)
+		n = new(number) // on the stack
 	}
 	for {
-		end := scanNumber(b, i)
+		end := scanNumber(b, i, n)
 		if end < 0 {
 			return -1
 		}
 		if convert {
-			// The span is JSON number grammar, so ParseFloat can only fail on
-			// range. The string conversion stays on the stack for the ≤ 32
-			// bytes a float32's decimal form takes.
-			v, err := strconv.ParseFloat(string(b[i:end]), 32)
+			v, err := parseFloat32(b[i:end], *n)
 			if err != nil {
 				return -1
 			}
-			out = append(out, float32(v))
+			out = append(out, v)
 		}
 		i = skipSpace(b, end)
 		if i == stop {
@@ -222,11 +222,14 @@ func scanString(b []byte, i int) (val []byte, end int) {
 
 // scanNumber reads one number of the JSON grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, starting at b[i] and returns
-// the index after it, or -1. What follows the number is the caller's to check.
-func scanNumber(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
+// the index after it, or -1; given n, it also reads the number's value into
+// n. What follows the number is the caller's to check.
+func scanNumber(b []byte, i int, n *number) int {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	intStart := i
 	switch {
 	case i == len(b):
 		return -1
@@ -237,13 +240,15 @@ func scanNumber(b []byte, i int) int {
 	default:
 		return -1
 	}
+	intEnd, fracEnd := i, i
 	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
+		fracEnd = skipDigits(b, i+1)
+		if fracEnd == i+1 {
 			return -1
 		}
-		i = j
+		i = fracEnd
 	}
+	expStart := i
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
@@ -254,6 +259,17 @@ func scanNumber(b []byte, i int) int {
 			return -1
 		}
 		i = j
+	}
+	if n != nil {
+		*n = number{neg: neg}
+		n.addDigits(b[intStart:intEnd])
+		if fracEnd > intEnd {
+			n.addDigits(b[intEnd+1 : fracEnd])
+			n.exp = intEnd + 1 - fracEnd
+		}
+		if expStart < i {
+			n.addExponent(b[expStart+1 : i])
+		}
 	}
 	return i
 }
@@ -266,8 +282,10 @@ func skipDigits(b []byte, i int) int {
 }
 
 // outputPart is the fewest output elements a part of the reply formats:
-// about 80 µs of strconv at ~80 ns a float, against the few microseconds a
-// fork costs. A classifier's reply is one part and forks nothing.
+// about 60 µs at appendFloat32's ~60 ns a float (2-vCPU Xeon), against the
+// few microseconds a fork costs. Parts of 512 and 2048 encoded an SR reply
+// on two workers no faster. A classifier's reply is one part and forks
+// nothing.
 const outputPart = 1024
 
 // maxElemBytes bounds one output element and the comma before it. The
@@ -386,7 +404,7 @@ func appendFloats(b []byte, vs []float32, more bool) ([]byte, error) {
 			b = append(b, ',')
 		}
 		var err error
-		if b, err = appendFloat(b, float64(v), 32); err != nil {
+		if b, err = appendFloat32(b, v); err != nil {
 			return b, err
 		}
 	}
